@@ -15,14 +15,23 @@ discovery of the straightforward approach by combining three prunings:
   join attributes are ``Y`` can only hold if ``Y A' -> b`` holds on that
   side, which is decided from the side's FD cover without touching the join.
 
-Only when a candidate survives all three prunings is the (partial) join
-materialised — lazily, once — and the candidate checked with stripped
-partitions.  Data validations run on the pluggable partition backend
-(``fd_holds_fast`` probes the LHS partition's groups against the cached RHS
-column codes — a boolean-mask pass on the numpy fast path, an early-exit
-scan on the pure-python fallback); candidates here are validated one by one
-because each verdict feeds the Armstrong/domination prunings of the very
-next candidate, unlike the independent levels batched by TANE/FUN.
+The candidate lattice is walked once for all dependents, level by level as
+in TANE (Huhtala et al., 1999).  At level ``k`` every dependent first runs
+the three prunings over its candidates; the LHSs left over are then
+validated against the (partial) join, materialised lazily and once.  Each
+distinct LHS gets one stripped partition per level, shared by every
+dependent that needs it and built by one product of its fewest-groups
+parent from level ``k - 1`` with a single-attribute partition, so only two
+levels of partitions are ever alive.  ``fd_holds_fast`` then probes the RHS
+column codes within the LHS groups (a boolean-mask pass on the numpy fast
+path, an early-exit scan on the pure-python fallback).
+
+Deferring a level's validations until all of its prunings ran cannot change
+the result: a candidate the combined closure would have accepted after a
+sibling's data verdict is validated by data instead, and is a ``JOIN`` FD
+either way; ``INFERRED`` reads only the fixed closure of the known FDs.
+Each dependent keeps its triples in lattice order (per level, by sorted
+LHS), and the per-dependent lists are concatenated in attribute order.
 """
 
 from __future__ import annotations
@@ -33,8 +42,7 @@ from typing import Iterable, Sequence
 from ..fd.closure import FDIndex
 from ..fd.fd import FD
 from ..relational.algebra import JoinKind, equi_join
-from ..relational.backend import get_backend
-from ..relational.partition import PartitionCache, fd_holds_fast
+from ..relational.partition import PartitionCache, StrippedPartition, fd_holds_fast
 from ..relational.relation import Relation
 from .provenance import FDType, ProvenanceTriple
 
@@ -58,12 +66,45 @@ class JoinMiningOutcome:
     partial_join_rows: int = 0
     #: The materialised partial join, if any (reused by the engine for enclosing nodes).
     joined: Relation | None = None
-    #: Hit/miss/eviction counters of the join's bounded :class:`PartitionCache`
-    #: (``None`` when the join was never materialised), reported alongside the
-    #: partition backend that executed the validations.
-    partition_cache_stats: dict | None = None
-    #: Name of the partition backend active during the mining.
-    partition_backend: str = ""
+
+
+class _ClosureMemo:
+    """Closures under a growing FD list, memoised per attribute set."""
+
+    __slots__ = ("fds", "index", "memo")
+
+    def __init__(self, fds: Iterable[FD]) -> None:
+        self.fds = list(fds)
+        self.index: FDIndex | None = None
+        self.memo: dict[frozenset[str], frozenset[str]] = {}
+
+    def add(self, dependency: FD) -> None:
+        """Extend the FD list; the index and the memo are rebuilt lazily."""
+        self.fds.append(dependency)
+        self.index = None
+        self.memo.clear()
+
+    def __call__(self, attributes: frozenset[str]) -> frozenset[str]:
+        closure = self.memo.get(attributes)
+        if closure is None:
+            if self.index is None:
+                self.index = FDIndex(self.fds)
+            closure = self.memo[attributes] = self.index.closure(attributes)
+        return closure
+
+
+@dataclass
+class _RhsWalk:
+    """The lattice walk state of one dependent attribute."""
+
+    rhs: str
+    in_left: bool
+    in_right: bool
+    #: LHSs of the known and found FDs with this dependent.
+    dominating: list[frozenset[str]]
+    #: The current level's candidates, sorted by their sorted attribute names.
+    alive: list[frozenset[str]]
+    triples: list[ProvenanceTriple] = field(default_factory=list)
 
 
 def mine_join_fds(
@@ -113,71 +154,32 @@ def mine_join_fds(
 
     left_side = set(left_instance.attribute_names)
     right_side = set(right_instance.attribute_names)
+    # The equi-join output keeps a shared join attribute once, on the left.
     dropped_right = {rgt for lft, rgt in zip(left_on, right_on) if lft == rgt}
-    output_attrs = tuple(left_instance.attribute_names) + tuple(
-        a for a in right_instance.attribute_names if a not in dropped_right
-    )
+    right_kept = [a for a in right_instance.attribute_names if a not in dropped_right]
     allowed = set(attributes)
-    view_attrs = [a for a in output_attrs if a in allowed]
+    view_attrs = [a for a in (*left_instance.attribute_names, *right_kept) if a in allowed]
     if len(view_attrs) < 2:
         return outcome
 
     known = list(known_fds)
     left_cover = list(left_fds)
     right_cover = list(right_fds)
-    left_cover_index = FDIndex(left_cover)
-    right_cover_index = FDIndex(right_cover)
-    left_join_attrs = set(left_on)
-    right_join_attrs = set(right_on)
-    found: list[FD] = []
+    left_join_attrs = frozenset(left_on)
+    right_join_attrs = frozenset(right_on)
+    left_closure = _ClosureMemo(left_cover)
+    right_closure = _ClosureMemo(right_cover)
+    known_closure = _ClosureMemo(known)
+    # Closures over `known` plus the data-validated FDs.  FDs accepted by a
+    # closure are implied by the FDs already indexed and cannot change any
+    # closure, so only a data verdict extends the index.
+    combined_closure = _ClosureMemo(known)
     max_size = max_lhs_size if max_lhs_size is not None else len(view_attrs) - 1
 
-    joined: Relation | None = None
-    cache: PartitionCache | None = None
-    closure_cache: dict[frozenset[str], frozenset[str]] = {}
-    known_index = FDIndex(known)
-    # Closures over `known + found` are re-indexed lazily whenever the mining
-    # discovers a new FD; between discoveries the index is reused across every
-    # candidate of the lattice walk.
-    combined_index = known_index
-    combined_stale = False
-
-    def known_closure(lhs: frozenset[str]) -> frozenset[str]:
-        cached = closure_cache.get(lhs)
-        if cached is None:
-            cached = known_index.closure(lhs)
-            closure_cache[lhs] = cached
-        return cached
-
-    def combined_closure(lhs: frozenset[str]) -> frozenset[str]:
-        nonlocal combined_index, combined_stale
-        if combined_stale:
-            combined_index = FDIndex(known + found)
-            combined_stale = False
-        return combined_index.closure(lhs)
-
-    def materialise_join() -> tuple[Relation, PartitionCache]:
-        nonlocal joined, cache
-        if joined is None:
-            joined = equi_join(
-                left_instance, right_instance, left_on, right_on, kind=kind,
-                name=f"partial({subquery})",
-            )
-            # The lattice walk can request one LHS partition per surviving
-            # candidate; bound the cache so wide joins cannot hold every
-            # combination alive at once (evicted entries are recomputed).
-            cache = PartitionCache(joined, max_positions=max(65_536, 16 * len(joined)))
-            outcome.join_materialised = True
-            outcome.partial_join_rows = len(joined)
-            outcome.joined = joined
-        assert cache is not None
-        return joined, cache
-
+    walks: list[_RhsWalk] = []
     for rhs in view_attrs:
-        other_attrs = [a for a in view_attrs if a != rhs]
-        dominating = [f.lhs for f in known if f.rhs == rhs]
         in_left = rhs in left_side
-        in_right = rhs in right_side or rhs in dropped_right
+        in_right = rhs in right_side
         if use_theorem4 and not _rhs_is_plausible(
             rhs, in_left, in_right, left_join_attrs, right_join_attrs, left_cover, right_cover
         ):
@@ -187,82 +189,136 @@ def mine_join_fds(
             # right-hand side without generating any candidate.
             outcome.candidates_pruned_logically += 1
             continue
+        walks.append(
+            _RhsWalk(
+                rhs=rhs,
+                in_left=in_left,
+                in_right=in_right,
+                dominating=[f.lhs for f in known if f.rhs == rhs],
+                alive=[frozenset({a}) for a in sorted(view_attrs) if a != rhs],
+            )
+        )
 
-        alive: list[frozenset[str]] = [frozenset({a}) for a in other_attrs]
-        size = 1
-        while alive and size <= max_size:
+    joined: Relation | None = None
+    cache: PartitionCache | None = None
+    # Partitions of the LHSs validated at the previous and the current level.
+    previous: dict[frozenset[str], StrippedPartition] = {}
+    current: dict[frozenset[str], StrippedPartition] = {}
+
+    def level_partition(lhs: frozenset[str]) -> StrippedPartition:
+        partition = current.get(lhs)
+        if partition is not None:
+            return partition
+        assert cache is not None
+        best: StrippedPartition | None = None
+        best_rank = best_missing = None
+        for attribute in sorted(lhs):
+            parent = previous.get(lhs - {attribute})
+            if parent is None:
+                continue
+            rank = (parent.n_groups, parent.stripped_size)
+            if best is None or rank < best_rank:
+                best, best_rank, best_missing = parent, rank, attribute
+        if best is None:
+            # A single attribute, or an LHS none of whose parents needed
+            # validation: the join's cache builds it from the singletons.
+            partition = cache.get(lhs)
+        else:
+            partition = best.intersect(cache.get((best_missing,)))
+        current[lhs] = partition
+        return partition
+
+    size = 1
+    while size <= max_size and any(walk.alive for walk in walks):
+        # Pass 1: the logical prunings, dependent by dependent.  Each entry
+        # is a triple found without data access or an LHS left to validate.
+        level: list[tuple[_RhsWalk, list[ProvenanceTriple | frozenset[str]], list]] = []
+        for walk in walks:
+            if not walk.alive:
+                continue
+            rhs = walk.rhs
+            entries: list[ProvenanceTriple | frozenset[str]] = []
             expandable: list[frozenset[str]] = []
-            for lhs in sorted(alive, key=lambda s: tuple(sorted(s))):
-                if any(d <= lhs for d in dominating):
+            for lhs in walk.alive:
+                if any(d <= lhs for d in walk.dominating):
                     continue  # dominated: neither minimal nor worth expanding
                 attrs = lhs | {rhs}
-                crosses = not attrs <= left_side and not attrs <= (right_side | dropped_right)
-                if not crosses:
+                if attrs <= left_side or attrs <= right_side:
                     # Entirely single-sided and not dominated by that side's
                     # complete FD set: it cannot hold, but supersets that add
                     # attributes from the other side still can.
                     expandable.append(lhs)
                     continue
-                closure = known_closure(lhs)
-                if rhs in closure:
+                if rhs in known_closure(lhs):
                     # Valid by Armstrong reasoning over FDs carried from the
                     # inputs: an inferred FD (Definition 6), no data access.
-                    outcome.candidates_pruned_logically += 1
-                    dependency = FD(lhs, rhs)
-                    found.append(dependency)
-                    dominating.append(lhs)
-                    combined_stale = True
-                    outcome.triples.append(
-                        ProvenanceTriple(dependency, FDType.INFERRED, subquery)
-                    )
-                    continue
-                if rhs in combined_closure(lhs):
+                    fd_type = FDType.INFERRED
+                elif rhs in combined_closure(lhs):
                     # Valid, but only thanks to previously mined join FDs: it
                     # is a join FD itself (Definition 7), still no data access.
-                    outcome.candidates_pruned_logically += 1
-                    dependency = FD(lhs, rhs)
-                    found.append(dependency)
-                    dominating.append(lhs)
-                    combined_stale = True
-                    outcome.triples.append(
-                        ProvenanceTriple(dependency, FDType.JOIN, subquery)
-                    )
-                    continue
-                if use_theorem4 and not _theorem4_admits(
-                    lhs, rhs, in_left, in_right,
-                    left_side, right_side, left_join_attrs, right_join_attrs,
-                    left_cover_index, right_cover_index,
+                    fd_type = FDType.JOIN
+                elif use_theorem4 and not _theorem4_admits(
+                    lhs,
+                    rhs,
+                    walk.in_left,
+                    walk.in_right,
+                    left_side,
+                    right_side,
+                    left_join_attrs,
+                    right_join_attrs,
+                    left_closure,
+                    right_closure,
                 ):
                     # The candidate cannot hold on the join (Theorem 4);
                     # supersets adding same-side attributes may still hold.
                     outcome.candidates_pruned_logically += 1
                     expandable.append(lhs)
                     continue
-                join_instance, join_cache = materialise_join()
-                outcome.candidates_validated += 1
-                usable = lhs <= set(join_instance.attribute_names) and join_instance.schema.has(rhs)
-                if usable and fd_holds_fast(join_instance, join_cache.get(lhs), rhs):
-                    dependency = FD(lhs, rhs)
-                    found.append(dependency)
-                    dominating.append(lhs)
-                    combined_stale = True
-                    outcome.triples.append(
-                        ProvenanceTriple(dependency, FDType.JOIN, subquery)
-                    )
                 else:
-                    expandable.append(lhs)
-            alive = _next_level(expandable, other_attrs)
-            size += 1
+                    entries.append(lhs)
+                    continue
+                outcome.candidates_pruned_logically += 1
+                dependency = FD(lhs, rhs)
+                walk.dominating.append(lhs)
+                entries.append(ProvenanceTriple(dependency, fd_type, subquery))
+            level.append((walk, entries, expandable))
 
-    outcome.fds = sorted(found, key=FD.sort_key)
-    # Resolve against the partial join when it was materialised, so the
-    # recorded provenance honours the per-relation backend heuristic the
-    # validation probes actually ran under.
-    outcome.partition_backend = get_backend(
-        len(joined) if joined is not None else None
-    ).name
-    if cache is not None:
-        outcome.partition_cache_stats = cache.stats.as_dict()
+        # Pass 2: validate the survivors on the level's shared partitions.
+        previous, current = current, {}
+        for walk, entries, expandable in level:
+            rhs = walk.rhs
+            for entry in entries:
+                if isinstance(entry, ProvenanceTriple):
+                    walk.triples.append(entry)
+                    continue
+                if joined is None:
+                    joined = equi_join(
+                        left_instance,
+                        right_instance,
+                        left_on,
+                        right_on,
+                        kind=kind,
+                        name=f"partial({subquery})",
+                    )
+                    # Pins the single-attribute partitions; larger LHSs live
+                    # in the two level maps.
+                    cache = PartitionCache(joined)
+                    outcome.join_materialised = True
+                    outcome.partial_join_rows = len(joined)
+                    outcome.joined = joined
+                outcome.candidates_validated += 1
+                if fd_holds_fast(joined, level_partition(entry), rhs):
+                    dependency = FD(entry, rhs)
+                    combined_closure.add(dependency)
+                    walk.dominating.append(entry)
+                    walk.triples.append(ProvenanceTriple(dependency, FDType.JOIN, subquery))
+                else:
+                    expandable.append(entry)
+            walk.alive = _next_level(expandable)
+        size += 1
+
+    outcome.triples = [triple for walk in walks for triple in walk.triples]
+    outcome.fds = sorted((triple.dependency for triple in outcome.triples), key=FD.sort_key)
     return outcome
 
 
@@ -270,8 +326,8 @@ def _rhs_is_plausible(
     rhs: str,
     in_left: bool,
     in_right: bool,
-    left_join_attrs: set[str],
-    right_join_attrs: set[str],
+    left_join_attrs: frozenset[str],
+    right_join_attrs: frozenset[str],
     left_cover: list[FD],
     right_cover: list[FD],
 ) -> bool:
@@ -289,13 +345,11 @@ def _rhs_is_plausible(
     if rhs in left_join_attrs or rhs in right_join_attrs:
         return True
     if in_right and any(
-        dependency.rhs == rhs and dependency.lhs & right_join_attrs
-        for dependency in right_cover
+        dependency.rhs == rhs and dependency.lhs & right_join_attrs for dependency in right_cover
     ):
         return True
     if in_left and any(
-        dependency.rhs == rhs and dependency.lhs & left_join_attrs
-        for dependency in left_cover
+        dependency.rhs == rhs and dependency.lhs & left_join_attrs for dependency in left_cover
     ):
         return True
     return False
@@ -308,39 +362,51 @@ def _theorem4_admits(
     in_right: bool,
     left_side: set[str],
     right_side: set[str],
-    left_join_attrs: set[str],
-    right_join_attrs: set[str],
-    left_cover_index: FDIndex,
-    right_cover_index: FDIndex,
+    left_join_attrs: frozenset[str],
+    right_join_attrs: frozenset[str],
+    left_closure: _ClosureMemo,
+    right_closure: _ClosureMemo,
 ) -> bool:
     """Whether Theorem 4 allows the candidate ``lhs -> rhs`` to hold at all.
 
     For a dependent attribute from side ``J`` with join attributes ``Y``, the
     candidate can hold only if ``Y ∪ (lhs ∩ atts(J)) -> rhs`` holds on the
     (reduced) instance of ``J``, which is decided against that side's
-    complete FD cover (indexed once per join node).  A dependent shared by
-    both sides (a join attribute) admits the candidate whenever either side
-    does.
+    complete FD cover (closures memoised once per join node).  A dependent
+    shared by both sides (a join attribute) admits the candidate whenever
+    either side does.
     """
-    admitted = False
     if in_right:
-        same_side = lhs & (right_side - right_join_attrs)
-        closure = right_cover_index.closure(right_join_attrs | same_side)
-        admitted = admitted or rhs in closure or rhs in right_join_attrs
-    if in_left and not admitted:
-        same_side = lhs & (left_side - left_join_attrs)
-        closure = left_cover_index.closure(left_join_attrs | same_side)
-        admitted = admitted or rhs in closure or rhs in left_join_attrs
-    return admitted
+        closure = right_closure(right_join_attrs | (lhs & right_side))
+        if rhs in closure or rhs in right_join_attrs:
+            return True
+    if in_left:
+        closure = left_closure(left_join_attrs | (lhs & left_side))
+        return rhs in closure or rhs in left_join_attrs
+    return False
 
 
-def _next_level(
-    expandable: list[frozenset[str]], universe: Sequence[str]
-) -> list[frozenset[str]]:
-    """Generate the next candidate level from the surviving candidates."""
-    next_level: set[frozenset[str]] = set()
-    for lhs in expandable:
-        for attribute in universe:
-            if attribute not in lhs:
-                next_level.add(lhs | {attribute})
-    return sorted(next_level, key=lambda s: tuple(sorted(s)))
+def _next_level(expandable: list[frozenset[str]]) -> list[frozenset[str]]:
+    """TANE's apriori generation: the next level, in sorted order.
+
+    A set one larger is generated only when all of its subsets on this level
+    are expandable.  Any other superset contains a subset that was dominated
+    or found to hold, so it is dominated itself and would be skipped.
+    """
+    survivors = set(expandable)
+    ordered = sorted(tuple(sorted(lhs)) for lhs in expandable)
+    next_level: list[frozenset[str]] = []
+    start = 0
+    while start < len(ordered):
+        # One block of sets sharing all but their last attribute.
+        prefix = ordered[start][:-1]
+        end = start + 1
+        while end < len(ordered) and ordered[end][:-1] == prefix:
+            end += 1
+        for i in range(start, end):
+            for j in range(i + 1, end):
+                candidate = frozenset(ordered[i] + ordered[j][-1:])
+                if all(candidate - {a} in survivors for a in prefix):
+                    next_level.append(candidate)
+        start = end
+    return next_level

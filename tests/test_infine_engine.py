@@ -218,6 +218,46 @@ def test_randomised_equivalence_other_join_kinds(kind):
     assert set(infine.fds.as_set()) == set(reference.fds.as_set())
 
 
+
+def _wide_random_catalog(rng: random.Random):
+    """2-4 attributes and 0-25 rows per side: deep enough for mineFDs' level 3+."""
+    dom = rng.randint(1, 4)
+    relations = {}
+    for name, prefix in (("L", "l"), ("R", "r")):
+        n_rows = rng.randint(0, 25)
+        attrs = ["k"] + [f"{prefix}{i}" for i in range(rng.randint(1, 3))]
+        relations[name] = Relation(
+            name, attrs, [tuple(rng.randint(0, dom) for _ in attrs) for _ in range(n_rows)]
+        )
+    return relations
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("kind", [JoinKind.INNER, JoinKind.LEFT_SEMI, JoinKind.RIGHT_SEMI])
+def test_randomised_equivalence_wide_views(kind, seed):
+    catalog = _wide_random_catalog(random.Random(seed))
+    view = join(base("L"), base("R"), on="k", kind=kind)
+    infine = InFine().run(view, catalog)
+    reference = StraightforwardPipeline("tane").run(view, catalog, with_provenance=False)
+    assert set(infine.fds.as_set()) == set(reference.fds.as_set())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="outer joins: the preserved side is semi-join-reduced before mining and "
+    "carried FDs ignore NULL padding, so InFine reports constant FDs TANE rejects",
+)
+@pytest.mark.parametrize("kind", [JoinKind.LEFT_OUTER, JoinKind.RIGHT_OUTER, JoinKind.FULL_OUTER])
+def test_outer_join_equivalence_known_defect(kind):
+    catalog = {
+        "L": Relation("L", ("k", "a"), [(1, "x"), (2, "x")]),
+        "R": Relation("R", ("k", "b"), [(1, "p"), (3, "q")]),
+    }
+    view = join(base("L"), base("R"), on="k", kind=kind)
+    infine = InFine().run(view, catalog)
+    reference = StraightforwardPipeline("tane").run(view, catalog, with_provenance=False)
+    assert set(infine.fds.as_set()) == set(reference.fds.as_set())
+
 @settings(max_examples=20, deadline=None)
 @given(
     left_rows=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=12),
