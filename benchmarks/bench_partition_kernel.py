@@ -200,47 +200,21 @@ def main(argv: list[str] | None = None) -> None:
         help="pin the partition backend of this run's session (default: the "
         "environment's selection — numpy when importable)",
     )
-    parser.add_argument(
-        "--shard-count",
-        type=int,
-        default=None,
-        help="shard count for the grouping kernel (0 auto, 1 sequential, "
-        "N shards; default: the session default)",
-    )
-    parser.add_argument(
-        "--shard-min-rows",
-        type=int,
-        default=None,
-        help="minimum rows before the sharded path engages (0 forces it)",
-    )
     args = parser.parse_args(argv)
 
     scale = os.environ.get("REPRO_BENCH_SCALE", "small")
     # Each run executes under its own Session so the backend pin and cache
     # budgets are explicit (and the recorded backend is exactly what ran).
-    session_kwargs: dict = {"backend": args.backend}
-    if args.shard_count is not None:
-        session_kwargs["shard_count"] = args.shard_count
-    if args.shard_min_rows is not None:
-        session_kwargs["shard_min_rows"] = args.shard_min_rows
-    session = Session(**session_kwargs)
+    session = Session(backend=args.backend)
     with session.activate():
         result = run_bench(_resolve_rows(scale), repeats=args.repeats)
         stats = session.kernel_stats()
     result["config_fingerprint"] = session.config.fingerprint()
-    # Which grouping path the kernel actually took (counting-sort vs
-    # introsort, sharded vs sequential) — makes a run's label verifiable
-    # from the JSON alone.  Sharded numbers are only comparable across
-    # hosts with the CPU count in hand, so it is recorded too.
+    # Which sort path the kernel actually took (counting-sort vs
+    # introsort) — makes a run's label verifiable from the JSON alone.
     result["sort_paths"] = {
         "counting": stats.get("counting_sorts", 0),
         "introsort": stats.get("introsorts", 0),
-        "sharded_groupings": stats.get("sharded_groupings", 0),
-    }
-    result["host_cpu_count"] = os.cpu_count() or 1
-    result["shard_config"] = {
-        "shard_count": session.config.shard_count,
-        "shard_min_rows": session.config.shard_min_rows,
     }
 
     output = Path(args.output)

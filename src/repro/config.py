@@ -44,22 +44,6 @@ ENV_COMBINED_CACHE_ENTRIES = "REPRO_COMBINED_CODES_CACHE_ENTRIES"
 #: constant factors beat the vectorized path on micro inputs).
 ENV_BACKEND_MIN_NUMPY_ROWS = "REPRO_BACKEND_MIN_NUMPY_ROWS"
 
-#: Environment variable toggling batched lattice-level validation (``1``/``0``).
-ENV_BATCH_VALIDATION = "REPRO_BATCH_VALIDATION"
-
-#: Environment variable bounding the counting-sort grouping path of the numpy
-#: backend: key spaces up to this many dense codes are grouped by a 16-bit
-#: counting sort instead of the composite introsort (``0`` disables the path).
-ENV_COUNTING_SORT_MAX_CODES = "REPRO_COUNTING_SORT_MAX_CODES"
-
-#: Environment variable setting the shard count of the row-sharded grouping
-#: path (``0`` = auto-size to the host CPU count, ``1`` = never shard).
-ENV_SHARD_COUNT = "REPRO_SHARD_COUNT"
-
-#: Environment variable setting the minimum relation size (rows) at which the
-#: sharded grouping path engages (``0`` = shard every grouping).
-ENV_SHARD_MIN_ROWS = "REPRO_SHARD_MIN_ROWS"
-
 #: Default mark-table budget: sixteen ~1M-row tables at 8 bytes per row.
 DEFAULT_MARKS_CACHE_BYTES = 128 * 1024 * 1024
 
@@ -70,18 +54,15 @@ DEFAULT_COMBINED_CACHE_ENTRIES = 16
 #: honour the nominal backend choice; the heuristic is opt-in).
 DEFAULT_BACKEND_MIN_NUMPY_ROWS = 0
 
-#: Default counting-sort bound: the whole 16-bit key space.  The counting
-#: path narrows keys to ``uint16`` before sorting, so values above 65536 are
-#: clamped back to it at resolution time; ``0`` disables the path entirely.
-DEFAULT_COUNTING_SORT_MAX_CODES = 65536
-
-#: Default sharding threshold: below this many rows the per-shard dispatch
-#: and merge bookkeeping cannot beat one straight-line grouping pass, so the
-#: kernel stays sequential.  ``benchmarks/bench_calibration.py`` re-measures
-#: the crossover per host.
-DEFAULT_SHARD_MIN_ROWS = 100_000
-
 _BACKEND_CHOICES = ("auto", "python", "numpy")
+
+#: The integer fields of :class:`EngineConfig` and their smallest legal value.
+_INT_FIELD_MINIMUMS = {
+    "backend_min_numpy_rows": 0,
+    "marks_cache_bytes": 0,
+    "combined_codes_cache_entries": 2,
+    "partition_cache_max_positions": 0,
+}
 
 
 def _env_int(env: Mapping[str, str], name: str, default: int, minimum: int = 0) -> int:
@@ -139,35 +120,6 @@ class EngineConfig:
         Default ``stripped_size`` budget for algorithm-owned
         :class:`~repro.relational.partition.PartitionCache` instances
         (``None`` = unbounded; call sites may still pass an explicit budget).
-    batch_validation:
-        Whether :func:`~repro.relational.partition.validate_level` batches a
-        lattice level's RHS checks per shared LHS partition (``False`` falls
-        back to the scalar per-candidate loop — same verdicts, no batching).
-    batch_min_candidates:
-        Minimum batch size below which ``validate_level`` uses the scalar
-        loop even when batching is enabled (``0`` = always batch).
-    counting_sort_max_codes:
-        Exclusive key-space bound up to which the numpy backend groups by a
-        16-bit counting sort (numpy's radix path over ``uint16`` keys)
-        instead of the composite introsort.  Values above 65536 are clamped
-        to 65536 at resolution time (the counting path narrows keys to
-        ``uint16``); ``0`` disables the path so every grouping takes the
-        introsort.  Both sort paths produce the identical stable order, so
-        the switch point never changes artefacts.
-    shard_count:
-        Number of row shards of the sharded grouping path of the numpy
-        backend (partition construction splits the code array into row
-        ranges, groups each shard on its own thread — numpy releases the GIL
-        — and merges shard-local groups back into global first-appearance
-        order).  ``0`` auto-sizes to the host CPU count; ``1`` never shards.
-        The merge reassigns positions exactly as the sequential grouping
-        would emit them, so the knob never changes artefacts (and is inert
-        on the python backend).
-    shard_min_rows:
-        Minimum relation size (rows) at which the sharded grouping path
-        engages; smaller groupings stay sequential (the per-shard dispatch
-        and merge bookkeeping cannot beat one straight-line pass on small
-        inputs).  ``0`` shards every grouping.
     """
 
     backend: str = "auto"
@@ -175,11 +127,6 @@ class EngineConfig:
     marks_cache_bytes: int = DEFAULT_MARKS_CACHE_BYTES
     combined_codes_cache_entries: int = DEFAULT_COMBINED_CACHE_ENTRIES
     partition_cache_max_positions: int | None = None
-    batch_validation: bool = True
-    batch_min_candidates: int = 0
-    counting_sort_max_codes: int = DEFAULT_COUNTING_SORT_MAX_CODES
-    shard_count: int = 0
-    shard_min_rows: int = DEFAULT_SHARD_MIN_ROWS
 
     def __post_init__(self) -> None:
         if self.backend not in _BACKEND_CHOICES:
@@ -187,28 +134,14 @@ class EngineConfig:
                 f"unknown partition backend {self.backend!r}: "
                 f"expected one of {_BACKEND_CHOICES}"
             )
-        for name in (
-            "backend_min_numpy_rows",
-            "marks_cache_bytes",
-            "batch_min_candidates",
-            "counting_sort_max_codes",
-            "shard_count",
-            "shard_min_rows",
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.combined_codes_cache_entries < 2:
-            raise ConfigError(
-                "combined_codes_cache_entries must be at least 2, got "
-                f"{self.combined_codes_cache_entries}"
-            )
-        if (
-            self.partition_cache_max_positions is not None
-            and self.partition_cache_max_positions < 0
-        ):
-            raise ConfigError(
-                "partition_cache_max_positions must be non-negative or None"
-            )
+        for name, minimum in _INT_FIELD_MINIMUMS.items():
+            value = getattr(self, name)
+            if value is None and name == "partition_cache_max_positions":
+                continue  # None = unbounded
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < minimum:
+                raise ConfigError(f"{name} must be at least {minimum}, got {value}")
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -238,12 +171,6 @@ class EngineConfig:
             combined_codes_cache_entries=_env_int(
                 env, ENV_COMBINED_CACHE_ENTRIES, DEFAULT_COMBINED_CACHE_ENTRIES, minimum=2
             ),
-            batch_validation=_env_bool(env, ENV_BATCH_VALIDATION, True),
-            counting_sort_max_codes=_env_int(
-                env, ENV_COUNTING_SORT_MAX_CODES, DEFAULT_COUNTING_SORT_MAX_CODES
-            ),
-            shard_count=_env_int(env, ENV_SHARD_COUNT, 0),
-            shard_min_rows=_env_int(env, ENV_SHARD_MIN_ROWS, DEFAULT_SHARD_MIN_ROWS),
         )
 
     @classmethod
@@ -285,8 +212,17 @@ class EngineConfig:
         Recorded in every :class:`~repro.session.RunResult` so artefacts can
         be traced back to the exact engine settings that produced them.
         """
-        canonical = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return config_fingerprint(self.as_dict())
+
+
+def config_fingerprint(config: Mapping[str, object]) -> str:
+    """The short SHA-256 of a configuration mapping's canonical JSON.
+
+    Hashes the mapping exactly as given, so a result recorded under an older
+    set of :class:`EngineConfig` fields still re-hashes to its fingerprint.
+    """
+    canonical = json.dumps(dict(config), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .._version import __version__
-from ..config import ConfigError, EngineConfig
+from ..config import config_fingerprint
 from .hashing import is_relation_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,9 +67,9 @@ def verify_provenance(
     ``repro/run-result-v1`` payload.  Always verified: the block is present
     and complete, the executor is known, and the configuration fingerprint
     agrees with **both** the recorded ``engine.config_fingerprint`` and a
-    recomputation from ``engine.config`` (a tampered config cannot keep its
-    fingerprint).  With a ``registry``, additionally: the stamped
-    ``relation_hash`` resolves (an unknown hash raises
+    re-hash of the recorded ``engine.config`` mapping (a tampered config
+    cannot keep its fingerprint).  With a ``registry``, additionally: the
+    stamped ``relation_hash`` resolves (an unknown hash raises
     :class:`ProvenanceError`; a corrupt entry propagates the store's
     :class:`~repro.registry.store.IntegrityError`), the stored relation
     re-hashes to its address, and its name matches the result's subject for
@@ -104,10 +104,12 @@ def verify_provenance(
         raise ProvenanceError("result carries no engine block to verify against")
     fingerprint = block["config_fingerprint"]
     recorded = engine.get("config_fingerprint")
-    try:
-        recomputed = EngineConfig.from_dict(engine.get("config") or {}).fingerprint()
-    except ConfigError as exc:
-        raise ProvenanceError(f"engine.config does not parse: {exc}") from exc
+    config = engine.get("config")
+    if not isinstance(config, Mapping):
+        raise ProvenanceError("result carries no engine.config mapping to re-hash")
+    # Re-hash the recorded mapping as-is rather than re-parsing it: a result
+    # saved under an older set of EngineConfig fields must still verify.
+    recomputed = config_fingerprint(config)
     if fingerprint != recorded or fingerprint != recomputed:
         raise ProvenanceError(
             f"config fingerprint mismatch: provenance says {fingerprint!r}, "

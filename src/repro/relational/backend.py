@@ -53,11 +53,9 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 import weakref
 from array import array
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
@@ -125,13 +123,9 @@ class KernelCounters:
     batched_candidates: int = 0
     counting_sorts: int = 0
     introsorts: int = 0
+    #: Never incremented (grouping is sequential); kept because the e2e
+    #: benchmark reads it from every traced run.
     sharded_groupings: int = 0
-
-    def __post_init__(self) -> None:
-        #: Per-shard sort seconds of the most recent sharded grouping (not a
-        #: counter field: a volatile trace, excluded from snapshot()/delta()
-        #: and surfaced explicitly by ``kernel_stats()``).
-        self.last_shard_timings: list[float] = []
 
     def snapshot(self) -> dict[str, int]:
         """The current counter values as a plain dictionary."""
@@ -211,20 +205,6 @@ class PartitionBackend:
         precomputed hint.
         """
         raise NotImplementedError
-
-    def shard_group(self, codes, n_codes: int, counts: Sequence[int] | None = None):
-        """Row-sharded :meth:`group_by_codes` (same contract, same bytes).
-
-        Partition construction goes through this entry point so backends may
-        split the code array into row ranges, group each shard concurrently
-        and merge the shard-local groups back into global first-appearance
-        order.  The base implementation is the sequential fallback — one
-        straight :meth:`group_by_codes` call — which is also what sharded
-        implementations must be byte-identical to.  The active engine
-        state's ``shard_count``/``shard_min_rows`` knobs steer whether a
-        backend actually shards; the knobs never change artefacts.
-        """
-        return self.group_by_codes(codes, n_codes, counts)
 
     def build_marks(self, positions, offsets, n_rows: int):
         """Row position -> group id (or ``-1``) mark table of a partition."""
@@ -418,33 +398,10 @@ class PythonBackend(PartitionBackend):
         return removals
 
 
-#: Exclusive upper bound of the key space the counting-sort grouping path can
-#: represent: the path narrows keys to ``uint16`` before sorting, so any
-#: configured ``counting_sort_max_codes`` above this is clamped back to it.
+#: Exclusive upper bound of the key spaces grouped by the counting-sort path:
+#: the path narrows keys to ``uint16`` before sorting, and it wins over the
+#: composite introsort at every key space it can represent.
 COUNTING_SORT_SPACE = 1 << 16
-
-#: Shared worker pool of the sharded grouping path (numpy releases the GIL
-#: inside its sort/bincount kernels, so threads scale across cores).  One
-#: process-wide pool sized to the host: shard tasks are short and pure, so
-#: sessions sharing workers only queue behind each other, never interleave
-#: state.  Built lazily — a process that never shards never spawns threads.
-_SHARD_POOL: ThreadPoolExecutor | None = None
-
-_SHARD_POOL_LOCK = threading.Lock()
-
-
-def _shard_pool() -> ThreadPoolExecutor:
-    global _SHARD_POOL
-    pool = _SHARD_POOL
-    if pool is None:
-        with _SHARD_POOL_LOCK:
-            pool = _SHARD_POOL
-            if pool is None:
-                pool = _SHARD_POOL = ThreadPoolExecutor(
-                    max_workers=os.cpu_count() or 1,
-                    thread_name_prefix="repro-shard",
-                )
-    return pool
 
 
 class NumpyBackend(PartitionBackend):
@@ -462,19 +419,6 @@ class NumpyBackend(PartitionBackend):
         if _np is None:  # pragma: no cover - guarded by the resolver
             raise RuntimeError("numpy is not importable; use the python backend")
 
-    @staticmethod
-    def _sort_params() -> tuple[int, "KernelCounters"]:
-        """The active state's ``(counting-sort bound, counters)`` pair.
-
-        Resolved once per public backend call (backends are stateless
-        module singletons, so per-session knobs live on the engine state):
-        key spaces up to the bound take the counting-sort path, larger ones
-        the composite introsort.  Both orders are identical, so the knob
-        only moves time around.
-        """
-        state = active_state()
-        return min(state.config.counting_sort_max_codes, COUNTING_SORT_SPACE), state.counters
-
     # -- representation helpers ----------------------------------------------
     @staticmethod
     def _as_array(values):
@@ -486,14 +430,14 @@ class NumpyBackend(PartitionBackend):
         return _np.asarray(values, dtype=_np.int64)
 
     @staticmethod
-    def _stable_order(keys, bound: int, counting_limit: int = 0, counters=None):
+    def _stable_order(keys, bound: int):
         """Indices sorting the non-negative ``keys`` stably (ties by position).
 
         ``bound`` is an exclusive upper bound on the key values; the stable
         order of a key array is unique, so every path below returns the
         identical permutation — selection only moves time around:
 
-        * ``bound <= counting_limit`` (≤ 65536): narrow the keys to
+        * ``bound <= COUNTING_SORT_SPACE`` (65536): narrow the keys to
           ``uint16`` and take numpy's stable argsort, which for 16-bit keys
           *is* a C-level counting sort (per-byte ``bincount`` counts +
           prefix-sum offsets + scatter) — ``O(n + k)`` and measured 2–4×
@@ -507,12 +451,11 @@ class NumpyBackend(PartitionBackend):
         n = keys.shape[0]
         if n == 0:
             return _np.empty(0, dtype=_np.int64)
-        if 0 < bound <= counting_limit:
-            if counters is not None:
-                counters.counting_sorts += 1
+        counters = kernel_counters()
+        if 0 < bound <= COUNTING_SORT_SPACE:
+            counters.counting_sorts += 1
             return keys.astype(_np.uint16).argsort(kind="stable")
-        if counters is not None:
-            counters.introsorts += 1
+        counters.introsorts += 1
         if bound < (2**62) // (n + 1):
             composite = keys * _np.int64(n) + _np.arange(n, dtype=_np.int64)
             return composite.argsort()
@@ -528,7 +471,7 @@ class NumpyBackend(PartitionBackend):
         return _np.flatnonzero(boundary)
 
     @classmethod
-    def _factorize_first_appearance(cls, keys, bound: int, counting_limit: int = 0, counters=None):
+    def _factorize_first_appearance(cls, keys, bound: int):
         """Dense codes of ``keys`` assigned in first-appearance order.
 
         Matches the python dict-``setdefault`` fold bit for bit: the first
@@ -537,7 +480,7 @@ class NumpyBackend(PartitionBackend):
         n = keys.shape[0]
         if n == 0:
             return keys.copy(), 0
-        perm = cls._stable_order(keys, bound, counting_limit, counters)
+        perm = cls._stable_order(keys, bound)
         starts = cls._run_starts(keys[perm])
         # Stable order ⇒ the first element of each run carries the smallest
         # original index, i.e. the key's first appearance.  First-occurrence
@@ -567,10 +510,7 @@ class NumpyBackend(PartitionBackend):
 
     def combine_codes(self, combined, width, nxt, radix):
         keys = self._as_array(combined) * _np.int64(radix) + self._as_array(nxt)
-        counting_limit, counters = self._sort_params()
-        return self._factorize_first_appearance(
-            keys, max(width, 1) * max(radix, 1), counting_limit, counters
-        )
+        return self._factorize_first_appearance(keys, max(width, 1) * max(radix, 1))
 
     def group_by_codes(self, codes, n_codes, counts=None):
         codes = self._as_array(codes)
@@ -582,8 +522,7 @@ class NumpyBackend(PartitionBackend):
             counts = _np.bincount(codes, minlength=n_codes)
         else:
             counts = _np.zeros(n_codes, dtype=_np.int64)
-        counting_limit, counters = self._sort_params()
-        order = self._stable_order(codes, max(n_codes, 1), counting_limit, counters)
+        order = self._stable_order(codes, max(n_codes, 1))
         keep_group = counts > 1
         positions = order[keep_group[codes[order]]]
         sizes = counts[keep_group]
@@ -591,118 +530,6 @@ class NumpyBackend(PartitionBackend):
             (_np.zeros(1, dtype=_np.int64), _np.cumsum(sizes, dtype=_np.int64))
         )
         return positions, offsets
-
-    def shard_group(self, codes, n_codes, counts=None):
-        """Row-sharded grouping: split, sort shards in parallel, merge.
-
-        Engages only when the active configuration admits it
-        (``shard_count`` resolves above one and the input reaches
-        ``shard_min_rows``); everything else falls through to the sequential
-        :meth:`group_by_codes`.  The sharded result is byte-identical by
-        construction — see :meth:`_sharded_group`.
-        """
-        codes = self._as_array(codes)
-        config = active_state().config
-        n_shards = config.shard_count if config.shard_count > 0 else (os.cpu_count() or 1)
-        if n_shards <= 1 or codes.shape[0] == 0 or codes.shape[0] < config.shard_min_rows:
-            return self.group_by_codes(codes, n_codes, counts)
-        return self._sharded_group(codes, n_codes, counts, n_shards)
-
-    def _sharded_group(self, codes, n_codes, counts, n_shards):
-        """Parallel grouping over ``n_shards`` contiguous row ranges.
-
-        Byte-identity argument: ``codes`` are globally dense
-        first-appearance encodings, so the sequential grouping emits groups
-        in ascending code order with positions ascending inside each group.
-        Each shard covers a contiguous, increasing row range; stably sorting
-        a shard orders its rows of code ``c`` ascending, and laying shard
-        0's rows of ``c`` before shard 1's (the ``shard_base`` offsets)
-        therefore reproduces the globally ascending position order.  Group
-        membership (the singleton strip) uses the **global** per-code counts
-        — two cross-shard singletons still form a real group — and the
-        offsets come from the same counts, so both output arrays match the
-        sequential path element for element.
-        """
-        n = codes.shape[0]
-        bound = max(n_codes, 1)
-        counting_limit, counters = self._sort_params()
-        base, extra = divmod(n, n_shards)
-        edges = [0]
-        for shard in range(n_shards):
-            edges.append(edges[-1] + base + (1 if shard < extra else 0))
-
-        def shard_task(lo, hi):
-            # Runs on the pool: no counter writes, no engine-state reads.
-            started = time.perf_counter()
-            chunk = codes[lo:hi]
-            if chunk.size:
-                local_counts = _np.bincount(chunk, minlength=n_codes)
-            else:
-                local_counts = _np.zeros(n_codes, dtype=_np.int64)
-            order = self._stable_order(chunk, bound, counting_limit, None)
-            return chunk, local_counts, order, time.perf_counter() - started
-
-        pool = _shard_pool()
-        shards = [
-            future.result()
-            for future in [
-                pool.submit(shard_task, edges[s], edges[s + 1]) for s in range(n_shards)
-            ]
-        ]
-        counts_matrix = _np.stack([local_counts for _, local_counts, _, _ in shards])
-        if counts is not None:
-            global_counts = self._as_array(counts)
-        else:
-            global_counts = counts_matrix.sum(axis=0)
-        keep = global_counts > 1
-        out_offsets = _np.concatenate(
-            (
-                _np.zeros(1, dtype=_np.int64),
-                _np.cumsum(global_counts[keep], dtype=_np.int64),
-            )
-        )
-        # The shard threads sorted with counters=None (counters are not
-        # thread-safe); account their sorts once here — every non-empty
-        # shard ran one stable sort on the path the bound selects.
-        sorted_shards = sum(1 for chunk, _, _, _ in shards if chunk.size)
-        if 0 < bound <= counting_limit:
-            counters.counting_sorts += sorted_shards
-        else:
-            counters.introsorts += sorted_shards
-        counters.sharded_groupings += 1
-        counters.last_shard_timings = [seconds for _, _, _, seconds in shards]
-        total = int(out_offsets[-1])
-        out_positions = _np.empty(total, dtype=_np.int64)
-        if total:
-            # Scatter geometry: code c's output run starts at run_start[c];
-            # within the run, shard s's block starts after the rows the
-            # earlier shards contribute to c (exclusive cumsum over shards).
-            run_start = _np.zeros(bound, dtype=_np.int64)
-            run_start[keep] = out_offsets[:-1]
-            shard_base = _np.cumsum(counts_matrix, axis=0) - counts_matrix
-
-            def scatter_task(s, lo):
-                chunk, _, order, _ = shards[s]
-                if chunk.size == 0:
-                    return
-                kept_local = order[keep[chunk[order]]]
-                if kept_local.size == 0:
-                    return
-                kept_codes = chunk[kept_local]
-                starts = self._run_starts(kept_codes)
-                run_sizes = _np.diff(_np.append(starts, kept_codes.size))
-                within = _np.arange(kept_codes.size, dtype=_np.int64) - _np.repeat(
-                    starts, run_sizes
-                )
-                dest = run_start[kept_codes] + shard_base[s][kept_codes] + within
-                # Shards write disjoint destination blocks: thread-safe.
-                out_positions[dest] = kept_local + lo
-
-            for future in [
-                pool.submit(scatter_task, s, edges[s]) for s in range(n_shards)
-            ]:
-                future.result()
-        return out_positions, out_offsets
 
     def build_marks(self, positions, offsets, n_rows):
         positions = self._as_array(positions)
@@ -737,10 +564,7 @@ class NumpyBackend(PartitionBackend):
         empty = (_np.empty(0, dtype=_np.int64), _np.zeros(1, dtype=_np.int64))
         if keys.size == 0:
             return empty
-        counting_limit, counters = self._sort_params()
-        perm = self._stable_order(
-            keys, int(sizes.shape[0]) * int(radix), counting_limit, counters
-        )
+        perm = self._stable_order(keys, int(sizes.shape[0]) * int(radix))
         starts = self._run_starts(keys[perm])
         counts = _np.empty(starts.shape[0], dtype=_np.int64)
         counts[:-1] = starts[1:] - starts[:-1]
@@ -1127,7 +951,6 @@ class EngineState:
         counters = self.counters
         for field in fields(counters):
             setattr(counters, field.name, 0)
-        counters.last_shard_timings = []
 
     def drop_caches(self) -> None:
         """Release every relation-scoped cache held by the state."""
@@ -1367,13 +1190,7 @@ def kernel_stats_summary(state: EngineState | None = None) -> dict[str, object]:
     """
     if state is None:
         state = active_state()
-    return {
-        "backend": state.backend_for().name,
-        **state.counters.snapshot(),
-        "shard_timings": [
-            round(seconds, 6) for seconds in state.counters.last_shard_timings
-        ],
-    }
+    return {"backend": state.backend_for().name, **state.counters.snapshot()}
 
 
 def render_kernel_stats(state: EngineState | None = None) -> str:
@@ -1407,12 +1224,5 @@ def render_kernel_stats(state: EngineState | None = None) -> str:
         "[kernel] sort paths: "
         f"counting={summary['counting_sorts']} "
         f"introsort={summary['introsorts']}"
-    )
-    timings = summary["shard_timings"]
-    lines.append(
-        "[kernel] sharded grouping: "
-        f"runs={summary['sharded_groupings']} "
-        f"last_shards={len(timings)} "
-        f"last_shard_seconds={timings}"
     )
     return "\n".join(lines)

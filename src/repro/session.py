@@ -53,6 +53,7 @@ from .relational.backend import (
     activate_state,
     get_backend,
     get_default_state,
+    kernel_stats_summary,
     render_kernel_stats,
 )
 from .relational.partition import (
@@ -490,19 +491,8 @@ class Session:
 
     # -- diagnostics ----------------------------------------------------------
     def kernel_stats(self) -> dict[str, object]:
-        """The session's backend name plus its kernel cache counters.
-
-        ``shard_timings`` carries the per-shard sort seconds of the most
-        recent sharded grouping (empty when the sharded path never ran).
-        """
-        return {
-            "backend": self._state.backend_for().name,
-            **self._state.counters.snapshot(),
-            "shard_timings": [
-                round(seconds, 6)
-                for seconds in self._state.counters.last_shard_timings
-            ],
-        }
+        """The session's backend name plus its kernel cache counters."""
+        return kernel_stats_summary(self._state)
 
     def render_kernel_stats(self) -> str:
         """Human-readable block of :meth:`kernel_stats` (CLI ``--kernel-stats``)."""

@@ -1,24 +1,25 @@
-"""Counting-sort grouping path: bit-compatibility, knob plumbing, batching.
+"""Counting-sort grouping path: bit-compatibility and batching.
 
 The numpy backend picks between a counting-sort (``uint16`` radix) and the
-composite introsort per call, driven by ``EngineConfig.counting_sort_max_codes``.
-Both are *stable* sorts, and a stable sort's permutation is unique — so the
-two paths must produce byte-identical ``StrippedPartition``s (same group
-order, same positions, same dense codes) on every input.  These tests pin
-that across adversarial key-space shapes, exercise the knob's env/kwarg
-plumbing on the numpy and no-numpy legs, and check the cross-LHS stacked
-level validation against the scalar oracle on both of its internal paths.
+composite introsort per call: key spaces up to the module constant
+``COUNTING_SORT_SPACE`` take the counting sort.  Both are *stable* sorts,
+and a stable sort's permutation is unique — so the two paths must produce
+byte-identical ``StrippedPartition``s (same group order, same positions,
+same dense codes) on every input.  These tests pin that across adversarial
+key-space shapes (forcing the introsort by zeroing the constant), confirm
+the switch point has no environment or keyword plumbing, and check the
+cross-LHS stacked level validation against the scalar oracle on both of its
+internal paths.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import (
-    DEFAULT_COUNTING_SORT_MAX_CODES,
-    ENV_COUNTING_SORT_MAX_CODES,
-    EngineConfig,
-)
+from repro.config import ConfigError, EngineConfig
+from repro.relational import backend as backend_module
 from repro.relational.backend import numpy_available
 from repro.relational.partition import (
     StrippedPartition,
@@ -64,14 +65,17 @@ def shaped_rows(draw):
     return [tuple(column[i] for column in columns) for i in range(n)]
 
 
-def _partitions(rows, **session_kwargs):
-    with Session(backend="numpy", **session_kwargs):
-        relation = Relation("r", ATTRS, rows)
-        singles = [flat(StrippedPartition.from_column(relation, a)) for a in ATTRS]
-        combined = flat(StrippedPartition.from_columns(relation, ATTRS))
-        pair = StrippedPartition.from_column(relation, "a").intersect(
-            StrippedPartition.from_column(relation, "b")
-        )
+def _partitions(rows, counting_space, backend="numpy"):
+    # A context-manager patch rather than the monkeypatch fixture: the
+    # hypothesis test below cannot take function-scoped fixtures.
+    with mock.patch.object(backend_module, "COUNTING_SORT_SPACE", counting_space):
+        with Session(backend=backend):
+            relation = Relation("r", ATTRS, rows)
+            singles = [flat(StrippedPartition.from_column(relation, a)) for a in ATTRS]
+            combined = flat(StrippedPartition.from_columns(relation, ATTRS))
+            pair = StrippedPartition.from_column(relation, "a").intersect(
+                StrippedPartition.from_column(relation, "b")
+            )
     return singles, combined, flat(pair)
 
 
@@ -79,21 +83,22 @@ def _partitions(rows, **session_kwargs):
 @settings(max_examples=60, deadline=None)
 @given(rows=shaped_rows())
 def test_counting_and_introsort_paths_are_byte_identical(rows):
-    # max_codes=0 disables the counting path (introsort only); the default
-    # enables it for every key space the kernel re-densifies into uint16.
-    counting = _partitions(rows, counting_sort_max_codes=DEFAULT_COUNTING_SORT_MAX_CODES)
-    introsort = _partitions(rows, counting_sort_max_codes=0)
+    # A zero space disables the counting path (introsort only); the stock
+    # space enables it for every key space the kernel re-densifies into uint16.
+    counting = _partitions(rows, backend_module.COUNTING_SORT_SPACE)
+    introsort = _partitions(rows, 0)
     assert counting == introsort
 
 
 @requires_numpy
-def test_threshold_forces_the_expected_sort_path():
+def test_threshold_forces_the_expected_sort_path(monkeypatch):
     rows = [(i % 7, i % 3, i % 5) for i in range(200)]
-    with Session(backend="numpy", counting_sort_max_codes=DEFAULT_COUNTING_SORT_MAX_CODES) as on:
+    with Session(backend="numpy") as on:
         relation = Relation("r", ATTRS, rows)
         StrippedPartition.from_columns(relation, ATTRS)
         stats_on = on.kernel_stats()
-    with Session(backend="numpy", counting_sort_max_codes=0) as off:
+    monkeypatch.setattr(backend_module, "COUNTING_SORT_SPACE", 0)
+    with Session(backend="numpy") as off:
         relation = Relation("r", ATTRS, rows)
         StrippedPartition.from_columns(relation, ATTRS)
         stats_off = off.kernel_stats()
@@ -104,25 +109,22 @@ def test_threshold_forces_the_expected_sort_path():
 
 
 def test_knob_is_inert_on_the_python_backend():
-    # The knob only steers numpy code: the pure-python leg (and therefore
-    # the no-numpy leg) accepts it and produces identical partitions.
+    # The sort-path switch only steers numpy code: the pure-python leg (and
+    # therefore the no-numpy leg) produces identical partitions either way.
     rows = [(i % 4, i % 2, i) for i in range(40)]
-    results = []
-    for max_codes in (0, DEFAULT_COUNTING_SORT_MAX_CODES):
-        with Session(backend="python", counting_sort_max_codes=max_codes):
-            relation = Relation("r", ATTRS, rows)
-            results.append(flat(StrippedPartition.from_columns(relation, ("a", "b"))))
+    results = [
+        _partitions(rows, space, backend="python")
+        for space in (0, backend_module.COUNTING_SORT_SPACE)
+    ]
     assert results[0] == results[1]
 
 
 def test_env_and_kwarg_plumbing():
-    assert EngineConfig.from_env({}).counting_sort_max_codes == DEFAULT_COUNTING_SORT_MAX_CODES
-    config = EngineConfig.from_env({ENV_COUNTING_SORT_MAX_CODES: "1024"})
-    assert config.counting_sort_max_codes == 1024
-    with pytest.raises(ValueError):
-        EngineConfig(counting_sort_max_codes=-1)
-    with Session(counting_sort_max_codes=77) as session:
-        assert session.config.counting_sort_max_codes == 77
+    # The sort path is fixed by COUNTING_SORT_SPACE: no environment variable
+    # reaches it, and naming the retired knob is a configuration error.
+    assert EngineConfig.from_env({"REPRO_COUNTING_SORT_MAX_CODES": "0"}) == EngineConfig()
+    with pytest.raises(ConfigError, match="unknown EngineConfig fields"):
+        Session(counting_sort_max_codes=0)
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,49 @@ class TestProvenance:
         with pytest.raises(ProvenanceError):
             verify_provenance(RunResult(payload))
 
+    #: ``EngineConfig().as_dict()`` before the engine dropped its five
+    #: unmeasured knobs, and the fingerprint results recorded for it.
+    OLDER_DEFAULT_CONFIG = {
+        "backend": "auto",
+        "backend_min_numpy_rows": 0,
+        "marks_cache_bytes": 134217728,
+        "combined_codes_cache_entries": 16,
+        "partition_cache_max_positions": None,
+        "batch_validation": True,
+        "batch_min_candidates": 0,
+        "counting_sort_max_codes": 65536,
+        "shard_count": 0,
+        "shard_min_rows": 100000,
+    }
+    OLDER_DEFAULT_FINGERPRINT = "874b2dd5c6160388"
+
+    def _older_payload(self):
+        payload = json.loads(Session().discover(make_relation()).to_json())
+        payload["engine"]["config"] = dict(self.OLDER_DEFAULT_CONFIG)
+        payload["engine"]["config_fingerprint"] = self.OLDER_DEFAULT_FINGERPRINT
+        payload["provenance"]["config_fingerprint"] = self.OLDER_DEFAULT_FINGERPRINT
+        return payload
+
+    def test_verify_provenance_accepts_older_config_fields(self):
+        report = verify_provenance(RunResult(self._older_payload()))
+        assert report["config_fingerprint"] == self.OLDER_DEFAULT_FINGERPRINT
+
+    def test_verify_provenance_rejects_tampered_older_config(self):
+        payload = self._older_payload()
+        payload["engine"]["config"]["shard_count"] = 4
+        with pytest.raises(ProvenanceError, match="fingerprint mismatch"):
+            verify_provenance(RunResult(payload))
+
+    @pytest.mark.parametrize("config", [None, "auto", ["backend", "auto"]])
+    def test_verify_provenance_rejects_missing_engine_config(self, config):
+        payload = json.loads(Session().discover(make_relation()).to_json())
+        if config is None:
+            del payload["engine"]["config"]
+        else:
+            payload["engine"]["config"] = config
+        with pytest.raises(ProvenanceError, match="engine.config"):
+            verify_provenance(RunResult(payload))
+
     def test_verify_provenance_requires_registry_membership(self):
         result = Session().discover(make_relation())
         with pytest.raises(ProvenanceError, match="not in the registry"):

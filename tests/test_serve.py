@@ -181,12 +181,12 @@ class TestSessionPool:
 
     def test_per_tenant_config(self):
         configs = parse_tenant_configs(
-            {"*": {"batch_min_candidates": 7}, "acme": {"backend": "python"}}
+            {"*": {"marks_cache_bytes": 7}, "acme": {"backend": "python"}}
         )
         pool = SessionPool(configs)
         assert pool.get("acme").config.backend == "python"
-        assert pool.get("acme").config.batch_min_candidates == 7
-        assert pool.get("other").config.batch_min_candidates == 7
+        assert pool.get("acme").config.marks_cache_bytes == 7
+        assert pool.get("other").config.marks_cache_bytes == 7
 
     def test_lru_eviction_caps_sessions(self):
         pool = SessionPool(max_sessions=2)
@@ -594,6 +594,44 @@ class TestHttpFrontend:
         assert status == 400
         assert "fds" in body["error"]
         assert frontend.app.queue.stats()["submitted"] == 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"partition_cache_max_positions": "x"},
+            {"marks_cache_bytes": "abc"},
+            {"marks_cache_bytes": 1.5},
+            {"marks_cache_bytes": True},
+        ],
+    )
+    def test_mistyped_override_is_a_400_and_serving_continues(self, frontend, overrides):
+        host, port = frontend.address
+        payload = discover_payload("acme", make_relation(n_rows=4))
+        status, body = _http(host, port, "POST", "/jobs", dict(payload, overrides=overrides))
+        assert status == 400
+        assert next(iter(overrides)) in body["error"]
+        assert frontend.app.queue.stats()["submitted"] == 0
+        assert _http(host, port, "POST", "/jobs", payload)[0] == 202
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_validation", True),
+            ("batch_min_candidates", 0),
+            ("counting_sort_max_codes", 65536),
+            ("shard_count", 0),
+            ("shard_min_rows", 100_000),
+        ],
+    )
+    def test_retired_engine_fields_are_rejected(self, frontend, field, value):
+        with pytest.raises(ConfigError, match="unknown EngineConfig fields"):
+            parse_tenant_configs({"acme": {field: value}})
+        host, port = frontend.address
+        payload = discover_payload("acme", make_relation(n_rows=4))
+        payload["overrides"] = {field: value}
+        status, body = _http(host, port, "POST", "/jobs", payload)
+        assert status == 400
+        assert "unknown EngineConfig fields" in body["error"] and field in body["error"]
 
     def test_unread_body_error_closes_the_connection(self, frontend):
         """Early-exit POST errors must not corrupt HTTP/1.1 keep-alive: the

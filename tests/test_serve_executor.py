@@ -188,7 +188,7 @@ class TestExecutorParity:
 
     def test_tenant_configs_reach_worker_processes(self):
         configs = parse_tenant_configs(
-            {"*": {"batch_min_candidates": 5}, "acme": {"backend": "python"}}
+            {"*": {"marks_cache_bytes": 5}, "acme": {"backend": "python"}}
         )
         payload = job_payload("acme", "discover", make_relation(), {"algorithm": "tane"})
         other = dict(payload, tenant="other")
@@ -196,8 +196,8 @@ class TestExecutorParity:
             acme = server.result(server.submit(payload).job_id, timeout=WAIT)
             unlisted = server.result(server.submit(other).job_id, timeout=WAIT)
         assert acme.backend == "python"
-        assert acme.config.batch_min_candidates == 5
-        assert unlisted.config.batch_min_candidates == 5  # "*" default applied
+        assert acme.config.marks_cache_bytes == 5
+        assert unlisted.config.marks_cache_bytes == 5  # "*" default applied
 
     def test_overrides_reach_worker_processes(self):
         payload = job_payload("acme", "discover", make_relation(), {"algorithm": "tane"})

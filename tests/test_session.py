@@ -16,6 +16,7 @@ Covers the acceptance criteria of the session redesign:
 """
 
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,13 @@ from repro.config import (
     ConfigError,
 )
 from repro.relational.backend import KERNEL_COUNTERS, numpy_available
+from repro.relational.partition import (
+    StrippedPartition,
+    fd_holds_fast,
+    fd_violation_fraction_from_partition,
+    validate_level,
+    validate_level_errors,
+)
 from repro.session import default_session
 
 requires_numpy = pytest.mark.skipif(
@@ -107,6 +115,32 @@ class TestEngineConfig:
         assert config.replace(backend="auto").backend == "auto"
         with pytest.raises(ConfigError):
             config.replace(warp_drive=True)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "backend_min_numpy_rows",
+            "marks_cache_bytes",
+            "combined_codes_cache_entries",
+            "partition_cache_max_positions",
+        ],
+    )
+    @pytest.mark.parametrize("value", ["x", 1.5, True])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            EngineConfig(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            EngineConfig.from_dict({field: value})
+
+    def test_integer_fields_accept_integers_and_unbounded_cache(self):
+        unbounded = EngineConfig(partition_cache_max_positions=None)
+        assert unbounded.partition_cache_max_positions is None
+        config = EngineConfig(marks_cache_bytes=0, partition_cache_max_positions=7)
+        assert (config.marks_cache_bytes, config.partition_cache_max_positions) == (0, 7)
+        with pytest.raises(ConfigError, match="marks_cache_bytes"):
+            EngineConfig(marks_cache_bytes=None)
+        with pytest.raises(ConfigError, match="combined_codes_cache_entries"):
+            EngineConfig(combined_codes_cache_entries=1)
 
     def test_fingerprint_tracks_content(self):
         assert EngineConfig().fingerprint() == EngineConfig().fingerprint()
@@ -197,11 +231,21 @@ class TestArtifactsAcrossConfigurations:
         assert outputs[0] == outputs[1]
 
     def test_batched_and_scalar_validation_identical(self):
+        # Lattice levels are always validated batched; the per-candidate
+        # scalar checks remain its oracle.
         relation = small_relation()
-        batched = Session(batch_validation=True).profile(relation, threshold=0.5)
-        scalar = Session(batch_validation=False).profile(relation, threshold=0.5)
-        assert batched.artifact_fingerprint() == scalar.artifact_fingerprint()
-        assert Session(batch_validation=False).counters.batched_levels == 0
+        with Session() as session:
+            session.profile(relation, threshold=0.5)
+            assert session.counters.batched_levels > 0
+            partitions = {a: StrippedPartition.from_column(relation, a) for a in "abcd"}
+            batch = [(partitions[lhs], rhs) for lhs in "abcd" for rhs in "abcd" if lhs != rhs]
+            assert validate_level(relation, batch) == [
+                fd_holds_fast(relation, partition, rhs) for partition, rhs in batch
+            ]
+            assert validate_level_errors(relation, batch) == [
+                fd_violation_fraction_from_partition(relation, partition, rhs)
+                for partition, rhs in batch
+            ]
 
     def test_env_var_and_engine_config_produce_identical_artifacts(self, monkeypatch):
         relation_rows = list(small_relation())
@@ -536,6 +580,17 @@ class TestKernelStatsScoping:
                          "--backend", backend]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+    def test_benchmark_counter_contract(self, monkeypatch):
+        # e2ebench/metrics.py reads these counters from every traced run: a
+        # counter dropped from kernel_stats() must fail here, in tier-1.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "e2ebench"))
+        import metrics
+
+        layers: dict[str, float] = {}
+        metrics.session_layers(layers, Session().kernel_stats())
+        assert layers["session.sharded_groupings"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,14 @@
 """Differential conformance fuzzer: one workload, every engine leg, same bytes.
 
-The repo's central invariant is that *no engine knob changes artefacts*: the
-python and numpy partition backends are bit-compatible, and the sharded
-grouping path (``shard_count``/``shard_min_rows``) merges shard-local groups
-back into exactly the sequential emission order.  This tool makes that a
-*fuzzed* invariant instead of a per-PR claim: a seed-replayable generator
-produces adversarial relations (skew, constants, all-distinct runs, nulls,
-long equal blocks straddling shard boundaries, empty and single-row
-instances) and every registered discovery algorithm is executed on every
-engine leg of the conformance grid
+The repo's central invariant is that *no engine choice changes artefacts*:
+the python and numpy partition backends are bit-compatible.  This tool
+makes that a *fuzzed* invariant instead of a per-PR claim: a
+seed-replayable generator produces adversarial relations (skew, constants,
+all-distinct runs, nulls, long equal blocks, empty and single-row
+instances) and every registered discovery algorithm is executed on both
+engine legs of the conformance grid
 
-    {python} ∪ {numpy} × {unsharded} ∪ {shard counts 2, 7, cpu}
+    {python, numpy}
 
 asserting, per seed:
 
@@ -34,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from pathlib import Path
@@ -50,8 +47,7 @@ from repro.relational.relation import Relation  # noqa: E402
 from repro.session import Session  # noqa: E402
 
 #: Row counts the generator draws from — deliberately including the empty
-#: relation, the single row, and sizes below any plausible shard count (so
-#: forced sharding produces empty and single-row shards).
+#: relation, the single row and other tiny sizes.
 ROW_COUNT_CHOICES = (0, 1, 2, 3, 5, 8, 13, 30, 60, 120)
 
 #: Column shapes; each is an adversarial regime of the grouping kernel.
@@ -69,8 +65,7 @@ def _column(rng: random.Random, n: int, shape: str) -> list:
     if shape == "nulls":
         return [None if rng.random() < 0.4 else f"v{rng.randrange(3)}" for _ in range(n)]
     if shape == "blocks":
-        # Long equal runs, so shard boundaries cut groups in half — the
-        # merge must stitch cross-shard halves back in position order.
+        # Long equal runs: few, large groups.
         out: list = []
         value = 0
         while len(out) < n:
@@ -99,21 +94,12 @@ def generate_case(seed: int) -> tuple[tuple[str, ...], list[tuple], list[str]]:
 def conformance_legs() -> list[tuple[str, dict]]:
     """The engine legs of the grid, as ``(label, Session overrides)`` pairs.
 
-    The python leg carries forced shard knobs on purpose: they must be
-    inert there.  Without numpy only that leg exists (nothing to differ
-    from, but the tool still exercises the generator and the python run).
+    Without numpy only the python leg exists (nothing to differ from, but
+    the tool still exercises the generator and the python run).
     """
-    legs = [("python", {"backend": "python", "shard_count": 7, "shard_min_rows": 0})]
+    legs = [("python", {"backend": "python"})]
     if numpy_available():
-        cpu = os.cpu_count() or 1
-        legs.append(("numpy-unsharded", {"backend": "numpy", "shard_count": 1}))
-        for count in dict.fromkeys((2, 7, cpu)):
-            legs.append(
-                (
-                    f"numpy-sharded-{count}",
-                    {"backend": "numpy", "shard_count": count, "shard_min_rows": 0},
-                )
-            )
+        legs.append(("numpy", {"backend": "numpy"}))
     return legs
 
 
