@@ -54,6 +54,7 @@ class InFineStats:
     infer_candidates_checked: int = 0
     mine_candidates_validated: int = 0
     mine_candidates_pruned_logically: int = 0
+    mine_candidates_non_free: int = 0
     partial_join_rows: int = 0
     partial_joins_materialised: int = 0
     raw_inferred: int = 0
@@ -308,6 +309,7 @@ class InFine:
             )
         stats.mine_candidates_validated += mined.candidates_validated
         stats.mine_candidates_pruned_logically += mined.candidates_pruned_logically
+        stats.mine_candidates_non_free += mined.candidates_non_free
         if mined.join_materialised:
             stats.partial_joins_materialised += 1
             stats.partial_join_rows += mined.partial_join_rows

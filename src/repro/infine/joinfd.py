@@ -3,11 +3,16 @@
 Join FDs (Definition 7) mix attributes of both join inputs and cannot be
 obtained by logical inference (Theorem 3); they must be validated against
 join data.  The selective mining implemented here avoids the full-view FD
-discovery of the straightforward approach by combining three prunings:
+discovery of the straightforward approach by combining four prunings:
 
 * **domination** — candidates whose LHS contains the LHS of an already known
   FD with the same RHS cannot be minimal and are neither validated nor
   expanded;
+* **free sets** — TANE's C+ rule: an LHS ``X`` with some ``b ∈ X`` in the
+  closure of ``X - {b}`` (under the known FDs plus those mined so far) has
+  the partition of ``X - {b}``, so neither ``X`` nor any superset can be a
+  minimal LHS of any dependent; it is neither validated nor expanded.  A
+  constant column (``∅ -> c`` known) makes ``{c}`` non-free at level 1;
 * **Armstrong shortcut** — candidates implied by the FDs already known to
   hold on the join are valid by construction and need no data access (they
   are classified as *inferred*, per Definition 6);
@@ -17,7 +22,7 @@ discovery of the straightforward approach by combining three prunings:
 
 The candidate lattice is walked once for all dependents, level by level as
 in TANE (Huhtala et al., 1999).  At level ``k`` every dependent first runs
-the three prunings over its candidates; the LHSs left over are then
+the four prunings over its candidates; the LHSs left over are then
 validated against the (partial) join, materialised lazily and once.  Each
 distinct LHS gets one stripped partition per level, shared by every
 dependent that needs it and built by one product of its fewest-groups
@@ -30,6 +35,10 @@ Deferring a level's validations until all of its prunings ran cannot change
 the result: a candidate the combined closure would have accepted after a
 sibling's data verdict is validated by data instead, and is a ``JOIN`` FD
 either way; ``INFERRED`` reads only the fixed closure of the known FDs.
+The same level synchronisation makes the free-set rule sound: when level
+``k`` starts, every FD the combined closure uses holds on the join, so a
+non-free ``X`` and each of its supersets share the partition of a strictly
+smaller set, and none of them is the LHS of a minimal FD.
 Each dependent keeps its triples in lattice order (per level, by sorted
 LHS), and the per-dependent lists are concatenated in attribute order.
 """
@@ -60,6 +69,8 @@ class JoinMiningOutcome:
     candidates_validated: int = 0
     #: Number of candidates handled purely logically (Armstrong or Theorem 4).
     candidates_pruned_logically: int = 0
+    #: Number of (dependent, LHS) candidates skipped because the LHS is not free.
+    candidates_non_free: int = 0
     #: Whether the partial join had to be materialised at all.
     join_materialised: bool = False
     #: Number of rows of the materialised partial join (0 if not materialised).
@@ -233,6 +244,9 @@ def mine_join_fds(
         # Pass 1: the logical prunings, dependent by dependent.  Each entry
         # is a triple found without data access or an LHS left to validate.
         level: list[tuple[_RhsWalk, list[ProvenanceTriple | frozenset[str]], list]] = []
+        # Whether each distinct LHS of the level is free; the combined
+        # closure is fixed until Pass 2, so one verdict serves every walk.
+        free: dict[frozenset[str], bool] = {}
         for walk in walks:
             if not walk.alive:
                 continue
@@ -242,6 +256,14 @@ def mine_join_fds(
             for lhs in walk.alive:
                 if any(d <= lhs for d in walk.dominating):
                     continue  # dominated: neither minimal nor worth expanding
+                is_free = free.get(lhs)
+                if is_free is None:
+                    is_free = free[lhs] = not any(b in combined_closure(lhs - {b}) for b in lhs)
+                if not is_free:
+                    # Same partition as a smaller set: no minimal LHS here or
+                    # in any superset, so neither validated nor expanded.
+                    outcome.candidates_non_free += 1
+                    continue
                 attrs = lhs | {rhs}
                 if attrs <= left_side or attrs <= right_side:
                     # Entirely single-sided and not dominated by that side's
@@ -390,8 +412,9 @@ def _next_level(expandable: list[frozenset[str]]) -> list[frozenset[str]]:
     """TANE's apriori generation: the next level, in sorted order.
 
     A set one larger is generated only when all of its subsets on this level
-    are expandable.  Any other superset contains a subset that was dominated
-    or found to hold, so it is dominated itself and would be skipped.
+    are expandable.  Any other superset contains a subset that was dominated,
+    found to hold or non-free, so it is dominated or non-free itself and
+    would be skipped.
     """
     survivors = set(expandable)
     ordered = sorted(tuple(sorted(lhs)) for lhs in expandable)

@@ -353,6 +353,7 @@ class RunResult:
                 "infer_candidates_checked": stats.infer_candidates_checked,
                 "mine_candidates_validated": stats.mine_candidates_validated,
                 "mine_candidates_pruned_logically": stats.mine_candidates_pruned_logically,
+                "mine_candidates_non_free": stats.mine_candidates_non_free,
                 "partial_join_rows": stats.partial_join_rows,
                 "partial_joins_materialised": stats.partial_joins_materialised,
                 "raw_inferred": stats.raw_inferred,

@@ -1,7 +1,10 @@
 """Tests for the individual InFine steps (Algorithms 2-5) and provenance containers."""
 
+import random
+
 import pytest
 
+from repro.discovery import TANE
 from repro.fd import fd
 from repro.infine import (
     FDType,
@@ -286,3 +289,38 @@ class TestMineJoinFDs:
         without_pruning = mine_join_fds(*args, use_theorem4=False)
         assert set(with_pruning.fds) == set(without_pruning.fds)
         assert with_pruning.candidates_validated <= without_pruning.candidates_validated
+
+    @staticmethod
+    def _mine_with_optional_constant(with_constant):
+        # 40 random rows per side, 40 join keys, ``k -> r1`` planted on the right.
+        rng = random.Random(1)
+        left_rows = [(rng.randrange(40), rng.randrange(10), rng.randrange(3)) for _ in range(40)]
+        right_rows = []
+        for _ in range(40):
+            key = rng.randrange(40)
+            right_rows.append((key, rng.randrange(3), key % 3))
+        left_attrs = ("k", "l0", "l1")
+        if with_constant:
+            left_attrs += ("c",)
+            left_rows = [row + ("const",) for row in left_rows]
+        left = Relation("L", left_attrs, left_rows)
+        right = Relation("R", ("k", "r0", "r1"), right_rows)
+        left_fds = list(TANE().discover(left).fds)
+        right_fds = list(TANE().discover(right).fds)
+        return mine_join_fds(left, right, ["k"], ["k"], JoinKind.INNER,
+                             left_fds, right_fds, left_fds + right_fds,
+                             (*left_attrs, "r0", "r1"), "J")
+
+    def test_constant_column_is_non_free_at_level_one(self):
+        # ``∅ -> c`` is known, so ``{c}`` and all its supersets share the
+        # partition of a smaller set: no candidate containing ``c`` is
+        # validated, and the constant changes nothing else.
+        with_constant = self._mine_with_optional_constant(True)
+        without_constant = self._mine_with_optional_constant(False)
+        assert with_constant.candidates_validated == without_constant.candidates_validated
+        assert with_constant.candidates_non_free > 0
+        assert without_constant.triples
+        assert [t for t in with_constant.triples if t.dependency.rhs != "c"] == (
+            without_constant.triples
+        )
+        assert not any("c" in t.dependency.lhs for t in with_constant.triples)

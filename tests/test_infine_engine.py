@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Session
 from repro.discovery import TANE
 from repro.fd import FD, fd
 from repro.infine import FDType, InFine, StraightforwardPipeline
@@ -240,6 +241,41 @@ def test_randomised_equivalence_wide_views(kind, seed):
     infine = InFine().run(view, catalog)
     reference = StraightforwardPipeline("tane").run(view, catalog, with_provenance=False)
     assert set(infine.fds.as_set()) == set(reference.fds.as_set())
+
+
+
+def _wider_random_catalog(rng: random.Random):
+    """3-5 attributes and 0-30 rows per side, ``l0 -> l1`` planted on the left.
+
+    Each non-key column is constant with ~15% probability, so some level-1
+    LHSs are non-free and must be skipped without losing an FD.
+    """
+    dom = rng.randint(1, 4)
+    relations = {}
+    for name, prefix in (("L", "l"), ("R", "r")):
+        n_rows = rng.randint(0, 30)
+        attrs = ["k"] + [f"{prefix}{i}" for i in range(rng.randint(2, 4))]
+        constant = {a for a in attrs[1:] if rng.random() < 0.15}
+        rows = []
+        for _ in range(n_rows):
+            row = {a: 0 if a in constant else rng.randint(0, dom) for a in attrs}
+            if name == "L" and "l1" not in constant:
+                row["l1"] = row["l0"] % 2
+            rows.append(tuple(row[a] for a in attrs))
+        relations[name] = Relation(name, attrs, rows)
+    return relations
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("kind", [JoinKind.INNER, JoinKind.LEFT_SEMI, JoinKind.RIGHT_SEMI])
+def test_randomised_equivalence_wider_views(kind, seed):
+    catalog = _wider_random_catalog(random.Random(1000 + seed))
+    view = join(base("L"), base("R"), on="k", kind=kind)
+    with_theorem4 = Session().infine(view, catalog)
+    without_theorem4 = Session().infine(view, catalog, use_theorem4=False)
+    reference = StraightforwardPipeline("tane").run(view, catalog, with_provenance=False)
+    assert set(with_theorem4.fds.as_set()) == set(reference.fds.as_set())
+    assert with_theorem4.artifact_fingerprint() == without_theorem4.artifact_fingerprint()
 
 
 @pytest.mark.xfail(

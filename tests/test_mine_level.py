@@ -2,10 +2,11 @@
 
 The fingerprints below are ``RunResult.artifact_fingerprint()`` values
 recorded with the one-lattice-per-dependent walk that preceded the shared
-level-synchronous walk of :mod:`repro.infine.joinfd`; the rewrite must keep
-every artefact byte for byte.  The views run at scale ``tiny`` (data seed 7)
-under the three configurations of :data:`CONFIGS`, and the hot view
-``pte/atm_bond_atm_drug`` also at scale ``small``.
+level-synchronous walk of :mod:`repro.infine.joinfd`; that rewrite and the
+free-set pruning added to it must keep every artefact byte for byte.  The
+views run at scale ``tiny`` (data seed 7) under the three configurations of
+:data:`CONFIGS`, and the hot view ``pte/atm_bond_atm_drug`` also at scale
+``small``.
 """
 
 import pytest
@@ -139,3 +140,7 @@ def test_hot_view_small_is_pinned_and_never_evicts():
     # The level maps own the multi-attribute partitions: the join's cache
     # only pins singletons, so nothing is ever evicted.
     assert session.kernel_stats()["partition_evictions"] == 0
+    # Free-set pruning: LHSs sharing a smaller set's partition are neither
+    # validated nor expanded (20 249 validations without it).
+    assert result.stats["mine_candidates_validated"] <= 800
+    assert result.stats["mine_candidates_non_free"] > 0
