@@ -182,11 +182,16 @@ class TANE(FDDiscoveryAlgorithm):
         stats: DiscoveryStats,
     ) -> list[AttributeSet]:
         kept: list[AttributeSet] = []
+        max_lhs = self._effective_max_lhs(len(universe))
         for candidate in level:
             if not cplus[candidate]:
                 continue
             if partitions[candidate].is_key():
-                for attribute in sorted(cplus[candidate] - candidate):
+                # The key rule emits ``candidate`` itself as a LHS; past the
+                # LHS cap (the level ``max_lhs + 1`` walked to validate
+                # size-``max_lhs`` LHSs) it would exceed the cap.
+                emit = cplus[candidate] - candidate if len(candidate) <= max_lhs else ()
+                for attribute in sorted(emit):
                     # The key-pruning rule: X -> A is output only if A remains
                     # a RHS candidate of every X ∪ {A} \ {B}.
                     in_all = True

@@ -51,6 +51,8 @@ class InFineStats:
 
     base_fd_counts: dict[str, int] = field(default_factory=dict)
     upstage_candidates_checked: int = 0
+    upstage_border_checks: int = 0
+    upstage_fallbacks: int = 0
     infer_candidates_checked: int = 0
     mine_candidates_validated: int = 0
     mine_candidates_pruned_logically: int = 0
@@ -115,7 +117,7 @@ class InFine:
     ----------
     base_algorithm:
         Name or instance of the single-table discovery algorithm used for the
-        base relations and the level-wise reductions (default: TANE).
+        base relations (default: TANE).
     max_lhs_size:
         Optional cap on the LHS size explored by every step.
     use_theorem4:
@@ -236,6 +238,8 @@ class InFine:
                 self.max_lhs_size,
             )
         stats.upstage_candidates_checked += outcome.candidates_checked
+        stats.upstage_border_checks += outcome.border_checks
+        stats.upstage_fallbacks += outcome.fallbacks
         provenance = self._combine(child.provenance, outcome.triples)
         return _NodeResult(instance=outcome.instance, provenance=provenance)
 
@@ -268,6 +272,8 @@ class InFine:
                 self.max_lhs_size,
             )
         stats.upstage_candidates_checked += upstaged.candidates_checked
+        stats.upstage_border_checks += upstaged.border_checks
+        stats.upstage_fallbacks += upstaged.fallbacks
 
         left_full = left_fds + upstaged.left_fds
         right_full = right_fds + upstaged.right_fds

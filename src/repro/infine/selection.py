@@ -31,6 +31,10 @@ class SelectionOutcome:
     candidates_checked: int
     #: Whether the selection actually removed tuples (otherwise mining is skipped).
     filtered: bool
+    #: Negative-border dependencies validated to certify "nothing new".
+    border_checks: int = 0
+    #: Whether the certificate failed and TANE ran on the selection (0 or 1).
+    fallbacks: int = 0
 
 
 def selection_fds(
@@ -52,8 +56,8 @@ def selection_fds(
         The selection condition ``ρ``.
     known_fds:
         FDs known to hold on the input; they keep holding on the selection
-        (Theorem 1), prune the candidate lattice, and are excluded from the
-        reported upstaged FDs.
+        (Theorem 1), span the negative border that certifies "nothing new",
+        and are excluded from the reported upstaged FDs.
     attributes:
         The projected attribute set ``AV`` to restrict the mining to.
     subquery:
@@ -66,9 +70,16 @@ def selection_fds(
     if len(selected) >= len(child_instance):
         return SelectionOutcome(selected, [], 0, filtered=False)
 
-    new_fds, checked = mine_new_fds(selected, attributes, known_fds, max_lhs_size)
+    mined = mine_new_fds(selected, attributes, known_fds, max_lhs_size)
     triples = [
         ProvenanceTriple(dependency, FDType.UPSTAGED_SELECTION, subquery)
-        for dependency in sorted(new_fds, key=FD.sort_key)
+        for dependency in sorted(mined.fds, key=FD.sort_key)
     ]
-    return SelectionOutcome(selected, triples, checked, filtered=True)
+    return SelectionOutcome(
+        selected,
+        triples,
+        mined.candidates_checked,
+        filtered=True,
+        border_checks=mined.border_checks,
+        fallbacks=mined.fallbacks,
+    )

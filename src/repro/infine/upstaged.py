@@ -5,8 +5,8 @@ join-attribute values have no counterpart on the other side), approximate FDs
 of that input can become exact.  Following Lemma 2, the candidate instance
 for each side is the semi-join of the side with the other side's
 join-attribute values; if the semi-join is smaller than the side itself, the
-newly holding FDs are mined level-wise and labelled ``upstaged left`` or
-``upstaged right``.
+newly holding FDs are mined by :func:`~repro.infine.levelwise.mine_new_fds`
+and labelled ``upstaged left`` or ``upstaged right``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from ..fd.fd import FD
 from ..relational.algebra import JoinKind, equi_join
 from ..relational.relation import Relation
-from .levelwise import mine_new_fds
+from .levelwise import NewFDs, mine_new_fds
 from .provenance import FDType, ProvenanceTriple
 
 #: For every join kind, which inputs have their dangling tuples removed by
@@ -47,6 +47,16 @@ class JoinUpstageOutcome:
     right_fds: list[FD] = field(default_factory=list)
     #: Number of candidate FDs validated against the data.
     candidates_checked: int = 0
+    #: Negative-border dependencies validated to certify "nothing new".
+    border_checks: int = 0
+    #: Number of sides whose certificate failed, so TANE ran on them.
+    fallbacks: int = 0
+
+    def add(self, mined: NewFDs) -> None:
+        """Count one side's :func:`mine_new_fds` call."""
+        self.candidates_checked += mined.candidates_checked
+        self.border_checks += mined.border_checks
+        self.fallbacks += mined.fallbacks
 
     @property
     def left_was_reduced(self) -> bool:
@@ -82,7 +92,8 @@ def join_upstaged_fds(
     kind:
         The join operator; it determines which sides can be reduced.
     left_known_fds, right_known_fds:
-        FDs known to hold on each input (used for pruning and exclusion).
+        FDs known to hold on each input (their negative border certifies
+        "nothing new"; FDs they imply are excluded).
     attributes:
         The projected attribute set ``AV``.
     subquery:
@@ -100,9 +111,9 @@ def join_upstaged_fds(
         )
         if len(reduced) < len(left_instance):
             outcome.reduced_left = reduced
-            new_fds, checked = mine_new_fds(reduced, attributes, left_known_fds, max_lhs_size)
-            outcome.candidates_checked += checked
-            outcome.left_fds = sorted(new_fds, key=FD.sort_key)
+            mined = mine_new_fds(reduced, attributes, left_known_fds, max_lhs_size)
+            outcome.add(mined)
+            outcome.left_fds = sorted(mined.fds, key=FD.sort_key)
             outcome.triples.extend(
                 ProvenanceTriple(dependency, FDType.UPSTAGED_LEFT, subquery)
                 for dependency in outcome.left_fds
@@ -115,9 +126,9 @@ def join_upstaged_fds(
         )
         if len(reduced) < len(right_instance):
             outcome.reduced_right = reduced
-            new_fds, checked = mine_new_fds(reduced, attributes, right_known_fds, max_lhs_size)
-            outcome.candidates_checked += checked
-            outcome.right_fds = sorted(new_fds, key=FD.sort_key)
+            mined = mine_new_fds(reduced, attributes, right_known_fds, max_lhs_size)
+            outcome.add(mined)
+            outcome.right_fds = sorted(mined.fds, key=FD.sort_key)
             outcome.triples.extend(
                 ProvenanceTriple(dependency, FDType.UPSTAGED_RIGHT, subquery)
                 for dependency in outcome.right_fds

@@ -215,9 +215,10 @@ def _semi_join(
         probe, build, probe_on, build_on = left, right, left_on, right_on
     else:
         probe, build, probe_on, build_on = right, left, right_on, left_on
+    build_idx = build.schema.indexes_of(build_on)
     build_keys = {
         key
-        for key in (tuple(row[i] for i in build.schema.indexes_of(build_on)) for row in build.rows)
+        for key in (tuple(row[i] for i in build_idx) for row in build.rows)
         if not any(value is NULL for value in key)
     }
     probe_idx = probe.schema.indexes_of(probe_on)

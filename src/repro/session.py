@@ -350,6 +350,8 @@ class RunResult:
                 "timings": result.timings.as_dict(),
                 "base_fd_counts": stats.base_fd_counts,
                 "upstage_candidates_checked": stats.upstage_candidates_checked,
+                "upstage_border_checks": stats.upstage_border_checks,
+                "upstage_fallbacks": stats.upstage_fallbacks,
                 "infer_candidates_checked": stats.infer_candidates_checked,
                 "mine_candidates_validated": stats.mine_candidates_validated,
                 "mine_candidates_pruned_logically": stats.mine_candidates_pruned_logically,

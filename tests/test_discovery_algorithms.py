@@ -108,6 +108,19 @@ class TestAgainstNaiveOracle:
         assert capped <= full
         assert all(len(dependency.lhs) <= 1 for dependency in capped)
 
+    def test_capped_run_is_the_oracle_below_the_cap(self, algorithm_cls):
+        # TANE's key rule used to emit LHSs one attribute past the cap.
+        rng = random.Random(5)
+        for _ in range(12):
+            names = [f"a{i}" for i in range(rng.randint(3, 6))]
+            rows = [tuple(rng.randint(0, 3) for _ in names) for _ in range(rng.randint(0, 18))]
+            relation = Relation("r", names, rows)
+            full = NaiveFDDiscovery().discover(relation).fds.as_set()
+            for cap in (1, 2, 3):
+                expected = {dependency for dependency in full if len(dependency.lhs) <= cap}
+                got = set(algorithm_cls(max_lhs_size=cap).discover(relation).fds.as_set())
+                assert got == expected, f"{algorithm_cls.name} at cap {cap} on {rows}"
+
 
 class TestApproximateTane:
     def test_accepts_almost_holding_fd(self):

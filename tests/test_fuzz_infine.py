@@ -1,8 +1,9 @@
 """InFine soundness fuzz, pinned: ``tools/fuzz_infine.py`` on fixed seeds.
 
-The tool compares InFine's FD set with TANE on the materialised view for
-seed-replayable 2- and 3-table inner/semi join views; CI sweeps many more
-seeds in its ``fuzz`` job.
+The tool compares InFine's FD set with TANE on the materialised view, under
+the same LHS cap, for seed-replayable 2- and 3-table inner/semi join views
+with optional selections and projections; CI sweeps many more seeds in its
+``fuzz`` job.
 """
 
 from __future__ import annotations

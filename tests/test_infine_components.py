@@ -109,19 +109,19 @@ class TestStepTimings:
 class TestMineNewFDs:
     def test_new_fds_exclude_known(self):
         reduced = Relation("r", ("a", "b"), [(1, "x"), (2, "y")])
-        new, checked = mine_new_fds(reduced, ("a", "b"), [fd("a", "b")])
+        new, checked, _, _ = mine_new_fds(reduced, ("a", "b"), [fd("a", "b")])
         assert fd("a", "b") not in new
         assert fd("b", "a") in new
         assert checked > 0
 
     def test_unknown_attributes_are_ignored(self):
         reduced = Relation("r", ("a", "b"), [(1, "x")])
-        new, _ = mine_new_fds(reduced, ("a", "b", "zz"), [])
+        new = mine_new_fds(reduced, ("a", "b", "zz"), []).fds
         assert all(d.attributes <= {"a", "b"} for d in new)
 
     def test_no_usable_attributes(self):
         reduced = Relation("r", ("a",), [(1,)])
-        assert mine_new_fds(reduced, ("zz",), []) == ([], 0)
+        assert mine_new_fds(reduced, ("zz",), []) == ([], 0, 0, 0)
 
 
 class TestSelectionFDs:

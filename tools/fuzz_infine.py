@@ -4,8 +4,9 @@ The paper's soundness and completeness claim is that InFine derives exactly
 the minimal FDs of an SPJ view without discovering them on the view.  This
 tool makes that a fuzzed invariant: a seed-replayable generator builds
 2- and 3-table join views over small adversarial relations and compares
-``InFine().run(view, catalog)`` with ``StraightforwardPipeline("tane")``,
-which materialises the view and runs TANE on it.  The generated cases mix
+``InFine(max_lhs_size=cap).run(view, catalog)`` with
+``StraightforwardPipeline(TANE(max_lhs_size=cap))``, which materialises the
+view and runs TANE on it, under the same LHS cap.  The generated cases mix
 
 * inner, left-semi and right-semi joins, left- and right-nested for three
   tables;
@@ -13,7 +14,10 @@ which materialises the view and runs TANE on it.  The generated cases mix
   dangling or fully matching keys, empty joins);
 * constant columns and planted single-table FDs;
 * optional range selections (``lo <= a <= hi``) on a base relation or on
-  the view itself.
+  the view itself;
+* an optional projection of the view onto a proper subset of its
+  attributes;
+* an LHS cap drawn from ``None`` (uncapped), 1 and 2.
 
 Outer joins are deliberately not generated: InFine reports constant FDs on
 the padded side that TANE rejects (a known defect pinned as a strict xfail
@@ -39,11 +43,12 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.discovery.tane import TANE  # noqa: E402
 from repro.infine import InFine, StraightforwardPipeline  # noqa: E402
 from repro.relational.algebra import JoinKind  # noqa: E402
 from repro.relational.predicates import conjunction, ge, le  # noqa: E402
 from repro.relational.relation import Relation  # noqa: E402
-from repro.relational.view import ViewSpec, base, join, sel, validate_view  # noqa: E402
+from repro.relational.view import ViewSpec, base, join, proj, sel, validate_view  # noqa: E402
 
 #: The join kinds the generator draws from (outer joins excluded, see above),
 #: and their weights: only inner joins reach ``mineFDs``.
@@ -52,6 +57,9 @@ JOIN_WEIGHTS = (2, 1, 1)
 
 #: Values of every non-key column lie in ``range(VALUE_DOMAIN)``.
 VALUE_DOMAIN = 4
+
+#: The LHS caps drawn for InFine and the reference TANE (``None`` = uncapped).
+MAX_LHS_SIZES = (None, 1, 2)
 
 
 def _relation(rng: random.Random, name: str, key: str, key_domain: int, prefix: str) -> Relation:
@@ -83,12 +91,20 @@ def _maybe_select(rng: random.Random, view: ViewSpec, attributes: tuple[str, ...
     return sel(view, conjunction([ge(attribute, low), le(attribute, high)]))
 
 
+def _maybe_project(rng: random.Random, view: ViewSpec, attributes: tuple[str, ...]) -> ViewSpec:
+    """Project ``view`` onto a proper subset of its attributes, with probability 1/3."""
+    if len(attributes) < 2 or rng.random() >= 1 / 3:
+        return view
+    kept = set(rng.sample(attributes, rng.randint(1, len(attributes) - 1)))
+    return proj(view, [a for a in attributes if a in kept])
+
+
 def _join_kind(rng: random.Random) -> JoinKind:
     return rng.choices(JOIN_KINDS, weights=JOIN_WEIGHTS)[0]
 
 
-def generate_case(seed: int) -> tuple[ViewSpec, dict[str, Relation]]:
-    """The ``(view, catalog)`` of one fuzz case; a pure function of ``seed``."""
+def generate_case(seed: int) -> tuple[ViewSpec, dict[str, Relation], int | None]:
+    """The ``(view, catalog, max_lhs_size)`` of one fuzz case; a pure function of ``seed``."""
     rng = random.Random(seed)
     n_tables = rng.choice((2, 3))
     # One tiny key domain per case: long duplicate runs, and most keys match.
@@ -112,20 +128,26 @@ def generate_case(seed: int) -> tuple[ViewSpec, dict[str, Relation]]:
             view = join(view, leaf("C"), on=attribute, right_on="j", kind=kind)
         else:
             view = join(leaf("C"), view, on="j", right_on=attribute, kind=kind)
-    return _maybe_select(rng, view, validate_view(view, catalog)), catalog
+    view = _maybe_select(rng, view, validate_view(view, catalog))
+    # Drawn last, so the projection and the cap leave the joins and
+    # selections of every seed as they were before they were added.
+    view = _maybe_project(rng, view, validate_view(view, catalog))
+    return view, catalog, rng.choice(MAX_LHS_SIZES)
 
 
 def check_seed(seed: int) -> list[str]:
     """Generate and check one seed; returns mismatch descriptions (empty = ok)."""
-    view, catalog = generate_case(seed)
-    infine = set(InFine().run(view, catalog).fds.as_set())
-    reference = StraightforwardPipeline("tane").run(view, catalog, with_provenance=False)
+    view, catalog, max_lhs_size = generate_case(seed)
+    infine = set(InFine(max_lhs_size=max_lhs_size).run(view, catalog).fds.as_set())
+    reference = StraightforwardPipeline(TANE(max_lhs_size=max_lhs_size)).run(
+        view, catalog, with_provenance=False
+    )
     expected = set(reference.fds.as_set())
     if infine == expected:
         return []
     sizes = {name: len(relation) for name, relation in sorted(catalog.items())}
     return [
-        f"seed {seed}: {view.describe()} rows={sizes}",
+        f"seed {seed}: {view.describe()} rows={sizes} max_lhs_size={max_lhs_size}",
         f"  only InFine: {sorted(map(str, infine - expected))}",
         f"  only TANE:   {sorted(map(str, expected - infine))}",
     ]
