@@ -12,10 +12,12 @@ specification:
    together with a per-step timing breakdown.
 
 The engine never materialises the full view with all of its attributes: base
-instances are projected onto the needed attributes up front, reductions are
-semi-joins, inference is purely logical, and the join needed by the selective
-mining is materialised lazily, only when a candidate actually requires data
-access.
+instances are projected onto the needed attributes up front (sharing the base
+columns), and each join node computes its row match once
+(:class:`~repro.relational.algebra.JoinMatch`).  The semi-joins of
+``joinUpFDs``, the partial joins of ``inferFDs``, the join validated by
+``mineFDs`` and the node instance are all gathers over that match, and each
+of their columns is gathered only when a step actually reads it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from ..discovery.base import FDDiscoveryAlgorithm
 from ..discovery.registry import make_algorithm
 from ..fd.fd import FD
 from ..fd.fdset import FDSet
-from ..relational.algebra import equi_join, project
+from ..relational.algebra import JoinMatch, project
 from ..relational.relation import Relation
 from ..relational.view import (
     BaseRelationSpec,
@@ -257,8 +259,11 @@ class InFine:
         left_fds = left.provenance.fds().as_list()
         right_fds = right.provenance.fds().as_list()
 
-        # Step: joinUpFDs (Algorithm 3).
+        # Step: joinUpFDs (Algorithm 3).  The join's row match is computed
+        # once here and shared by the semi-joins, the refinement's partial
+        # joins, the mining join and the node instance.
         with timings.measure("upstageFDs"):
+            match = JoinMatch(left.instance, right.instance, spec.left_on, spec.right_on, spec.kind)
             upstaged = join_upstaged_fds(
                 left.instance,
                 right.instance,
@@ -270,6 +275,7 @@ class InFine:
                 sorted(needed),
                 subquery,
                 self.max_lhs_size,
+                match=match,
             )
         stats.upstage_candidates_checked += upstaged.candidates_checked
         stats.upstage_border_checks += upstaged.border_checks
@@ -292,6 +298,7 @@ class InFine:
                 carried,
                 subquery,
                 refine_with_data=self.refine_inferred,
+                match=match,
             )
         stats.infer_candidates_checked += inferred.candidates_checked
         stats.raw_inferred += inferred.raw_inferred
@@ -312,6 +319,7 @@ class InFine:
                 subquery,
                 self.max_lhs_size,
                 use_theorem4=self.use_theorem4,
+                match=match,
             )
         stats.mine_candidates_validated += mined.candidates_validated
         stats.mine_candidates_pruned_logically += mined.candidates_pruned_logically
@@ -325,24 +333,10 @@ class InFine:
             list(upstaged.triples) + list(inferred.triples) + list(mined.triples),
         )
 
-        # The node instance for enclosing operators: reuse the join
-        # materialised by mineFDs when available, otherwise compute it now
-        # (counted as part of mineFDs, like the partial SPJ of the paper).
-        with timings.measure("mineFDs"):
-            if mined.joined is not None:
-                instance = mined.joined
-            else:
-                instance = equi_join(
-                    left.instance,
-                    right.instance,
-                    spec.left_on,
-                    spec.right_on,
-                    kind=spec.kind,
-                    name=subquery,
-                )
-            keep = [a for a in instance.attribute_names if a in needed]
-            if keep and len(keep) != instance.arity:
-                instance = project(instance, keep, name=instance.name)
+        # The node instance for enclosing operators: a view of the match
+        # whose columns (shared with the mining join) are gathered on use.
+        keep = [a for a in match.attribute_names if a in needed]
+        instance = match.relation(keep or None, name=subquery)
         return _NodeResult(instance=instance, provenance=provenance)
 
     # -- helpers --------------------------------------------------------------

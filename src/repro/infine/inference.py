@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from ..fd.closure import transitive_fds_through
 from ..fd.fd import FD
-from ..relational.algebra import JoinKind, equi_join, project
+from ..relational.algebra import JoinKind, JoinMatch, project
 from ..relational.partition import fd_holds_fast, make_partition_cache
 from ..relational.relation import Relation
 from .provenance import FDType, ProvenanceTriple
@@ -54,6 +54,7 @@ def infer_join_fds(
     subquery: str,
     refine_with_data: bool = True,
     max_refine_lhs: int = 6,
+    match: JoinMatch | None = None,
 ) -> InferenceOutcome:
     """Infer (and refine) the cross-side FDs of a join node (Algorithm 4).
 
@@ -78,6 +79,9 @@ def infer_join_fds(
         keeps the step purely logical (used by the ablation benchmarks).
     max_refine_lhs:
         Refinement explores subsets of determinants up to this size.
+    match:
+        The join's row match, when the caller already computed it; each
+        partial join is then a gather of the columns it needs.
     """
     left_fds = list(left_fds)
     right_fds = list(right_fds)
@@ -90,8 +94,14 @@ def infer_join_fds(
     raw.extend(_join_attribute_equalities(left_on, right_on))
     outcome.raw_inferred = len(raw)
 
-    left_attrs = set(left_instance.attribute_names)
-    right_attrs = set(right_instance.attribute_names)
+    # Partial joins project the join match or, for a semi-join, the one
+    # input the output carries (refinement then happens on that side).
+    join_attrs = set(left_on) | set(right_on)
+    source: JoinMatch | Relation | None = match
+    if kind is JoinKind.LEFT_SEMI:
+        source = left_instance
+    elif kind is JoinKind.RIGHT_SEMI:
+        source = right_instance
 
     kept: list[FD] = []
     seen: set[FD] = set()
@@ -102,17 +112,10 @@ def infer_join_fds(
         # Refinement only matters for determinants with at least two
         # attributes (a singleton LHS has no proper non-empty subset).
         if refine_with_data and 1 < len(dependency.lhs) <= max_refine_lhs:
-            refinements = _refine(
-                dependency,
-                left_instance,
-                right_instance,
-                left_on,
-                right_on,
-                kind,
-                left_attrs,
-                right_attrs,
-                outcome,
-            )
+            if source is None:
+                source = JoinMatch(left_instance, right_instance, left_on, right_on, kind)
+            partial = _partial_join(dependency, join_attrs, source)
+            refinements = _refine(dependency, partial, outcome)
         for refined in refinements:
             if refined in seen:
                 continue
@@ -168,26 +171,13 @@ def _join_attribute_equalities(
     return equalities
 
 
-def _refine(
-    dependency: FD,
-    left_instance: Relation,
-    right_instance: Relation,
-    left_on: Sequence[str],
-    right_on: Sequence[str],
-    kind: JoinKind,
-    left_attrs: set[str],
-    right_attrs: set[str],
-    outcome: InferenceOutcome,
-) -> list[FD]:
+def _refine(dependency: FD, partial: Relation | None, outcome: InferenceOutcome) -> list[FD]:
     """The ``refine`` subroutine: minimise a determinant using a partial join.
 
     Only the join attributes, the determinant and the dependent attribute are
     materialised (line #19 of Algorithm 4), so the partial join stays narrow
     even when the view is wide.
     """
-    partial = _partial_join(
-        dependency, left_instance, right_instance, left_on, right_on, kind, left_attrs, right_attrs
-    )
     if partial is None:
         return [dependency]
 
@@ -211,32 +201,15 @@ def _refine(
 
 
 def _partial_join(
-    dependency: FD,
-    left_instance: Relation,
-    right_instance: Relation,
-    left_on: Sequence[str],
-    right_on: Sequence[str],
-    kind: JoinKind,
-    left_attrs: set[str],
-    right_attrs: set[str],
+    dependency: FD, join_attrs: set[str], source: JoinMatch | Relation
 ) -> Relation | None:
-    """Materialise the partial join needed to refine one inferred FD."""
+    """The partial join refining one inferred FD, as a projection of ``source``.
+
+    It keeps the join attributes, the determinant and the dependent; a join
+    match gathers just those columns.
+    """
     needed = set(dependency.lhs) | {dependency.rhs}
-    left_needed = sorted((needed & left_attrs) | set(left_on))
-    right_needed = sorted((needed & right_attrs - set(left_attrs)) | set(right_on))
-    if kind.is_semi:
-        # Semi-join outputs carry only one side; refinement happens on that side.
-        side = left_instance if kind is JoinKind.LEFT_SEMI else right_instance
-        keep = [a for a in side.attribute_names if a in needed or a in set(left_on) | set(right_on)]
-        return project(side, keep) if keep else None
-    try:
-        return equi_join(
-            project(left_instance, left_needed),
-            project(right_instance, right_needed),
-            left_on,
-            right_on,
-            kind=kind,
-            name="partial_join",
-        )
-    except Exception:  # pragma: no cover - defensive: fall back to no refinement
-        return None
+    keep = [a for a in source.attribute_names if a in needed or a in join_attrs]
+    if isinstance(source, JoinMatch):
+        return source.relation(keep, name="partial_join")
+    return project(source, keep) if keep else None

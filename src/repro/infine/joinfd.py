@@ -50,7 +50,7 @@ from typing import Iterable, Sequence
 
 from ..fd.closure import FDIndex
 from ..fd.fd import FD
-from ..relational.algebra import JoinKind, equi_join
+from ..relational.algebra import JoinKind, JoinMatch
 from ..relational.partition import PartitionCache, StrippedPartition, fd_holds_fast
 from ..relational.relation import Relation
 from .provenance import FDType, ProvenanceTriple
@@ -75,8 +75,6 @@ class JoinMiningOutcome:
     join_materialised: bool = False
     #: Number of rows of the materialised partial join (0 if not materialised).
     partial_join_rows: int = 0
-    #: The materialised partial join, if any (reused by the engine for enclosing nodes).
-    joined: Relation | None = None
 
 
 class _ClosureMemo:
@@ -131,6 +129,7 @@ def mine_join_fds(
     subquery: str,
     max_lhs_size: int | None = None,
     use_theorem4: bool = True,
+    match: JoinMatch | None = None,
 ) -> JoinMiningOutcome:
     """Selective mining of the join FDs of one join node (Algorithm 5).
 
@@ -156,6 +155,9 @@ def mine_join_fds(
         Optional cap on the explored LHS size.
     use_theorem4:
         Disable to measure the impact of the Theorem 4 pruning (ablation).
+    match:
+        The join's row match, when the caller already computed it; the
+        partial join then gathers only the columns the validations read.
     """
     outcome = JoinMiningOutcome()
     if kind.is_semi:
@@ -314,20 +316,14 @@ def mine_join_fds(
                     walk.triples.append(entry)
                     continue
                 if joined is None:
-                    joined = equi_join(
-                        left_instance,
-                        right_instance,
-                        left_on,
-                        right_on,
-                        kind=kind,
-                        name=f"partial({subquery})",
-                    )
+                    if match is None:
+                        match = JoinMatch(left_instance, right_instance, left_on, right_on, kind)
+                    joined = match.relation(name=f"partial({subquery})")
                     # Pins the single-attribute partitions; larger LHSs live
                     # in the two level maps.
                     cache = PartitionCache(joined)
                     outcome.join_materialised = True
                     outcome.partial_join_rows = len(joined)
-                    outcome.joined = joined
                 outcome.candidates_validated += 1
                 if fd_holds_fast(joined, level_partition(entry), rhs):
                     dependency = FD(entry, rhs)

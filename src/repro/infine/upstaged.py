@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..fd.fd import FD
-from ..relational.algebra import JoinKind, equi_join
+from ..relational.algebra import JoinKind, JoinMatch
 from ..relational.relation import Relation
 from .levelwise import NewFDs, mine_new_fds
 from .provenance import FDType, ProvenanceTriple
@@ -80,6 +80,7 @@ def join_upstaged_fds(
     attributes: Sequence[str],
     subquery: str,
     max_lhs_size: int | None = None,
+    match: JoinMatch | None = None,
 ) -> JoinUpstageOutcome:
     """Mine the upstaged FDs of a join node (Algorithm 3).
 
@@ -100,15 +101,17 @@ def join_upstaged_fds(
         The sub-query string recorded in the provenance triples.
     max_lhs_size:
         Optional cap on the explored LHS size.
+    match:
+        The join's row match, when the caller already computed it; the
+        semi-joins are then row masks over it.
     """
     outcome = JoinUpstageOutcome()
     reduced_sides = REDUCED_SIDES[kind]
+    if reduced_sides and match is None:
+        match = JoinMatch(left_instance, right_instance, left_on, right_on, kind)
 
     if "left" in reduced_sides:
-        reduced = equi_join(
-            left_instance, right_instance, left_on, right_on, kind=JoinKind.LEFT_SEMI,
-            name=f"semi({left_instance.name})",
-        )
+        reduced = match.semi("left")
         if len(reduced) < len(left_instance):
             outcome.reduced_left = reduced
             mined = mine_new_fds(reduced, attributes, left_known_fds, max_lhs_size)
@@ -120,10 +123,7 @@ def join_upstaged_fds(
             )
 
     if "right" in reduced_sides:
-        reduced = equi_join(
-            left_instance, right_instance, left_on, right_on, kind=JoinKind.RIGHT_SEMI,
-            name=f"semi({right_instance.name})",
-        )
+        reduced = match.semi("right")
         if len(reduced) < len(right_instance):
             outcome.reduced_right = reduced
             mined = mine_new_fds(reduced, attributes, right_known_fds, max_lhs_size)

@@ -53,12 +53,15 @@ def is_relation_hash(value: Any) -> bool:
     )
 
 
+#: One shared encoder: ``json.dumps`` with non-default arguments would build
+#: a new one per call.  ``default=repr`` keeps hashing total over exotic
+#: in-memory values (persistence separately requires JSON-native values; see
+#: the store).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=repr)
+
+
 def _canonical_json_bytes(value: Any) -> bytes:
-    # ``default=repr`` keeps hashing total over exotic in-memory values
-    # (persistence separately requires JSON-native values; see the store).
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=repr
-    ).encode("utf-8")
+    return _ENCODER.encode(value).encode("utf-8")
 
 
 def _code_bytes(codes: array) -> bytes:
@@ -72,13 +75,6 @@ def _code_bytes(codes: array) -> bytes:
 def column_digest(relation: "Relation", attribute: str) -> bytes:
     """The sha256 leaf of one column: header + code stream + dictionary."""
     codes, n_codes = relation.column_codes(attribute)
-    index = relation.schema.index_of(attribute)
-    # First-appearance dictionary: a value is new exactly when its code
-    # equals the number of values collected so far (dense assignment order).
-    dictionary: list[Any] = []
-    for row, code in zip(relation.rows, codes):
-        if code == len(dictionary):
-            dictionary.append(row[index])
     digest = hashlib.sha256()
     digest.update(
         _canonical_json_bytes(
@@ -86,7 +82,7 @@ def column_digest(relation: "Relation", attribute: str) -> bytes:
         )
     )
     digest.update(_code_bytes(codes))
-    for value in dictionary:
+    for value in relation.column_dictionary(attribute):
         encoded = _canonical_json_bytes(value)
         digest.update(len(encoded).to_bytes(8, "little"))
         digest.update(encoded)

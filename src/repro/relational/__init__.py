@@ -46,6 +46,7 @@ bench_partition_kernel.py`` tracks its performance trajectory.
 
 from .algebra import (
     JoinKind,
+    JoinMatch,
     cartesian_product,
     equi_join,
     project,
@@ -123,6 +124,7 @@ __all__ = [
     "RelationError",
     "NULL",
     "JoinKind",
+    "JoinMatch",
     "project",
     "select",
     "rename",

@@ -2,20 +2,34 @@
 
 The operator set covers exactly the SPJ fragment of the paper
 (Definition 2): projection, selection, the four outer/inner joins and the two
-semi-joins.  All joins are hash joins; the equi-join follows USING/natural
-semantics, i.e. the join columns appear once in the output (under the left
-side's names) and, for right-only rows of an outer join, are filled from the
-right side's values.
+semi-joins.  Every operator works on the relations' dense column codes and
+never builds row tuples:
+
+* projection and renaming share the input's columns, uncopied;
+* selection evaluates the predicate once per distinct combination of the
+  predicate's columns and keeps the passing rows as a row mask;
+* an equi-join maps each join column's dictionary values (not its rows)
+  into one code space shared by both sides, then computes its match once,
+  as a pair of row-index arrays (:class:`JoinMatch`).  Output columns,
+  semi-joins and partial joins are gathers of the inputs' codes by those
+  indexes, computed per column and only when a column is read.
+
+Every gathered column is re-densified in first-appearance order, so its
+codes equal a fresh encoding of the values it holds.  The equi-join follows
+USING/natural semantics, i.e. the join columns appear once in the output
+(under the left side's names) and, for right-only rows of an outer join, are
+filled from the right side's values.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from array import array
 from enum import Enum
-from typing import Any, Sequence
+from typing import Sequence
 
+from .backend import get_backend
 from .predicates import Predicate
-from .relation import NULL, Relation, RelationError
+from .relation import ColumnEntry, Relation, gather_column
 from .schema import RelationSchema, SchemaError
 
 
@@ -50,36 +64,49 @@ class JoinKind(str, Enum):
 def project(relation: Relation, attributes: Sequence[str], name: str | None = None) -> Relation:
     """Project ``relation`` on ``attributes`` (bag semantics, duplicates kept)."""
     schema = relation.schema.project(attributes)
-    idxs = relation.schema.indexes_of(attributes)
-    rows = [tuple(row[i] for i in idxs) for row in relation.rows]
-    return Relation(name or f"project({relation.name})", schema, rows)
+    return relation._share(name or f"project({relation.name})", schema)
 
 
 def select(relation: Relation, predicate: Predicate, name: str | None = None) -> Relation:
     """Select the rows of ``relation`` satisfying ``predicate``."""
-    missing = predicate.attributes() - set(relation.attribute_names)
+    attributes = sorted(predicate.attributes())
+    missing = set(attributes) - set(relation.attribute_names)
     if missing:
         raise SchemaError(
             f"selection predicate refers to unknown attributes {sorted(missing)} "
             f"of relation {relation.name!r}"
         )
-    names = relation.attribute_names
-    rows = [row for row in relation.rows if predicate.evaluate(dict(zip(names, row)))]
-    return Relation(name or f"select({relation.name})", relation.schema, rows)
+    name = name or f"select({relation.name})"
+    if not attributes:
+        if predicate.evaluate({}):
+            return relation._share(name, relation.schema, same_rows=True)
+        return relation._gathered(array("q"), name)
+    entries = [relation._column_entry(a) for a in attributes]
+    verdicts: dict[tuple[int, ...], bool] = {}
+    positions = array("q")
+    keep = positions.append
+    for position, key in enumerate(zip(*(entry[0].tolist() for entry in entries))):
+        verdict = verdicts.get(key)
+        if verdict is None:
+            values = {a: entry[3][code] for a, entry, code in zip(attributes, entries, key)}
+            verdict = verdicts[key] = bool(predicate.evaluate(values))
+        if verdict:
+            keep(position)
+    return relation._gathered(positions, name)
 
 
 def rename(relation: Relation, mapping: dict[str, str], name: str | None = None) -> Relation:
     """Rename attributes of ``relation`` according to ``mapping``."""
-    return Relation(name or relation.name, relation.schema.renamed(mapping), relation.rows)
+    schema = relation.schema.renamed(mapping)
+    original = {new: old for old, new in mapping.items()}
+    return relation._share(name or relation.name, schema, original, same_rows=True)
 
 
 def _validate_join_keys(
     left: Relation, right: Relation, left_on: Sequence[str], right_on: Sequence[str]
 ) -> None:
     if len(left_on) != len(right_on):
-        raise SchemaError(
-            f"join key arity mismatch: {list(left_on)} vs {list(right_on)}"
-        )
+        raise SchemaError(f"join key arity mismatch: {list(left_on)} vs {list(right_on)}")
     if not left_on:
         raise SchemaError("join requires at least one join attribute per side")
     for attribute in left_on:
@@ -92,8 +119,8 @@ def _validate_join_keys(
 
 def _joined_schema(
     left: Relation, right: Relation, left_on: Sequence[str], right_on: Sequence[str]
-) -> tuple[RelationSchema, tuple[int, ...]]:
-    """Schema of the equi-join output and the kept right-column indexes.
+) -> RelationSchema:
+    """Schema of the equi-join output.
 
     The output keeps every left attribute plus every right attribute except
     the join attributes whose name is identical on both sides (natural-join
@@ -111,9 +138,159 @@ def _joined_schema(
             f"non-join attribute name collision between {left.name!r} and {right.name!r}: "
             f"{sorted(collisions)}; rename before joining"
         )
-    schema = left.schema.concat(right.schema.project(kept_right))
-    kept_idx = right.schema.indexes_of(kept_right)
-    return schema, kept_idx
+    return left.schema.concat(right.schema.project(kept_right))
+
+
+def _merge_columns(left: ColumnEntry, left_idx, right: ColumnEntry, right_idx) -> ColumnEntry:
+    """Rows ``left_idx`` of one column followed by rows ``right_idx`` of another.
+
+    Values equal under ``==`` on the two sides share one code, and each code
+    decodes to the value at its first appearance.
+    """
+    left_codes, n_left, _counts, left_values = left
+    right_codes, n_right, _counts, right_values = right
+    shared: dict = {}
+    classes = [shared.setdefault(value, len(shared)) for value in left_values]
+    classes += [shared.setdefault(value, len(shared)) for value in right_values]
+    segments = ((left_codes, left_idx, 0), (right_codes, right_idx, n_left))
+    backend = get_backend(len(left_idx) + len(right_idx))
+    out, counts, firsts = backend.gather_densify(segments, n_left + n_right, None, classes)
+    values = left_values + right_values
+    return out, len(counts), counts, [values[v] for v in firsts]
+
+
+class JoinMatch:
+    """The row match of one equi-join, computed once and shared by its consumers.
+
+    Each join column's dictionary values are mapped into one code space
+    shared by both sides (under ``hash``/``==``, with NULL never matching),
+    and the backend matches the rows on those codes.  For the four joins,
+    output row ``j`` pairs left row ``left_idx[j]`` with right row
+    ``right_idx[j]`` (``-1`` for outer-join padding): left rows in order,
+    each followed by its matches in ascending right position, then the
+    unmatched right rows of a right or full outer join.  The first
+    ``n_head`` rows have a left row.  For a semi-join, the kept side's index
+    array lists its matching rows in order and the other one is ``None``.
+
+    :meth:`relation` builds the join output, or any projection of it, as a
+    relation whose columns are gathered on first use and shared by every
+    relation built from this match; :meth:`semi` gives either input's
+    semi-join.
+    """
+
+    def __init__(
+        self,
+        left: Relation,
+        right: Relation,
+        left_on: Sequence[str],
+        right_on: Sequence[str] | None = None,
+        kind: JoinKind = JoinKind.INNER,
+    ) -> None:
+        right_on = list(right_on) if right_on is not None else list(left_on)
+        left_on = list(left_on)
+        _validate_join_keys(left, right, left_on, right_on)
+        if kind is JoinKind.LEFT_SEMI:
+            schema = left.schema
+        elif kind is JoinKind.RIGHT_SEMI:
+            schema = right.schema
+        else:
+            schema = _joined_schema(left, right, left_on, right_on)
+        self.left = left
+        self.right = right
+        self.left_on = tuple(left_on)
+        self.right_on = tuple(right_on)
+        self.kind = kind
+        self.schema = schema
+        left_keys = []
+        right_keys = []
+        for lft, rgt in zip(left_on, right_on):
+            left_codes, _n, _counts, left_values = left._column_entry(lft)
+            right_codes, _n, _counts, right_values = right._column_entry(rgt)
+            shared: dict = {}
+            left_table = [
+                -1 if v is None else shared.setdefault(v, len(shared)) for v in left_values
+            ]
+            right_table = [
+                -1 if v is None else shared.setdefault(v, len(shared)) for v in right_values
+            ]
+            left_keys.append((left_codes, left_table, len(shared)))
+            right_keys.append((right_codes, right_table, len(shared)))
+        backend = get_backend(len(left) + len(right))
+        self.left_idx, self.right_idx, self.n_head = backend.match(
+            left_keys, right_keys, kind.value
+        )
+        # Same-named join columns: the output keeps the left one, back-filled
+        # from the right side on right-only rows (USING semantics).
+        self._using = {lft: rgt for lft, rgt in zip(left_on, right_on) if lft == rgt}
+        self._columns: dict[str, ColumnEntry] = {}
+
+    def __len__(self) -> int:
+        """Number of output rows."""
+        return len(self.right_idx if self.kind is JoinKind.RIGHT_SEMI else self.left_idx)
+
+    @property
+    def attribute_names(self) -> tuple[str, ...]:
+        """Attribute names of the join output."""
+        return self.schema.names
+
+    def _default_name(self) -> str:
+        """The output name :func:`equi_join` uses when none is given."""
+        if self.kind is JoinKind.LEFT_SEMI:
+            return f"semi({self.left.name})"
+        if self.kind is JoinKind.RIGHT_SEMI:
+            return f"semi({self.right.name})"
+        return f"{self.left.name}_{self.kind.value}_{self.right.name}"
+
+    def relation(
+        self, attributes: Sequence[str] | None = None, name: str | None = None
+    ) -> Relation:
+        """The join output, or its projection on ``attributes``."""
+        schema = self.schema if attributes is None else self.schema.project(attributes)
+        return Relation._derived(name or self._default_name(), schema, len(self), self._column)
+
+    def semi(self, side: str, name: str | None = None) -> Relation:
+        """The rows of the ``"left"`` or ``"right"`` input that have a match, in order."""
+        kind = self.kind
+        if side == "left":
+            relation, idx, kept_by = self.left, self.left_idx, JoinKind.LEFT_SEMI
+            unpadded = kind in (JoinKind.INNER, JoinKind.RIGHT_OUTER)
+        else:
+            relation, idx, kept_by = self.right, self.right_idx, JoinKind.RIGHT_SEMI
+            unpadded = kind in (JoinKind.INNER, JoinKind.LEFT_OUTER)
+        name = name or f"semi({relation.name})"
+        if kind is kept_by:
+            return relation._gathered(idx, name)
+        if not unpadded:
+            semi = JoinMatch(self.left, self.right, self.left_on, self.right_on, kept_by)
+            return semi.semi(side, name)
+        # Every non-negative entry of ``idx`` is a matched row.
+        positions = get_backend(len(relation)).matched_positions(idx, len(relation))
+        return relation._gathered(positions, name)
+
+    def _column(self, attribute: str) -> ColumnEntry:
+        entry = self._columns.get(attribute)
+        if entry is None:
+            entry = self._columns[attribute] = self._gather(attribute)
+        return entry
+
+    def _gather(self, attribute: str) -> ColumnEntry:
+        kind = self.kind
+        if kind is JoinKind.LEFT_SEMI:
+            return gather_column(self.left._column_entry(attribute), self.left_idx)
+        if kind is JoinKind.RIGHT_SEMI:
+            return gather_column(self.right._column_entry(attribute), self.right_idx)
+        if not self.left.schema.has(attribute):
+            entry = self.right._column_entry(attribute)
+            padded = kind in (JoinKind.LEFT_OUTER, JoinKind.FULL_OUTER)
+            return gather_column(entry, self.right_idx, padded)
+        entry = self.left._column_entry(attribute)
+        head = self.n_head
+        partner = self._using.get(attribute)
+        if partner is not None and head < len(self.left_idx):
+            right_entry = self.right._column_entry(partner)
+            return _merge_columns(entry, self.left_idx[:head], right_entry, self.right_idx[head:])
+        padded = kind in (JoinKind.RIGHT_OUTER, JoinKind.FULL_OUTER)
+        return gather_column(entry, self.left_idx, padded)
 
 
 def equi_join(
@@ -143,92 +320,7 @@ def equi_join(
     NULL join keys never match (SQL semantics): a row whose join attributes
     contain NULL is treated as dangling.
     """
-    right_on = list(right_on) if right_on is not None else list(left_on)
-    left_on = list(left_on)
-    _validate_join_keys(left, right, left_on, right_on)
-
-    if kind is JoinKind.LEFT_SEMI:
-        return _semi_join(left, right, left_on, right_on, name, keep="left")
-    if kind is JoinKind.RIGHT_SEMI:
-        return _semi_join(left, right, left_on, right_on, name, keep="right")
-
-    schema, kept_right_idx = _joined_schema(left, right, left_on, right_on)
-    left_key_idx = left.schema.indexes_of(left_on)
-    right_key_idx = right.schema.indexes_of(right_on)
-    # Positions of left join columns whose right counterpart was dropped
-    # (same name); only those are back-filled for unmatched right rows.
-    left_on_positions = {
-        left.schema.index_of(lft): i
-        for i, (lft, rgt) in enumerate(zip(left_on, right_on))
-        if lft == rgt
-    }
-
-    right_index: dict[tuple[Any, ...], list[int]] = defaultdict(list)
-    for position, row in enumerate(right.rows):
-        key = tuple(row[i] for i in right_key_idx)
-        if any(value is NULL for value in key):
-            continue
-        right_index[key].append(position)
-
-    rows: list[tuple[Any, ...]] = []
-    matched_right: set[int] = set()
-    right_pad = (NULL,) * len(kept_right_idx)
-
-    for left_row in left.rows:
-        key = tuple(left_row[i] for i in left_key_idx)
-        matches = [] if any(value is NULL for value in key) else right_index.get(key, [])
-        if matches:
-            for position in matches:
-                right_row = right.rows[position]
-                rows.append(left_row + tuple(right_row[i] for i in kept_right_idx))
-                matched_right.add(position)
-        elif kind in (JoinKind.LEFT_OUTER, JoinKind.FULL_OUTER):
-            rows.append(left_row + right_pad)
-
-    if kind in (JoinKind.RIGHT_OUTER, JoinKind.FULL_OUTER):
-        left_width = left.arity
-        for position, right_row in enumerate(right.rows):
-            if position in matched_right:
-                continue
-            # Unmatched right rows: left attributes are NULL, except the join
-            # columns which take the right side's key values (USING semantics).
-            padded = [NULL] * left_width
-            for left_pos, key_slot in left_on_positions.items():
-                padded[left_pos] = right_row[right_key_idx[key_slot]]
-            rows.append(tuple(padded) + tuple(right_row[i] for i in kept_right_idx))
-
-    if kind in (JoinKind.INNER, JoinKind.LEFT_OUTER, JoinKind.RIGHT_OUTER, JoinKind.FULL_OUTER):
-        return Relation(name or f"{left.name}_{kind.value}_{right.name}", schema, rows)
-    raise RelationError(f"unsupported join kind {kind!r}")  # pragma: no cover - defensive
-
-
-def _semi_join(
-    left: Relation,
-    right: Relation,
-    left_on: Sequence[str],
-    right_on: Sequence[str],
-    name: str | None,
-    keep: str,
-) -> Relation:
-    """Left (``keep='left'``) or right (``keep='right'``) semi-join."""
-    if keep == "left":
-        probe, build, probe_on, build_on = left, right, left_on, right_on
-    else:
-        probe, build, probe_on, build_on = right, left, right_on, left_on
-    build_idx = build.schema.indexes_of(build_on)
-    build_keys = {
-        key
-        for key in (tuple(row[i] for i in build_idx) for row in build.rows)
-        if not any(value is NULL for value in key)
-    }
-    probe_idx = probe.schema.indexes_of(probe_on)
-    rows = [
-        row
-        for row in probe.rows
-        if not any(row[i] is NULL for i in probe_idx)
-        and tuple(row[i] for i in probe_idx) in build_keys
-    ]
-    return Relation(name or f"semi({probe.name})", probe.schema, rows)
+    return JoinMatch(left, right, left_on, right_on, kind).relation(name=name)
 
 
 def union(left: Relation, right: Relation, name: str | None = None) -> Relation:
@@ -237,7 +329,19 @@ def union(left: Relation, right: Relation, name: str | None = None) -> Relation:
         raise SchemaError(
             f"union requires identical schemas: {left.attribute_names} vs {right.attribute_names}"
         )
-    return Relation(name or f"union({left.name},{right.name})", left.schema, left.rows + right.rows)
+    left_rows = range(len(left))
+    right_rows = range(len(right))
+
+    def column(attribute: str) -> ColumnEntry:
+        return _merge_columns(
+            left._column_entry(attribute),
+            left_rows,
+            right._column_entry(attribute),
+            right_rows,
+        )
+
+    name = name or f"union({left.name},{right.name})"
+    return Relation._derived(name, left.schema, len(left) + len(right), column)
 
 
 def cartesian_product(left: Relation, right: Relation, name: str | None = None) -> Relation:
@@ -246,5 +350,14 @@ def cartesian_product(left: Relation, right: Relation, name: str | None = None) 
     if overlap:
         raise SchemaError(f"cartesian product requires disjoint schemas, shared: {sorted(overlap)}")
     schema = left.schema.concat(right.schema)
-    rows = [lrow + rrow for lrow in left.rows for rrow in right.rows]
-    return Relation(name or f"product({left.name},{right.name})", schema, rows)
+    n_left, n_right = len(left), len(right)
+    left_idx = array("q", [i for i in range(n_left) for _ in range(n_right)])
+    right_idx = array("q", list(range(n_right)) * n_left)
+
+    def column(attribute: str) -> ColumnEntry:
+        if left.schema.has(attribute):
+            return gather_column(left._column_entry(attribute), left_idx)
+        return gather_column(right._column_entry(attribute), right_idx)
+
+    name = name or f"product({left.name},{right.name})"
+    return Relation._derived(name, schema, len(left_idx), column)

@@ -274,6 +274,46 @@ class PartitionBackend:
             for positions, offsets, codes_list in groups
         ]
 
+    # -- SPJ operators in code space ------------------------------------------
+    def match(self, left_keys, right_keys, how: str):
+        """The row match of an equi-join over shared key codes.
+
+        ``left_keys`` and ``right_keys`` hold one ``(codes, table, width)``
+        triple per join column: row ``i`` has the key ``table[codes[i]]`` in
+        that column, a code in ``0..width-1`` shared by both sides, or ``-1``
+        for NULL, which never matches.  ``how`` is a
+        :class:`~repro.relational.algebra.JoinKind` value.  Returns
+        ``(left_idx, right_idx, n_head)``:
+
+        * for the four joins, output row ``j`` pairs left row ``left_idx[j]``
+          with right row ``right_idx[j]``.  The first ``n_head`` rows are the
+          left rows in order, each followed by its matches in ascending right
+          position; an unmatched left row of a left or full outer join gets
+          one row with ``right_idx == -1``.  Right and full outer joins then
+          append the unmatched right rows, ascending, with ``left_idx == -1``;
+        * for ``left_semi`` (``right_semi``), ``left_idx`` (``right_idx``)
+          holds the kept rows' ascending positions and the other is ``None``.
+        """
+        raise NotImplementedError
+
+    def gather_densify(self, segments, space: int, pad: int | None = None, classes=None):
+        """Gather codes by row index and re-densify them.
+
+        ``segments`` are ``(codes, idx, offset)`` triples laid end to end:
+        row ``j`` of a segment holds the value ``codes[idx[j]] + offset``, or
+        ``pad`` where ``idx[j] == -1``.  Values lie in ``0..space-1``, and
+        ``classes`` (a table of length ``space``) optionally maps them to the
+        equality classes that share one output code.  Returns
+        ``(codes, counts, firsts)``: dense codes in first-appearance order,
+        per-code counts, and the list ``firsts`` whose entry ``c`` is the
+        value at the first appearance of code ``c``.
+        """
+        raise NotImplementedError
+
+    def matched_positions(self, idx, n_rows: int):
+        """The distinct non-negative entries of ``idx``, ascending (a row mask)."""
+        raise NotImplementedError
+
 
 class PythonBackend(PartitionBackend):
     """The pure-python columnar kernel (reference semantics, no dependencies)."""
@@ -396,6 +436,84 @@ class PythonBackend(PartitionBackend):
             removals += (end - start) - most_frequent
             start = end
         return removals
+
+    @staticmethod
+    def _row_keys(keys) -> list[int]:
+        codes, table, _width = keys[0]
+        out = [table[code] for code in codes]
+        for codes, table, width in keys[1:]:
+            for i, code in enumerate(codes):
+                key = out[i]
+                shared = table[code]
+                out[i] = -1 if key < 0 or shared < 0 else key * width + shared
+        return out
+
+    def match(self, left_keys, right_keys, how):
+        left = self._row_keys(left_keys)
+        right = self._row_keys(right_keys)
+        if how in ("left_semi", "right_semi"):
+            probe, build = (left, right) if how == "left_semi" else (right, left)
+            found = set(build)
+            found.discard(-1)
+            kept = array("q", [i for i, key in enumerate(probe) if key in found])
+            return (kept, None, len(kept)) if how == "left_semi" else (None, kept, len(kept))
+        index: dict[int, list[int]] = {}
+        for position, key in enumerate(right):
+            if key >= 0:
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [position]
+                else:
+                    bucket.append(position)
+        pad_left = how in ("left_outer", "full_outer")
+        left_idx = array("q")
+        right_idx = array("q")
+        for position, key in enumerate(left):
+            matches = index.get(key)
+            if matches is not None:
+                left_idx.extend([position] * len(matches))
+                right_idx.extend(matches)
+            elif pad_left:
+                left_idx.append(position)
+                right_idx.append(-1)
+        n_head = len(left_idx)
+        if how in ("right_outer", "full_outer"):
+            matched = bytearray(len(right))
+            for position in right_idx:
+                if position >= 0:
+                    matched[position] = 1
+            for position, seen in enumerate(matched):
+                if not seen:
+                    left_idx.append(-1)
+                    right_idx.append(position)
+        return left_idx, right_idx, n_head
+
+    def gather_densify(self, segments, space, pad=None, classes=None):
+        remap = [-1] * space
+        out = array("q")
+        append = out.append
+        counts: list[int] = []
+        firsts: list[int] = []
+        for codes, idx, offset in segments:
+            for i in idx:
+                value = codes[i] + offset if i >= 0 else pad
+                key = value if classes is None else classes[value]
+                code = remap[key]
+                if code < 0:
+                    code = remap[key] = len(counts)
+                    counts.append(1)
+                    firsts.append(value)
+                else:
+                    counts[code] += 1
+                append(code)
+        return out, counts, firsts
+
+    def matched_positions(self, idx, n_rows):
+        mask = bytearray(n_rows)
+        for i in idx:
+            if i >= 0:
+                mask[i] = 1
+        return array("q", [i for i, seen in enumerate(mask) if seen])
 
 
 #: Exclusive upper bound of the key spaces grouped by the counting-sort path:
@@ -810,6 +928,102 @@ class NumpyBackend(PartitionBackend):
                 ]
             )
         return out
+
+    # -- SPJ operators in code space ------------------------------------------
+    def _joint_keys(self, left_keys, right_keys):
+        """Per-row composite keys of both sides (``-1`` for a NULL part).
+
+        Folds the key columns by mixed radix; when the next fold could
+        overflow ``int64``, both sides are first re-densified jointly.
+        """
+        left = right = None
+        bound = 1
+        for left_key, right_key in zip(left_keys, right_keys):
+            left_codes, left_table, width = left_key
+            right_codes, right_table, _width = right_key
+            left_next = self._as_array(left_table)[self._as_array(left_codes)]
+            right_next = self._as_array(right_table)[self._as_array(right_codes)]
+            if left is None:
+                left, right, bound = left_next, right_next, width
+                continue
+            width = max(width, 1)
+            if bound * width >= 2**62:
+                both = _np.concatenate((left, right))
+                valid = both >= 0
+                values, inverse = _np.unique(both[valid], return_inverse=True)
+                both[valid] = inverse
+                left, right = both[: left.shape[0]], both[left.shape[0] :]
+                bound = max(int(values.shape[0]), 1)
+            left = _np.where((left < 0) | (left_next < 0), -1, left * width + left_next)
+            right = _np.where((right < 0) | (right_next < 0), -1, right * width + right_next)
+            bound *= width
+        return left, right
+
+    def match(self, left_keys, right_keys, how):
+        left, right = self._joint_keys(left_keys, right_keys)
+        if how == "left_semi":
+            kept = _np.flatnonzero(_np.isin(left, right[right >= 0]))
+            return kept, None, int(kept.shape[0])
+        if how == "right_semi":
+            kept = _np.flatnonzero(_np.isin(right, left[left >= 0]))
+            return None, kept, int(kept.shape[0])
+        valid = _np.flatnonzero(right >= 0)
+        order = valid[_np.argsort(right[valid], kind="stable")]
+        sorted_keys = right[order]
+        # NULL keys (-1) sort before every valid key: they find no match.
+        low = _np.searchsorted(sorted_keys, left, side="left")
+        counts = _np.searchsorted(sorted_keys, left, side="right") - low
+        pad_left = how in ("left_outer", "full_outer")
+        sizes = _np.maximum(counts, 1) if pad_left else counts
+        n_head = int(sizes.sum())
+        left_idx = _np.repeat(_np.arange(left.shape[0], dtype=_np.int64), sizes)
+        starts = _np.cumsum(sizes) - sizes
+        slots = _np.repeat(low - starts, sizes) + _np.arange(n_head, dtype=_np.int64)
+        if pad_left:
+            matched = _np.repeat(counts > 0, sizes)
+            right_idx = _np.full(n_head, -1, dtype=_np.int64)
+            right_idx[matched] = order[slots[matched]]
+        else:
+            right_idx = order[slots]
+        if how in ("right_outer", "full_outer"):
+            unmatched = _np.ones(right.shape[0], dtype=bool)
+            unmatched[right_idx[right_idx >= 0]] = False
+            tail = _np.flatnonzero(unmatched)
+            left_idx = _np.concatenate((left_idx, _np.full(tail.shape[0], -1, dtype=_np.int64)))
+            right_idx = _np.concatenate((right_idx, tail))
+        return left_idx, right_idx, n_head
+
+    def gather_densify(self, segments, space, pad=None, classes=None):
+        parts = []
+        for codes, idx, offset in segments:
+            codes = self._as_array(codes)
+            idx = self._as_array(idx)
+            if pad is None:
+                values = codes[idx] + offset if offset else codes[idx]
+            else:
+                values = _np.full(idx.shape[0], pad, dtype=_np.int64)
+                real = idx >= 0
+                values[real] = codes[idx[real]] + offset
+            parts.append(values)
+        values = parts[0] if len(parts) == 1 else _np.concatenate(parts)
+        keys = values if classes is None else self._as_array(classes)[values]
+        n = keys.shape[0]
+        # First appearance of each key; then rank the present keys by it.
+        first = _np.full(space, n, dtype=_np.int64)
+        _np.minimum.at(first, keys, _np.arange(n, dtype=_np.int64))
+        present = _np.flatnonzero(first < n)
+        present = present[_np.argsort(first[present])]
+        remap = _np.empty(space, dtype=_np.int64)
+        remap[present] = _np.arange(present.shape[0], dtype=_np.int64)
+        out = remap[keys]
+        counts = _np.bincount(out, minlength=present.shape[0])
+        return out, counts, values[first[present]].tolist()
+
+    def matched_positions(self, idx, n_rows):
+        idx = self._as_array(idx)
+        mask = _np.zeros(n_rows, dtype=bool)
+        mask[idx[idx >= 0]] = True
+        return _np.flatnonzero(mask)
 
 
 # ---------------------------------------------------------------------------

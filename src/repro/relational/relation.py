@@ -1,19 +1,30 @@
 """In-memory relational instances.
 
-A :class:`Relation` is an immutable, named bag of row tuples over a
+A :class:`Relation` is an immutable, named bag of rows over a
 :class:`~repro.relational.schema.RelationSchema`.  It is the substrate on
 which both the baseline FD-discovery algorithms and InFine operate.
 
-The class deliberately stays close to the formal model used in the paper:
-rows are plain Python tuples, ``NULL`` is represented by :data:`NULL`
-(``None``), and duplicate rows are allowed (bag semantics) because SPJ views
-can produce them.
+The storage is columnar.  Each column is a dense integer encoding: one code
+per row, codes assigned in first-appearance order, the dictionary that
+decodes them (the column's distinct values in the same order) and per-code
+counts.  Every partition primitive and every SPJ operator of
+:mod:`~repro.relational.algebra` runs on these codes.  ``NULL`` is
+represented by :data:`NULL` (``None``) and participates as an ordinary
+value, and duplicate rows are allowed (bag semantics) because SPJ views can
+produce them.
+
+A relation built from rows keeps them and encodes each column on first use.
+A derived relation (a projection, selection, semi-join or join) never
+builds rows: it shares or gathers its parents' codes, column by column and
+only when a column is asked for.  Row tuples are decoded lazily, when
+something reads :attr:`Relation.rows`, iterates the relation or compares it.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .backend import MarkTableCache, active_state, get_backend
@@ -21,6 +32,11 @@ from .schema import Attribute, RelationSchema, SchemaError
 
 #: The NULL marker used throughout the substrate.
 NULL = None
+
+#: One encoded column: ``(codes, n_codes, counts, dictionary)``.  ``codes``
+#: is an ``array('q')`` or an int64 ``np.ndarray`` with one code per row;
+#: ``dictionary[code]`` is the value the code stands for.
+ColumnEntry = tuple
 
 
 def _combined_cache_entries() -> int:
@@ -37,6 +53,42 @@ class RelationError(ValueError):
     """Raised for malformed relations or invalid row shapes."""
 
 
+def _encode_values(values: Iterable[Any]) -> ColumnEntry:
+    """First-appearance dense encoding of a column's values."""
+    code_of: dict[Hashable, int] = {}
+    lookup = code_of.get
+    counts: list[int] = []
+    raw: list[int] = []
+    append = raw.append
+    for value in values:
+        code = lookup(value)
+        if code is None:
+            code = len(code_of)
+            code_of[value] = code
+            counts.append(1)
+        else:
+            counts[code] += 1
+        append(code)
+    return array("q", raw), len(code_of), counts, list(code_of)
+
+
+def gather_column(entry: ColumnEntry, idx, padded: bool = False) -> ColumnEntry:
+    """The column of rows ``idx`` of ``entry``, re-densified.
+
+    With ``padded``, an index of ``-1`` stands for a NULL row (outer-join
+    padding); it shares the code of an existing NULL.  The new codes are
+    assigned in first-appearance order, so they equal a fresh encoding of
+    the gathered values.
+    """
+    codes, n_codes, _counts, dictionary = entry
+    pad = None
+    if padded:
+        pad = next((code for code, value in enumerate(dictionary) if value is None), n_codes)
+    backend = get_backend(len(idx))
+    out, counts, firsts = backend.gather_densify(((codes, idx, 0),), n_codes + 1, pad)
+    return out, len(counts), counts, [dictionary[v] if v < n_codes else NULL for v in firsts]
+
+
 class Relation:
     """An immutable relational instance (bag of tuples).
 
@@ -49,14 +101,24 @@ class Relation:
     rows:
         An iterable of row tuples/sequences; each must have exactly one value
         per schema attribute.
+
+    Notes
+    -----
+    Rows given to the constructor are kept as given.  The rows of a derived
+    relation are decoded from its column dictionaries, so each value is its
+    column's first-seen representative under ``==``: if a column holds
+    ``1`` and later ``1.0``, both rows decode to ``1``.  Equal values stay
+    equal, so joins, FDs and partitions are unaffected.
     """
 
     __slots__ = (
         "_name",
         "_schema",
+        "_n_rows",
         "_rows",
+        "_columns",
+        "_source",
         "_column_index_cache",
-        "_column_codes_cache",
         "_content_hash_cache",
         "_mark_cache",
         "__weakref__",
@@ -80,37 +142,70 @@ class Relation:
                     f"schema expects {width}"
                 )
             materialised.append(row)
+        self._setup(name, schema, len(materialised), tuple(materialised), None)
+
+    def _setup(
+        self,
+        name: str,
+        schema: RelationSchema,
+        n_rows: int,
+        rows: tuple[tuple[Any, ...], ...] | None,
+        source: Callable[[str], ColumnEntry] | None,
+    ) -> None:
+        """Initialise every slot.
+
+        ``rows`` is ``None`` for a relation whose rows are decoded on demand.
+        ``source`` computes the entry of a column not yet cached; without
+        one, columns are encoded from ``rows``.
+        """
         self._name = name
         self._schema = schema
-        self._rows: tuple[tuple[Any, ...], ...] = tuple(materialised)
+        self._n_rows = n_rows
+        self._rows = rows
+        self._columns: dict[str, ColumnEntry] = {}
+        self._source = source
         self._column_index_cache: dict[str, dict[Hashable, list[int]]] = {}
-        self._column_codes_cache: dict[str, tuple[array, int, list[int]]] = {}
         self._content_hash_cache: str | None = None
         # Explicit mark-cache override (tests / embedders); ``None`` means
         # "use the active engine state's relation-scoped cache".
         self._mark_cache: MarkTableCache | None = None
 
+    @staticmethod
+    def _derived(
+        name: str,
+        schema: RelationSchema,
+        n_rows: int,
+        source: Callable[[str], ColumnEntry] | None,
+        rows: tuple[tuple[Any, ...], ...] | None = None,
+    ) -> "Relation":
+        """A relation whose columns come from ``source``, one at a time."""
+        relation = Relation.__new__(Relation)
+        relation._setup(name, schema, n_rows, rows, source)
+        return relation
+
     # -- basic protocol -------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._n_rows
 
     def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        return iter(self._rows)
+        return iter(self.rows)
 
     def __eq__(self, other: object) -> bool:
         """Bag equality: same schema names and same multiset of rows."""
         if not isinstance(other, Relation):
             return NotImplemented
-        return (
-            self.schema.names == other.schema.names
-            and Counter(self._rows) == Counter(other._rows)
-        )
+        same_names = self.schema.names == other.schema.names
+        return same_names and Counter(self.rows) == Counter(other.rows)
 
     def __hash__(self) -> int:  # pragma: no cover - rarely used
-        return hash((self._schema.names, frozenset(Counter(self._rows).items())))
+        return hash((self._schema.names, frozenset(Counter(self.rows).items())))
 
     def __repr__(self) -> str:
         return f"Relation({self._name!r}, attrs={list(self.attribute_names)}, rows={len(self)})"
+
+    def __reduce__(self):
+        """Pickle as the rows: a derived relation's column sources stay behind."""
+        return Relation, (self._name, self._schema, self.rows)
 
     # -- accessors ------------------------------------------------------------
     @property
@@ -130,8 +225,16 @@ class Relation:
 
     @property
     def rows(self) -> tuple[tuple[Any, ...], ...]:
-        """The raw row tuples."""
-        return self._rows
+        """The row tuples (decoded from the columns on first access if needed)."""
+        rows = self._rows
+        if rows is None:
+            if self._schema.names:
+                columns = [self._decoded_column(a) for a in self._schema.names]
+                rows = tuple(zip(*columns))
+            else:
+                rows = ((),) * self._n_rows
+            self._rows = rows
+        return rows
 
     @property
     def arity(self) -> int:
@@ -140,22 +243,29 @@ class Relation:
 
     def is_empty(self) -> bool:
         """Whether the relation holds no rows."""
-        return not self._rows
+        return not self._n_rows
 
     def column(self, attribute: str) -> list[Any]:
         """Return the values of ``attribute`` for every row, in row order."""
+        rows = self._rows
+        if rows is None:
+            return self._decoded_column(attribute)
         idx = self._schema.index_of(attribute)
-        return [row[idx] for row in self._rows]
+        return [row[idx] for row in rows]
+
+    def _decoded_column(self, attribute: str) -> list[Any]:
+        codes, _n_codes, _counts, dictionary = self._column_entry(attribute)
+        return list(map(dictionary.__getitem__, codes.tolist()))
 
     def columns(self, attributes: Sequence[str]) -> list[tuple[Any, ...]]:
         """Return, per row, the tuple of values for ``attributes``."""
         idxs = self._schema.indexes_of(attributes)
-        return [tuple(row[i] for i in idxs) for row in self._rows]
+        return [tuple(row[i] for i in idxs) for row in self.rows]
 
     def row_dicts(self) -> Iterator[dict[str, Any]]:
         """Iterate over rows as ``{attribute: value}`` dictionaries."""
         names = self.attribute_names
-        for row in self._rows:
+        for row in self.rows:
             yield dict(zip(names, row))
 
     def distinct_count(self, attributes: Sequence[str] | str) -> int:
@@ -167,7 +277,7 @@ class Relation:
         if isinstance(attributes, str):
             attributes = (attributes,)
         if not attributes:
-            return 1 if self._rows else 0
+            return 1 if self._n_rows else 0
         return len(set(self.columns(attributes)))
 
     def value_index(self, attribute: str) -> Mapping[Hashable, list[int]]:
@@ -175,65 +285,56 @@ class Relation:
         cached = self._column_index_cache.get(attribute)
         if cached is not None:
             return cached
-        idx = self._schema.index_of(attribute)
         index: dict[Hashable, list[int]] = defaultdict(list)
-        for position, row in enumerate(self._rows):
-            index[row[idx]].append(position)
+        for position, value in enumerate(self.column(attribute)):
+            index[value].append(position)
         index = dict(index)
         self._column_index_cache[attribute] = index
         return index
 
     def multi_value_index(self, attributes: Sequence[str]) -> dict[tuple[Any, ...], list[int]]:
         """Return a (value tuple) -> row-position index over several attributes."""
-        idxs = self._schema.indexes_of(attributes)
         index: dict[tuple[Any, ...], list[int]] = defaultdict(list)
-        for position, row in enumerate(self._rows):
-            index[tuple(row[i] for i in idxs)].append(position)
+        for position, key in enumerate(self.columns(attributes)):
+            index[key].append(position)
         return dict(index)
 
     # -- columnar integer encoding --------------------------------------------
-    def column_codes(self, attribute: str) -> tuple[array, int]:
+    def _column_entry(self, attribute: str) -> ColumnEntry:
+        """The cached ``(codes, n_codes, counts, dictionary)`` of a column."""
+        entry = self._columns.get(attribute)
+        if entry is None:
+            index = self._schema.index_of(attribute)
+            if self._source is not None:
+                entry = self._source(attribute)
+            else:
+                entry = _encode_values(map(itemgetter(index), self._rows))
+            self._columns[attribute] = entry
+        return entry
+
+    def column_codes(self, attribute: str) -> tuple[Sequence[int], int]:
         """Return ``(codes, n_codes)``: the dense integer encoding of a column.
 
-        ``codes`` is an ``array('q')`` with one entry per row; equal raw
-        values receive equal codes, codes are dense in ``0..n_codes-1`` and
-        assigned in first-appearance order.  The encoding is computed lazily,
-        cached for the lifetime of the (immutable) relation, and shared by
-        every partition/FD primitive so that the hot paths compare machine
-        integers instead of hashing arbitrary Python objects.  ``NULL``
-        participates as an ordinary value (the paper's null-agnostic FD
-        semantics).
+        ``codes`` is an ``array('q')`` (or an int64 ``np.ndarray``) with one
+        entry per row; equal raw values receive equal codes, codes are dense
+        in ``0..n_codes-1`` and assigned in first-appearance order.  The
+        encoding is computed lazily, cached for the lifetime of the
+        (immutable) relation, and shared by every partition/FD primitive so
+        that the hot paths compare machine integers instead of hashing
+        arbitrary Python objects.  ``NULL`` participates as an ordinary
+        value (the paper's null-agnostic FD semantics).
         """
-        return self._encode_column(attribute)[:2]
+        entry = self._column_entry(attribute)
+        return entry[0], entry[1]
 
-    def _encode_column(self, attribute: str) -> tuple[array, int, list[int]]:
+    def _encode_column(self, attribute: str) -> tuple[Sequence[int], int, Sequence[int]]:
         """``(codes, n_codes, counts)`` with per-code occurrence counts.
 
         Internal variant of :meth:`column_codes` whose counts let the
         partition kernel skip its counting pass; both share one cache entry.
         """
-        cached = self._column_codes_cache.get(attribute)
-        if cached is not None:
-            return cached
-        idx = self._schema.index_of(attribute)
-        code_of: dict[Hashable, int] = {}
-        lookup = code_of.get
-        counts: list[int] = []
-        raw: list[int] = []
-        append = raw.append
-        for row in self._rows:
-            value = row[idx]
-            code = lookup(value)
-            if code is None:
-                code = len(code_of)
-                code_of[value] = code
-                counts.append(1)
-            else:
-                counts[code] += 1
-            append(code)
-        encoded = (array("q", raw), len(code_of), counts)
-        self._column_codes_cache[attribute] = encoded
-        return encoded
+        entry = self._column_entry(attribute)
+        return entry[0], entry[1], entry[2]
 
     def column_dictionary(self, attribute: str) -> list[Any]:
         """The distinct raw values of ``attribute`` in first-appearance order.
@@ -244,15 +345,7 @@ class Relation:
         :meth:`from_codes` this is the export/import surface the
         shared-memory data plane ships relations through.
         """
-        idx = self._schema.index_of(attribute)
-        seen: set[Hashable] = set()
-        dictionary: list[Any] = []
-        for row in self._rows:
-            value = row[idx]
-            if value not in seen:
-                seen.add(value)
-                dictionary.append(value)
-        return dictionary
+        return list(self._column_entry(attribute)[3])
 
     def content_hash(self) -> str:
         """The canonical content address of this relation (sha256 hexdigest).
@@ -272,7 +365,7 @@ class Relation:
 
     def column_code_count(self, attribute: str) -> int:
         """Number of distinct values of ``attribute`` (via the cached encoding)."""
-        return self.column_codes(attribute)[1]
+        return self._column_entry(attribute)[1]
 
     def combined_column_codes(self, attributes: Sequence[str]) -> tuple[Sequence[int], int]:
         """Dense integer codes of the value *combinations* over ``attributes``.
@@ -294,7 +387,7 @@ class Relation:
         if not attributes:
             raise RelationError("combined_column_codes needs at least one attribute")
         state = active_state()
-        backend = get_backend(len(self._rows))
+        backend = get_backend(self._n_rows)
         if len(attributes) == 1:
             codes, width = self.column_codes(attributes[0])
             return backend.initial_codes(codes), width
@@ -359,9 +452,38 @@ class Relation:
         return cache
 
     # -- derivations ----------------------------------------------------------
+    def _share(
+        self,
+        name: str,
+        schema: RelationSchema,
+        renamed: Mapping[str, str] | None = None,
+        same_rows: bool = False,
+    ) -> "Relation":
+        """A relation over ``schema`` whose columns are this relation's, uncopied.
+
+        ``renamed`` maps a new attribute name to this relation's name for it.
+        ``same_rows`` says that ``schema`` keeps every column in place, so
+        decoded rows can be passed on as well.
+        """
+        entry = self._column_entry
+        original = renamed or {}
+
+        def source(attribute: str) -> ColumnEntry:
+            return entry(original.get(attribute, attribute))
+
+        rows = self._rows if same_rows else None
+        return Relation._derived(name, schema, self._n_rows, source, rows)
+
+    def _gathered(self, idx, name: str) -> "Relation":
+        """The rows at positions ``idx`` (trusted in range), columns gathered lazily."""
+        entry = self._column_entry
+        return Relation._derived(
+            name, self._schema, len(idx), lambda attribute: gather_column(entry(attribute), idx)
+        )
+
     def with_name(self, name: str) -> "Relation":
         """Return the same instance under a different relation name."""
-        return Relation(name, self._schema, self._rows)
+        return self._share(name, self._schema, same_rows=True)
 
     def with_rows(self, rows: Iterable[Sequence[Any]], name: str | None = None) -> "Relation":
         """Return a relation with the same schema but different rows."""
@@ -369,32 +491,43 @@ class Relation:
 
     def take(self, positions: Sequence[int], name: str | None = None) -> "Relation":
         """Return a relation containing the rows at the given positions."""
-        rows = [self._rows[p] for p in positions]
-        return Relation(name or self._name, self._schema, rows)
+        n_rows = self._n_rows
+        idx = array("q")
+        for position in positions:
+            if not -n_rows <= position < n_rows:
+                raise IndexError(f"row position {position} out of range for {n_rows} rows")
+            idx.append(position + n_rows if position < 0 else position)
+        return self._gathered(idx, name or self._name)
 
     def head(self, n: int) -> "Relation":
         """Return the first ``n`` rows (useful for debugging and examples)."""
-        return Relation(self._name, self._schema, self._rows[:n])
+        return self._gathered(array("q", range(self._n_rows)[:n]), self._name)
 
     def distinct(self, name: str | None = None) -> "Relation":
         """Return the relation with duplicate rows removed (set semantics)."""
-        seen: set[tuple[Any, ...]] = set()
-        rows: list[tuple[Any, ...]] = []
-        for row in self._rows:
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-        return Relation(name or self._name, self._schema, rows)
+        codes = [self._column_entry(a)[0].tolist() for a in self._schema.names]
+        keys = zip(*codes) if codes else [()] * self._n_rows
+        seen: set[tuple[int, ...]] = set()
+        positions = array("q")
+        for position, key in enumerate(keys):
+            if key not in seen:
+                seen.add(key)
+                positions.append(position)
+        return self._gathered(positions, name or self._name)
 
     def sorted_rows(self) -> list[tuple[Any, ...]]:
         """Rows sorted with a NULL-safe key, for deterministic display."""
-        return sorted(self._rows, key=lambda row: tuple((v is None, str(v)) for v in row))
+        return sorted(self.rows, key=lambda row: tuple((v is None, str(v)) for v in row))
 
     def map_column(self, attribute: str, fn: Callable[[Any], Any]) -> "Relation":
         """Return a relation with ``fn`` applied to every value of ``attribute``."""
-        idx = self._schema.index_of(attribute)
-        rows = [row[:idx] + (fn(row[idx]),) + row[idx + 1 :] for row in self._rows]
-        return Relation(self._name, self._schema, rows)
+        mapped = _encode_values(map(fn, self.column(attribute)))
+        entry = self._column_entry
+
+        def source(name: str) -> ColumnEntry:
+            return mapped if name == attribute else entry(name)
+
+        return Relation._derived(self._name, self._schema, self._n_rows, source)
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -449,9 +582,10 @@ class Relation:
         ``columns`` holds one pair per schema attribute, where ``codes`` are
         dense integers assigned in first-appearance order and ``dictionary``
         decodes them.  Codes are validated to *be* first-appearance dense —
-        that invariant is what lets the encoding cache be pre-seeded with the
-        given codes, so a round-tripped relation re-encodes bit-identically
-        (same :meth:`content_hash`) without a second encoding pass.
+        that invariant is what lets them be stored as the relation's
+        encoding, so a round-tripped relation hashes bit-identically (same
+        :meth:`content_hash`) without a second encoding pass.  Rows are
+        decoded only on demand.
         """
         if not isinstance(schema, RelationSchema):
             schema = RelationSchema(schema)
@@ -463,34 +597,29 @@ class Relation:
         lengths = {len(codes) for codes, _ in columns}
         if len(lengths) > 1:
             raise RelationError(f"code columns have inconsistent lengths: {sorted(lengths)}")
-        decoded: list[list[Any]] = []
+        entries: dict[str, ColumnEntry] = {}
         for attribute, (codes, dictionary) in zip(schema.names, columns):
-            next_code = 0
+            codes = array("q", codes)
+            counts: list[int] = []
             for code in codes:
-                if code == next_code:
-                    next_code += 1
-                elif not 0 <= code < next_code:
+                if code == len(counts):
+                    counts.append(1)
+                elif 0 <= code < len(counts):
+                    counts[code] += 1
+                else:
                     raise RelationError(
                         f"column {attribute!r} of relation {name!r} is not a "
                         f"first-appearance dense encoding (code {code} after "
-                        f"{next_code} distinct values)"
+                        f"{len(counts)} distinct values)"
                     )
-            if next_code != len(dictionary):
+            if len(counts) != len(dictionary):
                 raise RelationError(
-                    f"column {attribute!r} of relation {name!r} uses {next_code} "
+                    f"column {attribute!r} of relation {name!r} uses {len(counts)} "
                     f"codes but its dictionary holds {len(dictionary)} values"
                 )
-            decoded.append([dictionary[code] for code in codes])
-        relation = cls(name, schema, list(zip(*decoded)) if decoded else [])
-        for attribute, (codes, dictionary) in zip(schema.names, columns):
-            counts = [0] * len(dictionary)
-            for code in codes:
-                counts[code] += 1
-            relation._column_codes_cache[attribute] = (
-                array("q", codes),
-                len(dictionary),
-                counts,
-            )
+            entries[attribute] = (codes, len(counts), counts, list(dictionary))
+        relation = Relation._derived(name, schema, lengths.pop() if lengths else 0, None)
+        relation._columns.update(entries)
         return relation
 
     @classmethod
@@ -502,7 +631,8 @@ class Relation:
     def to_text(self, limit: int = 20) -> str:
         """Render the relation as an ASCII table (truncated to ``limit`` rows)."""
         names = self.attribute_names
-        shown = [tuple("NULL" if v is None else str(v) for v in row) for row in self._rows[:limit]]
+        rows = self.rows
+        shown = [tuple("NULL" if v is None else str(v) for v in row) for row in rows[:limit]]
         widths = [len(n) for n in names]
         for row in shown:
             for i, value in enumerate(row):
@@ -512,8 +642,8 @@ class Relation:
         lines = [header, separator]
         for row in shown:
             lines.append(" | ".join(v.ljust(widths[i]) for i, v in enumerate(row)))
-        if len(self._rows) > limit:
-            lines.append(f"... ({len(self._rows) - limit} more rows)")
+        if len(rows) > limit:
+            lines.append(f"... ({len(rows) - limit} more rows)")
         return "\n".join(lines)
 
 

@@ -9,7 +9,7 @@ runs entirely on the cached encodings, so the common case never touches
 rows at all.
 
 Bit-compatibility: the codes in a segment *are* the parent's first-
-appearance dense encodings, pre-seeded into the relation's encoding cache,
+appearance dense encodings, used as the relation's column encodings,
 and the content hash is carried in the header — so a shm-attached relation
 re-encodes, hashes and computes byte-for-byte like the pickled-path
 instance it replaces (pinned by parity tests).
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any
 
 from ..relational.relation import Relation
 from ..relational.schema import RelationSchema
@@ -43,13 +43,13 @@ _SHM_DIR = "/dev/shm"
 class SharedRelation(Relation):
     """A relation backed by a shared-memory segment (zero-copy codes).
 
-    Construction pre-seeds the encoding cache with the segment's int64
-    views and the content-hash cache with the header hash; ``_rows`` is a
-    lazy property (shadowing the base-class slot) that decodes
-    ``dictionary[code]`` row tuples only on first access.
+    Each column entry is built on first use from the segment's int64 view,
+    its header dictionary and a ``bincount`` of the codes; the content hash
+    comes from the header.  Rows decode lazily, as for any derived
+    :class:`~repro.relational.relation.Relation`.
     """
 
-    __slots__ = ("_segment_columns", "_n_rows", "_lazy_rows")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -59,50 +59,15 @@ class SharedRelation(Relation):
         n_rows: int,
         content_hash: str,
     ) -> None:
-        # Deliberately does NOT call Relation.__init__: that would assign
-        # the ``_rows`` slot this class replaces with a lazy property.
-        self._name = name
-        self._schema = RelationSchema(attributes)
-        self._column_index_cache: dict[str, dict[Hashable, list[int]]] = {}
-        self._column_codes_cache: dict[str, tuple[Any, int, list[int]]] = {}
+        def column(attribute: str) -> "tuple[Any, int, list[int], list[Any]]":
+            import numpy as np
+
+            codes, n_codes, dictionary = columns[attribute]
+            counts = np.bincount(codes, minlength=n_codes).tolist()
+            return codes, n_codes, counts, list(dictionary)
+
+        self._setup(name, RelationSchema(attributes), n_rows, None, column)
         self._content_hash_cache = content_hash
-        self._mark_cache = None
-        self._segment_columns = columns
-        self._n_rows = n_rows
-        self._lazy_rows: "tuple[tuple[Any, ...], ...] | None" = None
-
-    @property
-    def _rows(self) -> "tuple[tuple[Any, ...], ...]":
-        rows = self._lazy_rows
-        if rows is None:
-            decoded = []
-            for attribute in self._schema.names:
-                codes, _n_codes, dictionary = self._segment_columns[attribute]
-                decoded.append([dictionary[code] for code in codes.tolist()])
-            rows = tuple(zip(*decoded)) if decoded else ()
-            self._lazy_rows = rows
-        return rows
-
-    def __len__(self) -> int:
-        return self._n_rows
-
-    def column_dictionary(self, attribute: str) -> "list[Any]":
-        """The header dictionary — no row materialisation needed."""
-        self._schema.index_of(attribute)
-        return list(self._segment_columns[attribute][2])
-
-    def _encode_column(self, attribute: str) -> "tuple[Any, int, list[int]]":
-        cached = self._column_codes_cache.get(attribute)
-        if cached is not None:
-            return cached
-        self._schema.index_of(attribute)
-        import numpy as np
-
-        codes, n_codes, _dictionary = self._segment_columns[attribute]
-        counts = np.bincount(codes, minlength=n_codes).tolist()
-        encoded = (codes, n_codes, counts)
-        self._column_codes_cache[attribute] = encoded
-        return encoded
 
 
 class _MappedSegment:

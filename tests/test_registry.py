@@ -34,6 +34,7 @@ from repro.registry import (
     relation_content_hash,
     verify_provenance,
 )
+from repro.relational.algebra import project
 from repro.relational.relation import Relation
 from repro.session import RunResult, Session
 
@@ -85,6 +86,18 @@ class TestHashing:
     def test_hash_cached_on_relation(self):
         relation = make_relation()
         assert relation.content_hash() is relation.content_hash()
+
+    def test_hash_is_pinned(self):
+        # A literal digest: NULL, str, int and float values must keep hashing
+        # byte-identically across refactors of the encoding and hashing code.
+        rows = [(1, "a", 1.5), (None, "b", 2.0), (3, None, None), (1, "a", -0.25), (2, "ü", 1e20)]
+        relation = Relation("pinned", ("k", "s", "x"), rows)
+        expected = "e5994b8e4c3d57c5c342a7069684b6bacaee935ed7b5598605078eae822960ab"
+        assert relation.content_hash() == expected
+        # A derived relation hashes from its codes and dictionaries alone.
+        derived = project(relation, ("k", "s", "x"), name="pinned")
+        assert derived.content_hash() == expected
+        assert derived._rows is None
 
     def test_catalog_hash_covers_members(self):
         r1, r2 = make_relation("x"), make_relation("y", salt=1)
