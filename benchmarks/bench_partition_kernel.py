@@ -9,8 +9,8 @@ primitives timed here:
 * **refines** — the refinement test behind ``X -> A`` validity;
 * **g3** — the violation-fraction measure of approximate FDs;
 * **validate_level** — the batched per-level candidate validation entry
-  point (one backend call per lattice level; the numpy backend stacks
-  candidates across LHS partitions when the level is dispatch-bound), timed
+  point (one kernel call per lattice level, stacking candidates across LHS
+  partitions when the level is dispatch-bound), timed
   against the equivalent scalar ``fd_holds_fast`` loop (``validate_scalar``).
 
 The benchmark is a plain script (no pytest dependency) so it can run on any
@@ -19,12 +19,8 @@ checkout and emit comparable numbers::
     PYTHONPATH=src python benchmarks/bench_partition_kernel.py --label seed
     PYTHONPATH=src python benchmarks/bench_partition_kernel.py --label columnar
     PYTHONPATH=src python benchmarks/bench_partition_kernel.py --label vectorized
-    PYTHONPATH=src python benchmarks/bench_partition_kernel.py \
-        --label python-fallback --backend python
 
-``--backend`` pins the partition backend (default: the process-wide
-selection, i.e. numpy when importable); the active backend name is recorded
-with each run.  Each run is merged under its label into
+The kernel name is recorded with each run.  Each run is merged under its label into
 ``BENCH_partitions.json`` (repo root by default) so successive PRs
 accumulate a perf trajectory.  The headline number — the one the acceptance
 criteria compare — is the summed ``intersect`` + ``refines`` time at the
@@ -49,7 +45,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.relational.backend import get_backend  # noqa: E402
+from repro.relational.backend import KERNEL  # noqa: E402
 from repro.session import Session  # noqa: E402
 from repro.relational.partition import (  # noqa: E402
     PartitionCache,
@@ -167,7 +163,7 @@ def run_bench(n_rows: int, repeats: int = 3) -> dict:
         "n_columns": len(names),
         "pairs": len(pairs),
         "level_candidates": len(level),
-        "backend": get_backend().name,
+        "backend": KERNEL.name,
         "seconds": {
             "encode": round(encode_s, 6),
             "intersect": round(intersect_s, 6),
@@ -193,19 +189,12 @@ def main(argv: list[str] | None = None) -> None:
         help="path of the JSON trajectory file",
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("auto", "python", "numpy"),
-        help="pin the partition backend of this run's session (default: the "
-        "environment's selection — numpy when importable)",
-    )
     args = parser.parse_args(argv)
 
     scale = os.environ.get("REPRO_BENCH_SCALE", "small")
-    # Each run executes under its own Session so the backend pin and cache
-    # budgets are explicit (and the recorded backend is exactly what ran).
-    session = Session(backend=args.backend)
+    # Each run executes under its own Session so its cache budgets and
+    # kernel counters are its own.
+    session = Session()
     with session.activate():
         result = run_bench(_resolve_rows(scale), repeats=args.repeats)
         stats = session.kernel_stats()

@@ -2,8 +2,8 @@
 """Quickstart: the `repro.Session` API on a tiny two-table catalog.
 
 The example builds two small relations, opens a :class:`repro.Session`
-(the explicit engine context owning backend choice, cache budgets and kernel
-counters), and walks the four session verbs:
+(the explicit engine context owning cache budgets and kernel counters), and
+walks the four session verbs:
 
 * ``session.discover``  — exact minimal FDs of one relation;
 * ``session.validate``  — check specific FDs (with their g3 errors);
@@ -12,7 +12,7 @@ counters), and walks the four session verbs:
 
 Each verb returns a unified :class:`repro.RunResult` that serialises to
 canonical JSON (``save``/``load`` round-trip byte-identically) and records
-which backend and configuration produced it.
+which kernel and configuration produced it.
 """
 
 import tempfile
@@ -53,8 +53,8 @@ def main() -> None:
     catalog = build_catalog()
 
     # One explicit engine context for the whole workload.  Environment
-    # variables provide the defaults; keyword overrides always win, and both
-    # backends produce byte-identical artefacts.
+    # variables provide the defaults; keyword overrides always win, and no
+    # cache budget changes the artefacts.
     session = Session()
     print(f"== Session ==\n  {session!r}")
 

@@ -80,7 +80,7 @@ def wait_for(host, port, job_id, timeout=30.0):
 
 def main():
     # -- server bootstrap (replace with a running `python -m repro serve`) ----
-    tenant_configs = parse_tenant_configs({"clinic": {"backend": "auto"}})
+    tenant_configs = parse_tenant_configs({"clinic": {"marks_cache_bytes": 1 << 20}})
     server = Server(tenant_configs=tenant_configs, workers=2, max_queue=16)
     frontend = HttpFrontend(server, port=0).start()
     host, port = frontend.address

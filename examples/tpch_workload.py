@@ -7,11 +7,11 @@ runtime per method, number of FDs, and the fraction of FDs each InFine step
 retrieved.
 
 The whole workload executes under one explicit :class:`repro.Session`, so
-the engine state (partition backend, cache budgets) is pinned once and the
-kernel counters printed at the end cover exactly this run — the `--kernel
--stats` accounting of the CLI, programmatically.  Swap ``backend="python"``
-into the ``Session(...)`` call to measure the pure-python fallback: the
-tables stay byte-identical, only the runtimes move.
+the engine state (cache budgets) is pinned once and the kernel counters
+printed at the end cover exactly this run — the `--kernel-stats` accounting
+of the CLI, programmatically.  Pass cache budgets to ``Session(...)`` (e.g.
+``marks_cache_bytes=0``) to measure them: the tables stay byte-identical,
+only the runtimes move.
 """
 
 from repro import Session
@@ -20,7 +20,7 @@ from repro.experiments import fig3_rows, fig5_rows, render_table, run_view_exper
 
 
 def main() -> None:
-    session = Session()  # env-var defaults; e.g. Session(backend="python") to pin
+    session = Session()  # env-var defaults; e.g. Session(marks_cache_bytes=0) to pin
     catalog = load_database("tpch", scale="small")
 
     experiments = []

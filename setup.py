@@ -9,10 +9,6 @@ setup(
     packages=find_packages("src"),
     # 3.9 is exercised in CI (annotations are PEP 563 strings throughout).
     python_requires=">=3.9",
-    extras_require={
-        # Optional vectorized partition backend (``pip install .[fast]``);
-        # the kernel gracefully falls back to the pure-python loops when
-        # numpy is absent (or when REPRO_PARTITION_BACKEND=python).
-        "fast": ["numpy>=1.22"],
-    },
+    # The partition kernel is vectorized with numpy.
+    install_requires=["numpy>=1.22"],
 )

@@ -71,19 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory to write CSV results into (tables are always printed)",
     )
     parser.add_argument(
-        "--backend", default=None, choices=("auto", "python", "numpy"),
-        help="partition backend for this invocation (default: the "
-             "REPRO_PARTITION_BACKEND environment variable, else auto); both "
-             "backends produce byte-identical artefacts",
-    )
-    parser.add_argument(
         "--kernel-stats", action="store_true",
-        help="print partition-kernel diagnostics after the command: the active "
-             "backend and the mark-table / partition / combined-codes cache "
-             "hit, miss and eviction counters of this invocation's session "
-             "(scoped per invocation, so repeated commands in one process "
-             "never double-count; off by default so table output stays "
-             "byte-identical across backends)",
+        help="print partition-kernel diagnostics after the command: the "
+             "mark-table / partition / combined-codes cache hit, miss and "
+             "eviction counters of this invocation's session (scoped per "
+             "invocation, so repeated commands in one process never "
+             "double-count; off by default so table output stays "
+             "byte-identical across runs)",
     )
     return parser
 
@@ -109,8 +103,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point.
 
     Every invocation runs under its own :class:`~repro.session.Session`
-    (environment-variable defaults, ``--backend`` overriding the backend), so
-    ``--kernel-stats`` reports exactly this invocation's kernel work.
+    (environment-variable defaults), so ``--kernel-stats`` reports exactly
+    this invocation's kernel work.
 
     ``serve`` is dispatched before the artefact parser: it has its own flag
     surface (workers, queue bounds, tenant configs) and blocks on the HTTP
@@ -124,7 +118,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return main_serve(list(argv[1:]))
     parser = build_parser()
     args = parser.parse_args(argv)
-    session = Session(backend=args.backend)
+    session = Session()
     with session.activate():
         exit_code = _run_command(args)
     if args.kernel_stats:

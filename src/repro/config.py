@@ -1,8 +1,8 @@
 """Engine configuration: every tuning knob of the partition kernel in one place.
 
 Before the :class:`~repro.session.Session` API, the kernel was configured
-through scattered process-wide environment variables (backend selection,
-cache budgets) read lazily at first use.  :class:`EngineConfig` turns those
+through scattered process-wide environment variables (cache budgets) read
+lazily at first use.  :class:`EngineConfig` turns those
 into an explicit, immutable value object:
 
 * environment variables become *defaults*, parsed once by
@@ -16,9 +16,9 @@ into an explicit, immutable value object:
   produced it.
 
 The configuration only affects *how fast* results are computed, never *what*
-is computed: the two partition backends are bit-compatible and every cache is
-semantics-preserving, so artefacts stay byte-identical across any two
-configurations (this is pinned by tests).
+is computed: every cache is semantics-preserving, so artefacts stay
+byte-identical across any two configurations (this is pinned by tests).
+There is one partition kernel (numpy), so nothing here selects one.
 """
 
 from __future__ import annotations
@@ -30,19 +30,11 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-#: Environment variable forcing the backend (``python`` / ``numpy`` / ``auto``).
-ENV_BACKEND = "REPRO_PARTITION_BACKEND"
-
 #: Environment variable overriding the mark-table cache budget in bytes.
 ENV_MARKS_CACHE_BYTES = "REPRO_MARKS_CACHE_BYTES"
 
 #: Environment variable overriding the combined-codes prefix cache size.
 ENV_COMBINED_CACHE_ENTRIES = "REPRO_COMBINED_CODES_CACHE_ENTRIES"
-
-#: Environment variable for the per-relation backend heuristic: relations
-#: with fewer rows than this fall back to the pure-python loops (their lower
-#: constant factors beat the vectorized path on micro inputs).
-ENV_BACKEND_MIN_NUMPY_ROWS = "REPRO_BACKEND_MIN_NUMPY_ROWS"
 
 #: Default mark-table budget: sixteen ~1M-row tables at 8 bytes per row.
 DEFAULT_MARKS_CACHE_BYTES = 128 * 1024 * 1024
@@ -50,15 +42,8 @@ DEFAULT_MARKS_CACHE_BYTES = 128 * 1024 * 1024
 #: Default number of combined-code prefixes cached per relation.
 DEFAULT_COMBINED_CACHE_ENTRIES = 16
 
-#: Default row threshold of the per-relation backend heuristic (0 = always
-#: honour the nominal backend choice; the heuristic is opt-in).
-DEFAULT_BACKEND_MIN_NUMPY_ROWS = 0
-
-_BACKEND_CHOICES = ("auto", "python", "numpy")
-
 #: The integer fields of :class:`EngineConfig` and their smallest legal value.
 _INT_FIELD_MINIMUMS = {
-    "backend_min_numpy_rows": 0,
     "marks_cache_bytes": 0,
     "combined_codes_cache_entries": 2,
     "partition_cache_max_positions": 0,
@@ -102,16 +87,6 @@ class EngineConfig:
 
     Parameters
     ----------
-    backend:
-        Nominal partition backend: ``auto`` (numpy when importable),
-        ``python`` or ``numpy`` (raises at resolution time when numpy is not
-        importable).
-    backend_min_numpy_rows:
-        Per-relation override of ``auto``: relations with fewer rows than
-        this threshold use the pure-python loops even when numpy is
-        available (the python kernel's lower constant factors win on micro
-        inputs).  ``0`` disables the heuristic.  Both backends are
-        bit-compatible, so the switch point never changes artefacts.
     marks_cache_bytes:
         Byte budget of each relation-scoped row -> group-id mark-table cache.
     combined_codes_cache_entries:
@@ -122,18 +97,11 @@ class EngineConfig:
         (``None`` = unbounded; call sites may still pass an explicit budget).
     """
 
-    backend: str = "auto"
-    backend_min_numpy_rows: int = DEFAULT_BACKEND_MIN_NUMPY_ROWS
     marks_cache_bytes: int = DEFAULT_MARKS_CACHE_BYTES
     combined_codes_cache_entries: int = DEFAULT_COMBINED_CACHE_ENTRIES
     partition_cache_max_positions: int | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in _BACKEND_CHOICES:
-            raise ConfigError(
-                f"unknown partition backend {self.backend!r}: "
-                f"expected one of {_BACKEND_CHOICES}"
-            )
         for name, minimum in _INT_FIELD_MINIMUMS.items():
             value = getattr(self, name)
             if value is None and name == "partition_cache_max_positions":
@@ -149,22 +117,12 @@ class EngineConfig:
         """Parse the environment-variable defaults into a configuration.
 
         Unset or malformed variables fall back to the built-in defaults, so
-        a pristine environment yields ``EngineConfig()`` with ``auto``
-        backend selection — exactly the pre-session behaviour.
+        a pristine environment yields ``EngineConfig()``; variables of
+        retired fields are ignored.
         """
         if env is None:
             env = os.environ
-        backend = (env.get(ENV_BACKEND) or "auto").strip().lower() or "auto"
-        if backend not in _BACKEND_CHOICES:
-            raise ConfigError(
-                f"{ENV_BACKEND}={backend!r} is not a valid backend: "
-                f"expected one of {_BACKEND_CHOICES}"
-            )
         return cls(
-            backend=backend,
-            backend_min_numpy_rows=_env_int(
-                env, ENV_BACKEND_MIN_NUMPY_ROWS, DEFAULT_BACKEND_MIN_NUMPY_ROWS
-            ),
             marks_cache_bytes=_env_int(
                 env, ENV_MARKS_CACHE_BYTES, DEFAULT_MARKS_CACHE_BYTES
             ),
@@ -192,7 +150,7 @@ class EngineConfig:
         """A copy with ``overrides`` applied; ``None`` values mean "keep".
 
         This is the per-call override mechanism of the session API:
-        ``session.discover(relation, backend="python")`` derives a one-call
+        ``session.discover(relation, marks_cache_bytes=0)`` derives a one-call
         configuration from the session's without mutating it.
         """
         cleaned = {key: value for key, value in overrides.items() if value is not None}
@@ -525,10 +483,10 @@ def parse_tenant_configs(
 
     .. code-block:: json
 
-        {"*": {"backend": "python"},
+        {"*": {"combined_codes_cache_entries": 4},
          "acme": {"marks_cache_bytes": 1048576}}
 
-    gives ``acme`` the python backend *and* the 1 MiB budget.
+    gives ``acme`` the 4-entry prefix cache *and* the 1 MiB budget.
     """
     if not isinstance(data, Mapping):
         raise ConfigError(

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from ..fd.fd import FD
 from ..fd.fdset import FDSet
-from ..relational.backend import active_state, get_backend
+from ..relational.backend import KERNEL, active_state
 from ..relational.relation import Relation
 
 
@@ -25,7 +25,7 @@ class DiscoveryStats:
     """Bookkeeping counters reported by the discovery algorithms.
 
     ``extra`` carries kernel-level diagnostics: every run records the
-    ``partition_backend`` resolved for its relation and a ``kernel`` delta of
+    ``partition_backend`` name of the kernel and a ``kernel`` delta of
     the active engine state's cache counters (mark-table, partition and
     combined-codes prefix caches, batched validation) bracketing the run —
     session-scoped, so concurrent sessions never pollute each other's
@@ -91,7 +91,7 @@ class FDDiscoveryAlgorithm(ABC):
         started = time.perf_counter()
         fds, stats = self._run(relation, names)
         stats.runtime_seconds = time.perf_counter() - started
-        stats.extra.setdefault("partition_backend", get_backend(len(relation)).name)
+        stats.extra.setdefault("partition_backend", KERNEL.name)
         stats.extra.setdefault("kernel", counters.delta(counters_before))
         return DiscoveryResult(
             algorithm=self.name,

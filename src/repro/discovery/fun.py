@@ -95,10 +95,9 @@ class FUN(FDDiscoveryAlgorithm):
                 if candidate_card == n_rows:
                     free_sets.pop()
             if pending:
-                # One backend call grades the entire level: candidates are
-                # grouped by LHS partition and, on the numpy backend, stacked
-                # across LHS groups so FUN pays per-level (not per-candidate)
-                # dispatch overhead.
+                # One kernel call grades the entire level: candidates are
+                # grouped by LHS partition and stacked across LHS groups, so
+                # FUN pays per-level (not per-candidate) dispatch overhead.
                 batch = [(cache.get(candidate), rhs) for candidate, rhs in pending]
                 for (candidate, rhs), valid in zip(
                     pending, validate_level(relation, batch)

@@ -106,8 +106,8 @@ class TANE(FDDiscoveryAlgorithm):
         # The RHS iteration sets are snapshotted per candidate before any
         # validation, and a validation verdict only ever updates the C+ set
         # of its *own* candidate — so the whole level can be validated as one
-        # batch (a single backend call per level; the numpy backend stacks
-        # candidates across LHS partitions when the level is dispatch-bound)
+        # batch (a single kernel call per level, which stacks candidates
+        # across LHS partitions when the level is dispatch-bound)
         # and the verdicts applied afterwards in the original order.
         checks: list[LevelCheck] = []
         for candidate in level:

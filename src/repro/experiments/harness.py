@@ -81,7 +81,7 @@ def run_view_experiment(
     full SPJ computation, and InFine pays its partial computations inside the
     ``mineFDs`` step.
 
-    ``session`` pins the engine state (backend, cache budgets, counters) the
+    ``session`` pins the engine state (cache budgets, counters) the
     whole experiment runs under; without one, the ambient state is inherited
     (the enclosing session's activation, or the module-level default).
     """

@@ -93,7 +93,7 @@ def approximate_fds(
             # within threshold for this RHS.  Minimality knowledge only ever
             # comes from strictly smaller LHSs, so the surviving RHSs of one
             # LHS can be graded as a single batch — one LHS partition (built
-            # on first use), one backend-level g3 call covering every RHS.
+            # on first use), one kernel-level g3 call covering every RHS.
             rhs_batch = [
                 rhs
                 for rhs in names

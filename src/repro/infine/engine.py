@@ -127,8 +127,8 @@ class InFine:
     refine_inferred:
         Whether ``inferFDs`` runs the data-dependent ``refine`` subroutine.
     session:
-        Optional :class:`repro.session.Session` whose engine state (backend
-        policy, caches, counters) every :meth:`run` executes under.  Without
+        Optional :class:`repro.session.Session` whose engine state
+        (configuration, caches, counters) every :meth:`run` executes under.  Without
         one, runs inherit the ambient state — the enclosing session's
         activation, or the module-level default.  Prefer
         :meth:`repro.session.Session.infine`, which also wraps the outcome

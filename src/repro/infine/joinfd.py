@@ -28,8 +28,7 @@ distinct LHS gets one stripped partition per level, shared by every
 dependent that needs it and built by one product of its fewest-groups
 parent from level ``k - 1`` with a single-attribute partition, so only two
 levels of partitions are ever alive.  ``fd_holds_fast`` then probes the RHS
-column codes within the LHS groups (a boolean-mask pass on the numpy fast
-path, an early-exit scan on the pure-python fallback).
+column codes within the LHS groups (one boolean-mask pass).
 
 Deferring a level's validations until all of its prunings ran cannot change
 the result: a candidate the combined closure would have accepted after a

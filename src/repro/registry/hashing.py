@@ -14,10 +14,9 @@ same dense dictionary encoding every partition primitive already runs on
   canonical relation header (name, attribute order, row count) followed by
   the column digests in schema order.
 
-The encoding is pure Python and backend-independent — code assignment in
-first-appearance order is part of the kernel's bit-compatibility contract —
-so the same relation hashes identically under the python and numpy backends,
-across executors, and across processes.  Hashing is representation-level:
+The encoding is pure Python — code assignment in first-appearance order is
+part of the kernel's contract — so the same relation hashes identically
+across executors and across processes.  Hashing is representation-level:
 row order and duplicate rows are part of the identity (two bag-equal
 relations with different row orders address different registry entries,
 matching how results depend on the instance actually submitted).

@@ -8,7 +8,7 @@ Performance architecture
 The discovery/validation hot path is columnar:
 
 * **Column encodings** — every :class:`Relation` lazily dictionary-encodes
-  each column into dense ``int`` codes held in an ``array('q')``
+  each column into dense ``int`` codes held in an int64 array
   (:meth:`Relation.column_codes`).  Encodings are cached on the (immutable)
   relation and shared by all partition and FD primitives, so equality tests
   on the hot path compare machine integers instead of hashing raw values;
@@ -22,13 +22,11 @@ The discovery/validation hot path is columnar:
   partition product); mark tables are amortised across calls by the
   relation-scoped byte-budgeted :class:`~repro.relational.backend.MarkTableCache`.
   ``fd_holds_fast`` / ``fd_violation_fraction`` scan LHS groups against the
-  cached RHS column codes with early exit.
-* **Pluggable backends** — every probe loop lives behind the
-  :class:`~repro.relational.backend.PartitionBackend` interface with a
-  pure-python implementation and a vectorized numpy fast path
-  (auto-selected when numpy is importable, forced via
-  ``REPRO_PARTITION_BACKEND``).  Both backends are bit-compatible:
-  identical group orders, code assignments and verdicts.
+  cached RHS column codes with an early reject.
+* **One vectorized kernel** — every probe loop is a numpy primitive of
+  :data:`~repro.relational.backend.KERNEL` (numpy is a required
+  dependency).  The test suite pins each primitive against a pure-python
+  reference implementation on the same inputs.
 * **Batched validation** — :func:`validate_level` /
   :func:`validate_level_errors` answer a whole lattice level's candidate
   checks with one vectorized pass per shared LHS partition; TANE, FUN,
@@ -57,16 +55,11 @@ from .algebra import (
 from .backend import (
     EngineState,
     MarkTableCache,
+    KERNEL,
     NumpyBackend,
-    PartitionBackend,
-    PythonBackend,
     activate_state,
     active_state,
-    get_backend,
     kernel_counters,
-    numpy_available,
-    set_backend,
-    use_backend,
 )
 from .csv_io import load_catalog, load_csv, save_catalog, save_csv
 from .partition import (
@@ -150,18 +143,13 @@ __all__ = [
     "StrippedPartition",
     "PartitionCache",
     "PartitionCacheStats",
-    "PartitionBackend",
-    "PythonBackend",
+    "KERNEL",
     "NumpyBackend",
     "MarkTableCache",
     "EngineState",
-    "get_backend",
-    "set_backend",
-    "use_backend",
     "active_state",
     "activate_state",
     "kernel_counters",
-    "numpy_available",
     "make_partition_cache",
     "fd_holds",
     "fd_holds_fast",

@@ -27,7 +27,7 @@ from array import array
 from enum import Enum
 from typing import Sequence
 
-from .backend import get_backend
+from .backend import KERNEL
 from .predicates import Predicate
 from .relation import ColumnEntry, Relation, gather_column
 from .schema import RelationSchema, SchemaError
@@ -153,8 +153,7 @@ def _merge_columns(left: ColumnEntry, left_idx, right: ColumnEntry, right_idx) -
     classes = [shared.setdefault(value, len(shared)) for value in left_values]
     classes += [shared.setdefault(value, len(shared)) for value in right_values]
     segments = ((left_codes, left_idx, 0), (right_codes, right_idx, n_left))
-    backend = get_backend(len(left_idx) + len(right_idx))
-    out, counts, firsts = backend.gather_densify(segments, n_left + n_right, None, classes)
+    out, counts, firsts = KERNEL.gather_densify(segments, n_left + n_right, None, classes)
     values = left_values + right_values
     return out, len(counts), counts, [values[v] for v in firsts]
 
@@ -164,7 +163,7 @@ class JoinMatch:
 
     Each join column's dictionary values are mapped into one code space
     shared by both sides (under ``hash``/``==``, with NULL never matching),
-    and the backend matches the rows on those codes.  For the four joins,
+    and the kernel matches the rows on those codes.  For the four joins,
     output row ``j`` pairs left row ``left_idx[j]`` with right row
     ``right_idx[j]`` (``-1`` for outer-join padding): left rows in order,
     each followed by its matches in ascending right position, then the
@@ -215,10 +214,7 @@ class JoinMatch:
             ]
             left_keys.append((left_codes, left_table, len(shared)))
             right_keys.append((right_codes, right_table, len(shared)))
-        backend = get_backend(len(left) + len(right))
-        self.left_idx, self.right_idx, self.n_head = backend.match(
-            left_keys, right_keys, kind.value
-        )
+        self.left_idx, self.right_idx, self.n_head = KERNEL.match(left_keys, right_keys, kind.value)
         # Same-named join columns: the output keeps the left one, back-filled
         # from the right side on right-only rows (USING semantics).
         self._using = {lft: rgt for lft, rgt in zip(left_on, right_on) if lft == rgt}
@@ -264,7 +260,7 @@ class JoinMatch:
             semi = JoinMatch(self.left, self.right, self.left_on, self.right_on, kept_by)
             return semi.semi(side, name)
         # Every non-negative entry of ``idx`` is a matched row.
-        positions = get_backend(len(relation)).matched_positions(idx, len(relation))
+        positions = KERNEL.matched_positions(idx, len(relation))
         return relation._gathered(positions, name)
 
     def _column(self, attribute: str) -> ColumnEntry:

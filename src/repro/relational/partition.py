@@ -25,18 +25,17 @@ Internally a partition is two flat arrays instead of tuples-of-tuples:
 Construction goes through the relation's cached per-column integer encodings
 (:meth:`~repro.relational.relation.Relation.column_codes`) and a counting
 sort, so building, intersecting and refining partitions never hash raw row
-values — only dense machine integers.  All probe loops live behind the
-pluggable :mod:`~repro.relational.backend` (pure-python ``array('q')`` loops
-or the vectorized numpy fast path, selected via ``REPRO_PARTITION_BACKEND``);
-``intersect`` and ``refines`` are single-pass probe-table algorithms over
-reusable ``n_rows``-sized scratch tables (row -> group-id mark arrays, held
-in the relation-scoped byte-budgeted
+values — only dense machine integers.  All probe loops run on the
+vectorized kernel of :mod:`~repro.relational.backend`; ``intersect`` and
+``refines`` are single-pass probe-table algorithms over reusable
+``n_rows``-sized scratch tables (row -> group-id mark arrays, held in the
+relation-scoped byte-budgeted
 :class:`~repro.relational.backend.MarkTableCache`); the side with the smaller
 ``||π||`` is probed into the marks of the larger one, as in TANE's linear
 partition product.  :func:`validate_level` hands a whole lattice level's
-candidates to the backend in one call (cross-LHS stacked on numpy, early-exit
-scans on python).  The tuple-of-tuples view remains available through the
-backward-compatible :attr:`StrippedPartition.groups` property.
+candidates to the kernel in one call, stacked across LHS partitions.  The
+tuple-of-tuples view remains available through the backward-compatible
+:attr:`StrippedPartition.groups` property.
 """
 
 from __future__ import annotations
@@ -48,9 +47,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .backend import (
     DEFAULT_MARK_CACHE,
+    KERNEL,
     MarkTableCache,
     active_state,
-    get_backend,
     kernel_counters,
 )
 from .relation import Relation
@@ -91,7 +90,7 @@ class StrippedPartition:
             if len(group) > 1:
                 positions.extend(group)
                 offsets.append(len(positions))
-        self.positions, self.offsets = get_backend(n_rows).adopt_flat(positions, offsets)
+        self.positions, self.offsets = KERNEL.adopt_flat(positions, offsets)
         self.n_rows = n_rows
         self._groups_cache: tuple[tuple[int, ...], ...] | None = None
         self._mark_cache_ref: "weakref.ref[MarkTableCache] | None" = None
@@ -137,7 +136,7 @@ class StrippedPartition:
     def from_column(cls, relation: Relation, attribute: str) -> "StrippedPartition":
         """Build the stripped partition of a single attribute."""
         codes, n_codes, counts = relation._encode_column(attribute)
-        positions, offsets = get_backend(len(relation)).group_by_codes(codes, n_codes, counts)
+        positions, offsets = KERNEL.group_by_codes(codes, n_codes, counts)
         return cls._from_flat(positions, offsets, len(relation), relation.mark_cache)
 
     @classmethod
@@ -150,9 +149,8 @@ class StrippedPartition:
             return partition
         if len(attributes) == 1:
             return cls.from_column(relation, attributes[0])
-        backend = get_backend(len(relation))
-        codes, n_codes = backend.encode_columns(relation, attributes)
-        positions, offsets = backend.group_by_codes(codes, n_codes)
+        codes, n_codes = relation.combined_column_codes(attributes)
+        positions, offsets = KERNEL.group_by_codes(codes, n_codes)
         return cls._from_flat(positions, offsets, len(relation), relation.mark_cache)
 
     # -- views ----------------------------------------------------------------
@@ -172,18 +170,12 @@ class StrippedPartition:
     def flat_lists(self) -> tuple[list[int], list[int]]:
         """The flat ``(positions, offsets)`` arrays as plain python lists.
 
-        Copy-free on the python backend; a single bulk ``tolist()`` on
-        numpy.  This is the accessor pure-python consumers (FastFDs' pair
-        enumeration, HyFD's focused sampling) iterate instead of
-        materialising per-group lists: group ``i`` spans
+        One bulk ``tolist()`` per array.  This is the accessor pure-python
+        consumers (FastFDs' pair enumeration, HyFD's focused sampling)
+        iterate instead of materialising per-group lists: group ``i`` spans
         ``positions[offsets[i]:offsets[i + 1]]``.
         """
-        positions, offsets = self.positions, self.offsets
-        if not isinstance(positions, list):
-            positions = positions.tolist()
-        if not isinstance(offsets, list):
-            offsets = offsets.tolist()
-        return positions, offsets
+        return self.positions.tolist(), self.offsets.tolist()
 
     def iter_groups(self) -> Iterator[list[int]]:
         """Iterate over the classes as fresh lists, without caching tuples."""
@@ -240,16 +232,14 @@ class StrippedPartition:
         The side with the smaller ``||π||`` is probed, group by group, against
         the row -> group-id mark table of the larger side — TANE's linear
         product, with the mark tables amortised across calls by the
-        relation-scoped byte-budgeted cache.  The probe itself runs on the
-        active :mod:`~repro.relational.backend`.
+        relation-scoped byte-budgeted cache.
         """
         if self.n_rows != other.n_rows:
             raise ValueError("cannot intersect partitions over different relations")
         mark_cache = self._mark_cache if self._mark_cache is not None else other._mark_cache
-        backend = get_backend(self.n_rows)
         if len(self.positions) == 0 or len(other.positions) == 0:
             # A key on either side leaves only singletons in the product.
-            empty_positions, empty_offsets = backend.adopt_flat([], [0])
+            empty_positions, empty_offsets = KERNEL.adopt_flat([], [0])
             return StrippedPartition._from_flat(
                 empty_positions, empty_offsets, self.n_rows, mark_cache
             )
@@ -258,7 +248,7 @@ class StrippedPartition:
         else:
             probe, build = other, self
         marks = _marks_of(build)
-        positions, offsets = backend.intersect_marks(
+        positions, offsets = KERNEL.intersect_marks(
             probe.positions, probe.offsets, marks, build.n_groups
         )
         return StrippedPartition._from_flat(positions, offsets, self.n_rows, mark_cache)
@@ -273,7 +263,7 @@ class StrippedPartition:
         if len(self.positions) == 0:
             return True
         marks = _marks_of(other)
-        return get_backend(self.n_rows).refines_marks(self.positions, self.offsets, marks)
+        return KERNEL.refines_marks(self.positions, self.offsets, marks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StrippedPartition):
@@ -468,15 +458,12 @@ def fd_holds_fast(
     """Check ``lhs -> rhs`` given the LHS partition, without building ``lhs ∪ {rhs}``.
 
     Verifies that the RHS *code* (from the relation's cached column encoding)
-    is constant within every non-singleton LHS equivalence class.  On the
-    python backend the scan aborts at the first class with two distinct RHS
-    values, which makes the (frequent) *failing* checks of selective mining
-    almost free; the numpy backend answers with one boolean-mask pass.
+    is constant within every non-singleton LHS equivalence class; a cheap
+    first-two-members prescreen makes the (frequent) *failing* checks of
+    selective mining almost free.
     """
     codes, _ = relation.column_codes(rhs)
-    return get_backend(len(relation)).constant_within_groups(
-        lhs_partition.positions, lhs_partition.offsets, codes
-    )
+    return KERNEL.constant_within_groups(lhs_partition.positions, lhs_partition.offsets, codes)
 
 
 def fd_violation_fraction_from_partition(
@@ -495,9 +482,7 @@ def fd_violation_fraction_from_partition(
     if not n_rows:
         return 0.0
     codes, _ = relation.column_codes(rhs)
-    removals = get_backend(n_rows).g3_removals(
-        lhs_partition.positions, lhs_partition.offsets, codes
-    )
+    removals = KERNEL.g3_removals(lhs_partition.positions, lhs_partition.offsets, codes)
     return removals / n_rows
 
 
@@ -528,14 +513,12 @@ def validate_level(
 
     ``X -> a`` holds iff the codes of ``a`` are constant within every
     non-singleton class of ``π(X)``.  The whole level is handed to the
-    backend as **one call** (``validate_level_groups``): candidates are
-    grouped by identical LHS partition, and the numpy backend additionally
-    stacks candidates of *different* LHS partitions that check the same RHS
-    column into shared gathers, so TANE/FUN/ApproximateTANE pay dispatch
-    overhead per level rather than per candidate or per LHS.  The python
-    backend keeps its early-exit scan per candidate.  Verdicts come back in
-    input order, bit-identical across backends and to the per-candidate
-    :func:`fd_holds_fast` oracle.
+    kernel as **one call** (``validate_level_groups``): candidates are
+    grouped by identical LHS partition, and candidates of *different* LHS
+    partitions that check the same RHS column share stacked gathers, so
+    TANE/FUN/ApproximateTANE pay dispatch overhead per level rather than per
+    candidate or per LHS.  Verdicts come back in input order, identical to
+    the per-candidate :func:`fd_holds_fast` checks.
     """
     if not candidates:
         return []
@@ -545,8 +528,7 @@ def validate_level(
         return results
     _count_batch(len(candidates))
     level_groups, slots = _level_groups(relation, candidates)
-    backend = get_backend(len(relation))
-    for indices, verdicts in zip(slots, backend.validate_level_groups(level_groups)):
+    for indices, verdicts in zip(slots, KERNEL.validate_level_groups(level_groups)):
         for index, verdict in zip(indices, verdicts):
             results[index] = verdict
     return results
@@ -560,7 +542,7 @@ def validate_level_errors(
 
     The batched counterpart of :func:`fd_violation_fraction_from_partition`,
     used by approximate discovery to grade a whole lattice level in one
-    backend call (``validate_level_error_groups``).
+    kernel call (``validate_level_error_groups``).
     """
     if not candidates:
         return []
@@ -570,8 +552,7 @@ def validate_level_errors(
         return errors
     _count_batch(len(candidates))
     level_groups, slots = _level_groups(relation, candidates)
-    backend = get_backend(n_rows)
-    for indices, removals in zip(slots, backend.validate_level_error_groups(level_groups)):
+    for indices, removals in zip(slots, KERNEL.validate_level_error_groups(level_groups)):
         for index, removed in zip(indices, removals):
             errors[index] = removed / n_rows
     return errors
@@ -607,10 +588,10 @@ def _level_groups(
     One triple per distinct non-superkey LHS partition (superkey LHSs are
     dropped — they validate every RHS with zero violations, matching the
     defaults of the callers' result arrays); ``slots[i]`` holds the original
-    candidate indices answered by the backend's ``i``-th verdict list.  RHS
+    candidate indices answered by the kernel's ``i``-th verdict list.  RHS
     code columns come from the relation's per-attribute cache, so candidates
-    sharing an attribute hand the backend the *same* object — the hook the
-    numpy backend keys its cross-LHS column stacking on.
+    sharing an attribute hand the kernel the *same* object — the hook the
+    kernel keys its cross-LHS column stacking on.
     """
     level_groups: list[tuple] = []
     slots: list[list[int]] = []

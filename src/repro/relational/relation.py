@@ -27,7 +27,7 @@ from collections import Counter, defaultdict
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .backend import MarkTableCache, active_state, get_backend
+from .backend import KERNEL, MarkTableCache, active_state
 from .schema import Attribute, RelationSchema, SchemaError
 
 #: The NULL marker used throughout the substrate.
@@ -84,8 +84,7 @@ def gather_column(entry: ColumnEntry, idx, padded: bool = False) -> ColumnEntry:
     pad = None
     if padded:
         pad = next((code for code, value in enumerate(dictionary) if value is None), n_codes)
-    backend = get_backend(len(idx))
-    out, counts, firsts = backend.gather_densify(((codes, idx, 0),), n_codes + 1, pad)
+    out, counts, firsts = KERNEL.gather_densify(((codes, idx, 0),), n_codes + 1, pad)
     return out, len(counts), counts, [dictionary[v] if v < n_codes else NULL for v in firsts]
 
 
@@ -351,9 +350,9 @@ class Relation:
         """The canonical content address of this relation (sha256 hexdigest).
 
         A merkle fold of per-column sha256 leaves over the dictionary
-        encoding of :meth:`column_codes` plus the schema — backend- and
-        process-independent (see :mod:`repro.registry.hashing`).  Computed
-        lazily and cached for the lifetime of the (immutable) relation.
+        encoding of :meth:`column_codes` plus the schema — process-independent
+        (see :mod:`repro.registry.hashing`).  Computed lazily and cached for
+        the lifetime of the (immutable) relation.
         """
         cached = self._content_hash_cache
         if cached is None:
@@ -370,9 +369,8 @@ class Relation:
     def combined_column_codes(self, attributes: Sequence[str]) -> tuple[Sequence[int], int]:
         """Dense integer codes of the value *combinations* over ``attributes``.
 
-        Folds the per-column encodings with a mixed-radix product through the
-        active partition backend, re-densifying after every column (in
-        first-appearance order, identically on every backend) so
+        Folds the per-column encodings with a mixed-radix product,
+        re-densifying after every column (in first-appearance order) so
         intermediate keys stay bounded by ``n_rows * n_codes``.  Returns
         ``(codes, n_codes)`` like :meth:`column_codes`.
 
@@ -387,41 +385,40 @@ class Relation:
         if not attributes:
             raise RelationError("combined_column_codes needs at least one attribute")
         state = active_state()
-        backend = get_backend(self._n_rows)
         if len(attributes) == 1:
             codes, width = self.column_codes(attributes[0])
-            return backend.initial_codes(codes), width
+            return KERNEL.as_codes(codes), width
 
         counters = state.counters
         key = tuple(attributes)
         cache = state.caches_for(self).combined
         entry = cache.get(key)
-        if entry is not None and entry[2] == backend.name:
+        if entry is not None:
             cache.move_to_end(key)
             counters.combined_prefix_hits += 1
-            return entry[0], entry[1]
+            return entry
         counters.combined_prefix_misses += 1
 
-        # Resume from the longest cached prefix folded under the same backend.
+        # Resume from the longest cached prefix.
         combined = None
         width = 0
         start = 1
         for length in range(len(key) - 1, 1, -1):
             prefix = cache.get(key[:length])
-            if prefix is not None and prefix[2] == backend.name:
+            if prefix is not None:
                 cache.move_to_end(key[:length])
                 counters.combined_prefix_hits += 1
-                combined, width = prefix[0], prefix[1]
+                combined, width = prefix
                 start = length
                 break
         if combined is None:
             first_codes, width = self.column_codes(key[0])
-            combined = backend.initial_codes(first_codes)
+            combined = KERNEL.as_codes(first_codes)
         max_entries = state.config.combined_codes_cache_entries
         for index in range(start, len(key)):
             nxt, radix = self.column_codes(key[index])
-            combined, width = backend.combine_codes(combined, width, nxt, radix)
-            cache[key[: index + 1]] = (combined, width, backend.name)
+            combined, width = KERNEL.combine_codes(combined, width, nxt, radix)
+            cache[key[: index + 1]] = (combined, width)
             cache.move_to_end(key[: index + 1])
             while len(cache) > max_entries:
                 cache.popitem(last=False)

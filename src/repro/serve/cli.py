@@ -20,8 +20,8 @@ engine configurations::
 where ``tenants.json`` maps tenant names to partial
 :class:`~repro.config.EngineConfig` fields (``"*"`` sets the default)::
 
-    {"*": {"backend": "auto"},
-     "acme": {"backend": "python", "marks_cache_bytes": 1048576}}
+    {"*": {"combined_codes_cache_entries": 4},
+     "acme": {"marks_cache_bytes": 1048576}}
 
 Submit work with ``examples/serve_client.py`` or any HTTP client: ``POST
 /jobs`` a ``repro/job-request-v1`` payload, poll ``GET /jobs/<id>``, read

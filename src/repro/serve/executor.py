@@ -264,7 +264,7 @@ def _process_worker_main(
     plus how the relation arrived (``"shm"``/``"fallback"``/``"wire"``).
     The payload travels as pre-encoded JSON bytes; ``shm_meta`` (when
     present) names a shared-memory segment to attach zero-copy — *any*
-    attach failure (segment evicted, no numpy, corrupt header) falls back
+    attach failure (segment evicted, corrupt header) falls back
     to resolving the payload itself, so shm is purely an optimisation.
     ``registry_root`` (the server's persistent relation registry directory)
     lets workers resolve ``relation_ref`` jobs themselves — each worker's
@@ -863,10 +863,10 @@ def make_executor(
     """Build a :class:`WorkerExecutor` from its CLI/config name.
 
     ``shm_bytes`` > 0 attaches a :class:`~repro.shm.plane.SharedRelationPlane`
-    to the process executor when the host supports it (``/dev/shm`` +
-    numpy); on other hosts — and always for the thread executor, which
-    shares the server's memory anyway — the flag is silently inert and jobs
-    use the wire.
+    to the process executor when the host supports it (``/dev/shm``); on
+    other hosts — and always for the thread executor, which shares the
+    server's memory anyway — the flag is silently inert and jobs use the
+    wire.
     """
     if kind == "thread":
         return ThreadExecutor(faults=faults)

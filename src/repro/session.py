@@ -6,15 +6,14 @@ point (``TANE().discover(...)``, ``approximate_fds(...)``,
 variable.  :class:`Session` replaces that with one explicit, embeddable
 context object:
 
-* a session owns an :class:`~repro.config.EngineConfig` (backend choice with
-  the per-relation small-input override, cache budgets, validation batching
-  knobs), the relation-scoped kernel caches, and its own kernel counters —
-  two concurrent sessions share nothing;
+* a session owns an :class:`~repro.config.EngineConfig` (cache budgets), the
+  relation-scoped kernel caches, and its own kernel counters — two
+  concurrent sessions share nothing;
 * every workload goes through one verb — :meth:`Session.discover` (exact
   FDs), :meth:`Session.validate` (check specific FDs),
   :meth:`Session.profile` (approximate FDs) and :meth:`Session.infine`
   (provenance-aware view discovery) — and returns a unified, JSON-native
-  :class:`RunResult` that records the artefacts, run statistics, backend
+  :class:`RunResult` that records the artefacts, run statistics, kernel
   provenance and the configuration fingerprint, and round-trips through
   :meth:`RunResult.save`/:meth:`RunResult.load` byte-identically;
 * environment variables remain *defaults* (parsed by
@@ -49,9 +48,9 @@ from .fd.fd import FD
 from .fd.fdset import FDSet
 from .infine.engine import InFine, InFineResult
 from .relational.backend import (
+    KERNEL,
     EngineState,
     activate_state,
-    get_backend,
     get_default_state,
     kernel_stats_summary,
     render_kernel_stats,
@@ -97,11 +96,11 @@ class RunResult:
         ``discover`` / ``validate`` / ``profile`` / ``infine``.
     ``artifacts``
         The deterministic outputs (always including ``fds``); byte-identical
-        across backends and across equivalent configurations.
+        across equivalent configurations.
     ``stats``
         Volatile run bookkeeping (runtimes, cache counters).
     ``engine``
-        The resolved backend name, the full configuration and its
+        The kernel name (``numpy``), the full configuration and its
         fingerprint.
     ``provenance``
         The provenance chain: ``{relation_hash, config_fingerprint,
@@ -160,7 +159,7 @@ class RunResult:
 
     @property
     def backend(self) -> str:
-        """The partition backend the run resolved to."""
+        """The partition kernel the run recorded (``numpy`` since numpy is required)."""
         return self.payload["engine"]["backend"]
 
     @property
@@ -223,9 +222,8 @@ class RunResult:
         """Content hash of the deterministic outputs only.
 
         Excludes ``stats`` and ``engine``, so two runs of the same workload
-        under different (but semantics-preserving) configurations — python
-        vs numpy backend, batched vs scalar validation, any cache budget —
-        produce the **same** fingerprint.
+        under different (but semantics-preserving) configurations — any
+        cache budget — produce the **same** fingerprint.
         """
         core = {
             "kind": self.kind,
@@ -269,7 +267,6 @@ class RunResult:
         artifacts: dict[str, Any],
         stats: dict[str, Any],
         config: EngineConfig,
-        backend: str,
         relation_hash: str | None = None,
     ) -> "RunResult":
         return cls(
@@ -282,7 +279,7 @@ class RunResult:
                 "artifacts": artifacts,
                 "stats": stats,
                 "engine": {
-                    "backend": backend,
+                    "backend": KERNEL.name,
                     "config": config.as_dict(),
                     "config_fingerprint": config.fingerprint(),
                 },
@@ -301,7 +298,6 @@ class RunResult:
     ) -> "RunResult":
         """Wrap a classic :class:`DiscoveryResult`."""
         stats = result.stats
-        backend = stats.extra.get("partition_backend", get_backend().name)
         return cls._build(
             kind="discover",
             algorithm=result.algorithm,
@@ -317,7 +313,6 @@ class RunResult:
                 "extra": stats.extra,
             },
             config=config,
-            backend=backend,
             relation_hash=relation_hash,
         )
 
@@ -327,7 +322,6 @@ class RunResult:
         result: InFineResult,
         algorithm: str,
         config: EngineConfig,
-        backend: str,
         relation_hash: str | None = None,
     ) -> "RunResult":
         """Wrap an :class:`InFineResult` (provenance triples and breakdowns)."""
@@ -361,7 +355,6 @@ class RunResult:
                 "raw_inferred": stats.raw_inferred,
             },
             config=config,
-            backend=backend,
             relation_hash=relation_hash,
         )
 
@@ -377,7 +370,7 @@ class Session:
     **overrides:
         Keyword overrides applied on top of ``config`` (see
         :class:`~repro.config.EngineConfig` for the available fields), e.g.
-        ``Session(backend="python", marks_cache_bytes=1 << 20)``.
+        ``Session(marks_cache_bytes=1 << 20)``.
 
     A session can be used as a context manager (``with Session() as s: ...``)
     or activated explicitly around arbitrary legacy code::
@@ -417,7 +410,7 @@ class Session:
 
     @property
     def state(self) -> EngineState:
-        """The resolved engine state (backend policy, caches, counters)."""
+        """The resolved engine state (configuration, caches, counters)."""
         return self._state
 
     @property
@@ -450,7 +443,7 @@ class Session:
 
         Per-call overrides derive a throwaway state that *shares the
         session's counters* (so ``--kernel-stats``-style accounting stays
-        whole) but resolves backend/budgets from the overridden config —
+        whole) but resolves budgets from the overridden config —
         the topmost layer of the precedence chain
         ``env var < EngineConfig kwarg < per-call override``.
         """
@@ -494,7 +487,7 @@ class Session:
 
     # -- diagnostics ----------------------------------------------------------
     def kernel_stats(self) -> dict[str, object]:
-        """The session's backend name plus its kernel cache counters."""
+        """The kernel name plus the session's kernel cache counters."""
         return kernel_stats_summary(self._state)
 
     def render_kernel_stats(self) -> str:
@@ -514,8 +507,7 @@ class Session:
 
     def __repr__(self) -> str:
         return (
-            f"Session(backend={self.config.backend!r}, "
-            f"fingerprint={self.config.fingerprint()})"
+            f"Session(fingerprint={self.config.fingerprint()})"
         )
 
     # -- verbs ----------------------------------------------------------------
@@ -533,7 +525,7 @@ class Session:
         ``algorithm`` is a registry name (``tane``/``fun``/``fastfds``/
         ``hyfd``/``naive``/``tane-approximate``) or an algorithm instance;
         ``**overrides`` are per-call :class:`EngineConfig` field overrides
-        (e.g. ``backend="python"``).
+        (e.g. ``marks_cache_bytes=0``).
         """
         if isinstance(algorithm, str):
             kwargs = {"max_lhs_size": max_lhs_size} if max_lhs_size is not None else {}
@@ -610,7 +602,6 @@ class Session:
                 "partition_cache": cache.stats.as_dict(),
             },
             config=state.config,
-            backend=state.backend_for(len(relation)).name,
             relation_hash=relation.content_hash(),
         )
 
@@ -655,7 +646,6 @@ class Session:
             },
             stats={"runtime_seconds": runtime},
             config=state.config,
-            backend=state.backend_for(len(relation)).name,
             relation_hash=relation.content_hash(),
         )
 
@@ -688,7 +678,6 @@ class Session:
             result,
             algorithm=engine.base_algorithm.name,
             config=state.config,
-            backend=state.backend_for().name,
             relation_hash=catalog_content_hash(catalog),
         )
 
@@ -711,18 +700,15 @@ def default_session() -> Session:
     This is the state every classic entry point (``TANE().discover``,
     ``InFine().run``, ``approximate_fds``) runs on when no explicit session
     is active, so its counters/caches and theirs are one and the same.
-    Thread-safe: concurrent callers observe a single shared instance (per
-    default engine state — resetting the state via ``set_backend(None)``
-    derives a fresh session on the next call).
+    Thread-safe: concurrent callers observe a single shared instance.
     """
     global _DEFAULT_SESSION
-    state = get_default_state()
     session = _DEFAULT_SESSION
-    if session is None or session._state is not state:
+    if session is None:
         with _DEFAULT_SESSION_LOCK:
             session = _DEFAULT_SESSION
-            if session is None or session._state is not state:
-                session = _DEFAULT_SESSION = Session._from_state(state)
+            if session is None:
+                session = _DEFAULT_SESSION = Session._from_state(get_default_state())
     return session
 
 

@@ -6,7 +6,7 @@ segments instead of per-job pickles: the parent's
 hash, LRU byte budget ``REPRO_SHM_BYTES``), and workers reconstruct a
 :class:`SharedRelation` over zero-copy ``np.frombuffer`` views via
 :class:`SegmentAttachCache`.  Artefacts are byte-identical to the wire
-path; every miss (inline relation, evicted segment, no numpy, injected
+path; every miss (inline relation, evicted segment, injected
 ``shm.attach`` fault) falls back to the wire transparently.
 
 See ``docs/ARCHITECTURE.md`` ("The shared-memory data plane") for the

@@ -67,12 +67,10 @@ def plane_available() -> bool:
     """Whether this host can run the shared-memory plane at all.
 
     Needs ``multiprocessing.shared_memory`` (absent on some minimal
-    platforms) and numpy (the attach path is a zero-copy ``np.frombuffer``
-    view; without numpy the wire path is used instead).
+    platforms); without it the wire path is used instead.
     """
     try:
         import multiprocessing.shared_memory  # noqa: F401
-        import numpy  # noqa: F401
     except ImportError:
         return False
     return True

@@ -14,10 +14,6 @@ and the content hash is carried in the header — so a shm-attached relation
 re-encodes, hashes and computes byte-for-byte like the pickled-path
 instance it replaces (pinned by parity tests).
 
-Attaching requires numpy (the whole point is the zero-copy view); hosts
-without it raise :class:`~repro.shm.segment.SegmentFormatError` from
-:func:`relation_from_segment` and the worker falls back to the wire path.
-
 The resource-tracker caveat: before Python 3.13, attaching a segment by
 name registers it with the process's ``resource_tracker``, which *unlinks*
 it at interpreter exit — destroying a parent-owned segment other workers
@@ -30,6 +26,8 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from typing import Any
+
+import numpy as np
 
 from ..relational.relation import Relation
 from ..relational.schema import RelationSchema
@@ -60,8 +58,6 @@ class SharedRelation(Relation):
         content_hash: str,
     ) -> None:
         def column(attribute: str) -> "tuple[Any, int, list[int], list[Any]]":
-            import numpy as np
-
             codes, n_codes, dictionary = columns[attribute]
             counts = np.bincount(codes, minlength=n_codes).tolist()
             return codes, n_codes, counts, list(dictionary)
@@ -148,10 +144,6 @@ def relation_from_segment(buf, expected_hash: "str | None" = None) -> SharedRela
     — a mismatch means the name was recycled for different content, which
     must fall back to the wire rather than silently compute on wrong data.
     """
-    try:
-        import numpy as np
-    except ImportError as exc:  # pragma: no cover - numpy-less hosts
-        raise SegmentFormatError("shared-memory attach requires numpy") from exc
     header, data_offset = read_header(buf)
     if expected_hash is not None and header.get("hash") != expected_hash:
         raise SegmentFormatError(

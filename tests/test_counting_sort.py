@@ -5,11 +5,11 @@ composite introsort per call: key spaces up to the module constant
 ``COUNTING_SORT_SPACE`` take the counting sort.  Both are *stable* sorts,
 and a stable sort's permutation is unique — so the two paths must produce
 byte-identical ``StrippedPartition``s (same group order, same positions,
-same dense codes) on every input.  These tests pin that across adversarial
-key-space shapes (forcing the introsort by zeroing the constant), confirm
-the switch point has no environment or keyword plumbing, and check the
-cross-LHS stacked level validation against the scalar oracle on both of its
-internal paths.
+same dense codes) on every input, equal to the pure-python oracle's.  These
+tests pin that across adversarial key-space shapes (forcing the introsort by
+zeroing the constant), confirm the switch point has no environment or
+keyword plumbing, and check the cross-LHS stacked level validation against
+the scalar checks on both of its internal paths.
 """
 
 from unittest import mock
@@ -17,10 +17,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_oracle import LEGS, kernel_leg, plain
 
 from repro.config import ConfigError, EngineConfig
 from repro.relational import backend as backend_module
-from repro.relational.backend import numpy_available
+from repro.relational.backend import NumpyBackend
 from repro.relational.partition import (
     StrippedPartition,
     fd_holds_fast,
@@ -29,18 +30,11 @@ from repro.relational.partition import (
 from repro.relational.relation import Relation
 from repro.session import Session
 
-requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy fast path not importable")
-
 ATTRS = ("a", "b", "c")
 
 
 def flat(partition):
-    positions, offsets = partition.positions, partition.offsets
-    if not isinstance(positions, list):
-        positions = positions.tolist()
-    if not isinstance(offsets, list):
-        offsets = offsets.tolist()
-    return positions, offsets
+    return plain((partition.positions, partition.offsets))
 
 
 # Adversarial key-space shapes: constant (k=1), all-distinct (k=n, the
@@ -65,11 +59,11 @@ def shaped_rows(draw):
     return [tuple(column[i] for column in columns) for i in range(n)]
 
 
-def _partitions(rows, counting_space, backend="numpy"):
+def _partitions(rows, counting_space, leg="numpy"):
     # A context-manager patch rather than the monkeypatch fixture: the
     # hypothesis test below cannot take function-scoped fixtures.
     with mock.patch.object(backend_module, "COUNTING_SORT_SPACE", counting_space):
-        with Session(backend=backend):
+        with Session(), kernel_leg(leg):
             relation = Relation("r", ATTRS, rows)
             singles = [flat(StrippedPartition.from_column(relation, a)) for a in ATTRS]
             combined = flat(StrippedPartition.from_columns(relation, ATTRS))
@@ -79,26 +73,25 @@ def _partitions(rows, counting_space, backend="numpy"):
     return singles, combined, flat(pair)
 
 
-@requires_numpy
 @settings(max_examples=60, deadline=None)
 @given(rows=shaped_rows())
 def test_counting_and_introsort_paths_are_byte_identical(rows):
     # A zero space disables the counting path (introsort only); the stock
     # space enables it for every key space the kernel re-densifies into uint16.
-    counting = _partitions(rows, backend_module.COUNTING_SORT_SPACE)
-    introsort = _partitions(rows, 0)
+    # Both runs check every kernel call against the oracle.
+    counting = _partitions(rows, backend_module.COUNTING_SORT_SPACE, leg="python")
+    introsort = _partitions(rows, 0, leg="python")
     assert counting == introsort
 
 
-@requires_numpy
 def test_threshold_forces_the_expected_sort_path(monkeypatch):
     rows = [(i % 7, i % 3, i % 5) for i in range(200)]
-    with Session(backend="numpy") as on:
+    with Session() as on:
         relation = Relation("r", ATTRS, rows)
         StrippedPartition.from_columns(relation, ATTRS)
         stats_on = on.kernel_stats()
     monkeypatch.setattr(backend_module, "COUNTING_SORT_SPACE", 0)
-    with Session(backend="numpy") as off:
+    with Session() as off:
         relation = Relation("r", ATTRS, rows)
         StrippedPartition.from_columns(relation, ATTRS)
         stats_off = off.kernel_stats()
@@ -109,22 +102,33 @@ def test_threshold_forces_the_expected_sort_path(monkeypatch):
 
 
 def test_knob_is_inert_on_the_python_backend():
-    # The sort-path switch only steers numpy code: the pure-python leg (and
-    # therefore the no-numpy leg) produces identical partitions either way.
+    # The sort-path switch only steers numpy code: on either path every
+    # primitive call equals the pure-python oracle, which has no sort path.
     rows = [(i % 4, i % 2, i) for i in range(40)]
     results = [
-        _partitions(rows, space, backend="python")
-        for space in (0, backend_module.COUNTING_SORT_SPACE)
+        _partitions(rows, space, leg="python") for space in (0, backend_module.COUNTING_SORT_SPACE)
     ]
     assert results[0] == results[1]
 
 
 def test_env_and_kwarg_plumbing():
-    # The sort path is fixed by COUNTING_SORT_SPACE: no environment variable
-    # reaches it, and naming the retired knob is a configuration error.
-    assert EngineConfig.from_env({"REPRO_COUNTING_SORT_MAX_CODES": "0"}) == EngineConfig()
-    with pytest.raises(ConfigError, match="unknown EngineConfig fields"):
-        Session(counting_sort_max_codes=0)
+    # The sort path is fixed by COUNTING_SORT_SPACE and there is one kernel:
+    # the variables of retired knobs are ignored, and naming a retired knob
+    # is a configuration error.
+    retired = {
+        "REPRO_COUNTING_SORT_MAX_CODES": "0",
+        "REPRO_PARTITION_BACKEND": "python",
+        "REPRO_BACKEND_MIN_NUMPY_ROWS": "500",
+    }
+    for name, value in retired.items():
+        assert EngineConfig.from_env({name: value}) == EngineConfig()
+    for field, value in (
+        ("counting_sort_max_codes", 0),
+        ("backend", "python"),
+        ("backend_min_numpy_rows", 0),
+    ):
+        with pytest.raises(ConfigError, match="unknown EngineConfig fields"):
+            Session(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -140,23 +144,20 @@ def _level_case():
     return relation, batch
 
 
-@pytest.mark.parametrize("backend", ["python", pytest.param("numpy", marks=requires_numpy)])
-def test_validate_level_matches_scalar_oracle_across_partitions(backend):
-    with Session(backend=backend):
+@pytest.mark.parametrize("leg", LEGS)
+def test_validate_level_matches_scalar_oracle_across_partitions(leg):
+    with Session(), kernel_leg(leg):
         relation, batch = _level_case()
         expected = [fd_holds_fast(relation, p, rhs) for p, rhs in batch]
         assert validate_level(relation, batch) == expected
 
 
-@requires_numpy
 @pytest.mark.parametrize("budget", [0, 1 << 30])
 def test_stacked_and_loop_level_paths_agree(budget, monkeypatch):
     # budget=0 forces the per-LHS loop; a huge budget forces the stacked
-    # prescreen.  Both must match the scalar oracle.
-    from repro.relational.backend import NumpyBackend
-
+    # prescreen.  Both must match the scalar checks and the oracle.
     monkeypatch.setattr(NumpyBackend, "LEVEL_STACK_MAX_ELEMENTS_PER_CANDIDATE", budget)
-    with Session(backend="numpy"):
+    with Session(), kernel_leg("python"):
         relation, batch = _level_case()
         expected = [fd_holds_fast(relation, p, rhs) for p, rhs in batch]
         assert validate_level(relation, batch) == expected

@@ -1,8 +1,10 @@
 """Differential conformance suite: pins the fuzz tool's grid as tier-1 tests.
 
 ``tools/fuzz_differential.py`` is the replayable generator/checker; this
-module drives it from pytest so the conformance grid — {python, numpy} ×
-every registered discovery algorithm — runs on every tier-1 invocation with
+module drives it from pytest so the conformance grid — {default, min-caches}
+× every registered discovery algorithm, with every kernel call of the
+default leg checked against the pure-python oracle — runs on every tier-1
+invocation with
 fixed seeds plus explicit adversarial fixtures the random generator is not
 guaranteed to hit (empty relation, single row, three rows, pure constants,
 all-distinct, heavy skew, nulls).
@@ -13,6 +15,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -20,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import fuzz_differential  # noqa: E402
 
 from repro.discovery.registry import available_algorithms  # noqa: E402
-from repro.relational.backend import numpy_available  # noqa: E402
+from repro.relational.backend import NumpyBackend  # noqa: E402
 
 FIXED_SEEDS = (0, 1, 2, 3, 4, 5)
 
@@ -68,12 +71,25 @@ def test_adversarial_fixtures_conform(case):
 
 
 def test_grid_covers_required_legs():
-    """The grid must span both backends."""
+    """The grid spans the default config and every cache at its minimum."""
     legs = dict(fuzz_differential.conformance_legs())
-    assert legs["python"] == {"backend": "python"}
-    if not numpy_available():
-        pytest.skip("numpy not installed")
-    assert legs == {"python": {"backend": "python"}, "numpy": {"backend": "numpy"}}
+    assert legs == {
+        "default": {},
+        "min-caches": {
+            "marks_cache_bytes": 0,
+            "combined_codes_cache_entries": 2,
+            "partition_cache_max_positions": 0,
+        },
+    }
+
+
+def test_oracle_divergence_is_reported(monkeypatch):
+    """A kernel primitive that disagrees with the oracle fails the case."""
+    every_row_a_singleton = (np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64))
+    monkeypatch.setattr(NumpyBackend, "group_by_codes", lambda self, *args: every_row_a_singleton)
+    names, rows = ADVERSARIAL_CASES["constants"]
+    mismatches = fuzz_differential.check_case("constants", names, rows)
+    assert mismatches and "group_by_codes differs from the oracle" in mismatches[0]
 
 
 def test_grid_covers_all_registered_algorithms():

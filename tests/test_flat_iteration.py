@@ -3,25 +3,23 @@
 Both algorithms now walk ``StrippedPartition.flat_lists()`` directly instead
 of materialising per-group python lists.  These tests pin the rewritten
 inner loops against straightforward group-materialising references (the old
-formulation) on both backends, so the iteration change can never silently
-alter the agree sets either algorithm derives.
+formulation), on the kernel alone (``numpy``) and with every kernel call
+checked against the pure-python oracle (``python``), so the iteration change
+can never silently alter the agree sets either algorithm derives.
 """
 
 from itertools import combinations
 
 import pytest
+from kernel_oracle import LEGS, kernel_leg
 
 from repro.discovery.fastfds import FastFDs
 from repro.discovery.hyfd import HyFD
 from repro.discovery.base import DiscoveryStats
-from repro.relational.backend import numpy_available
 from repro.relational.partition import StrippedPartition, make_partition_cache
 from repro.relational.relation import Relation
 from repro.session import Session
 
-requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy fast path not importable")
-
-BACKENDS = ["python", pytest.param("numpy", marks=requires_numpy)]
 
 CASES = {
     "mixed": [(i % 4, i % 3, (i * 5) % 7) for i in range(40)],
@@ -70,10 +68,10 @@ def _sample_agree_sets_reference(relation, names, window, cache):
     return agree_sets
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_fastfds_difference_sets_match_group_reference(backend, case):
-    with Session(backend=backend):
+def test_fastfds_difference_sets_match_group_reference(leg, case):
+    with Session(), kernel_leg(leg):
         relation = Relation("r", ATTRS, CASES[case])
         names = tuple(sorted(ATTRS))
         bit_of = {name: 1 << i for i, name in enumerate(names)}
@@ -84,10 +82,10 @@ def test_fastfds_difference_sets_match_group_reference(backend, case):
         assert observed == expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_hyfd_sampling_matches_group_reference(backend, case):
-    with Session(backend=backend):
+def test_hyfd_sampling_matches_group_reference(leg, case):
+    with Session(), kernel_leg(leg):
         relation = Relation("r", ATTRS, CASES[case])
         names = tuple(sorted(ATTRS))
         algorithm = HyFD(window=3)
@@ -100,10 +98,10 @@ def test_hyfd_sampling_matches_group_reference(backend, case):
         assert observed == expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fastfds_pair_count_stat_is_preserved(backend):
+@pytest.mark.parametrize("leg", LEGS)
+def test_fastfds_pair_count_stat_is_preserved(leg):
     # The flat rewrite must keep counting distinct agreeing pairs, not visits.
-    with Session(backend=backend):
+    with Session(), kernel_leg(leg):
         relation = Relation("r", ATTRS, CASES["mixed"])
         names = tuple(sorted(ATTRS))
         bit_of = {name: 1 << i for i, name in enumerate(names)}

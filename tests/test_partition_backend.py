@@ -1,30 +1,25 @@
-"""Equivalence and subsystem tests for the pluggable partition backends.
+"""The partition kernel against its pure-python oracle, and the kernel caches.
 
-The numpy fast path must be *bit-compatible* with the pure-python kernel:
-identical flat arrays (group order, positions order), identical dense code
-assignment, identical verdicts from the batched validation entry points.
-Property-style tests pin the two backends against each other on randomised
-relations (with NULLs and duplicated rows); further tests cover the
-selection logic (environment variable, numpy masked out), the relation-
-scoped byte-budgeted mark-table cache and the combined-codes prefix cache.
+Every numpy primitive must be *bit-compatible* with the reference loops of
+``tests/kernel_oracle.py``: identical flat arrays (group order, positions
+order), identical dense code assignment, identical verdicts from the batched
+validation entry points.  Property-style tests call each primitive and the
+oracle directly on the same inputs, built from randomised relations (with
+NULLs and duplicated rows); further tests cover the relation-scoped
+byte-budgeted mark-table cache and the combined-codes prefix cache.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_oracle import ORACLE, cross_checked, plain
 
+from repro import Session
+from repro.config import ConfigError
 from repro.discovery import FUN, TANE, HyFD
 from repro.discovery.tane import ApproximateTANE
 from repro.relational import backend as backend_module
-from repro.relational.backend import (
-    KERNEL_COUNTERS,
-    MarkTableCache,
-    _resolve_backend,
-    get_backend,
-    numpy_available,
-    set_backend,
-    use_backend,
-)
+from repro.relational.backend import KERNEL, KERNEL_COUNTERS, MarkTableCache
 from repro.relational.partition import (
     PartitionCache,
     StrippedPartition,
@@ -34,10 +29,6 @@ from repro.relational.partition import (
     validate_level_errors,
 )
 from repro.relational.relation import Relation
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy fast path not importable"
-)
 
 ATTRS = ("a", "b", "c", "d")
 
@@ -49,126 +40,132 @@ rows_strategy = st.lists(st.tuples(value, value, st.integers(0, 2), value),
 
 
 def flat(partition):
-    """The flat arrays as plain lists (backend-independent view)."""
-    positions, offsets = partition.positions, partition.offsets
-    if not isinstance(positions, list):
-        positions = positions.tolist()
-    if not isinstance(offsets, list):
-        offsets = offsets.tolist()
-    return positions, offsets
+    """The flat arrays as plain lists."""
+    return plain((partition.positions, partition.offsets))
 
 
-def build(rows, backend_name):
-    with use_backend(backend_name):
-        relation = Relation("r", ATTRS, rows)
-        partitions = {a: StrippedPartition.from_column(relation, a) for a in ATTRS}
-    return relation, partitions
+def both(primitive, *args):
+    """``(kernel result, oracle result)`` of one primitive on the same inputs."""
+    return plain(getattr(KERNEL, primitive)(*args)), plain(getattr(ORACLE, primitive)(*args))
 
 
 # ---------------------------------------------------------------------------
-# Bit-compatibility of the two backends on randomised relations.
+# Bit-compatibility of the kernel and the oracle on randomised relations.
 # ---------------------------------------------------------------------------
 
 
-@requires_numpy
 @settings(max_examples=50, deadline=None)
 @given(rows=rows_strategy)
 def test_grouping_is_bit_identical(rows):
-    for attributes in (("a",), ("a", "b"), ("d", "b", "c"), ATTRS):
-        results = []
-        for name in ("python", "numpy"):
-            with use_backend(name):
-                relation = Relation("r", ATTRS, rows)
-                results.append(flat(StrippedPartition.from_columns(relation, attributes)))
-        assert results[0] == results[1]
+    relation = Relation("r", ATTRS, rows)
+    for attribute in ATTRS:
+        codes, n_codes, counts = relation._encode_column(attribute)
+        kernel, oracle = both("group_by_codes", codes, n_codes, counts)
+        assert kernel == oracle
+        assert both("group_by_codes", codes, n_codes) == (oracle, oracle)
+    for attributes in (("a", "b"), ("d", "b", "c"), ATTRS):
+        codes, n_codes = relation.combined_column_codes(attributes)
+        kernel, oracle = both("group_by_codes", codes, n_codes)
+        assert kernel == oracle
+        assert flat(StrippedPartition.from_columns(relation, attributes)) == oracle
 
 
-@requires_numpy
 @settings(max_examples=50, deadline=None)
 @given(rows=rows_strategy)
 def test_intersect_and_refines_are_bit_identical(rows):
-    _, python_parts = build(rows, "python")
-    _, numpy_parts = build(rows, "numpy")
+    relation = Relation("r", ATTRS, rows)
+    partitions = {a: StrippedPartition.from_column(relation, a) for a in ATTRS}
     for first in ATTRS:
+        build = partitions[first]
+        args = (build.positions, build.offsets, len(relation))
+        kernel_marks, oracle_marks = both("build_marks", *args)
+        assert kernel_marks == oracle_marks
         for second in ATTRS:
             if first == second:
                 continue
-            with use_backend("python"):
-                expected = flat(python_parts[first].intersect(python_parts[second]))
-                expected_refines = python_parts[first].refines(python_parts[second])
-            with use_backend("numpy"):
-                actual = flat(numpy_parts[first].intersect(numpy_parts[second]))
-                actual_refines = numpy_parts[first].refines(numpy_parts[second])
-            assert actual == expected
-            assert actual_refines == expected_refines
+            probe = partitions[second]
+            kernel, oracle = both(
+                "intersect_marks", probe.positions, probe.offsets, oracle_marks, build.n_groups
+            )
+            assert kernel == oracle
+            if 0 < len(probe.positions) <= len(build.positions):
+                # ``intersect`` probes the smaller side into the larger one.
+                assert flat(probe.intersect(build)) == oracle
+            kernel, oracle = both("refines_marks", probe.positions, probe.offsets, oracle_marks)
+            assert kernel == oracle == probe.refines(build)
 
 
-@requires_numpy
 @settings(max_examples=50, deadline=None)
 @given(rows=rows_strategy)
 def test_combined_codes_are_bit_identical(rows):
+    relation = Relation("r", ATTRS, rows)
     for attributes in (("a", "b"), ("c", "a", "d"), ATTRS):
-        results = []
-        for name in ("python", "numpy"):
-            with use_backend(name):
-                relation = Relation("r", ATTRS, rows)
-                codes, width = relation.combined_column_codes(attributes)
-                # A second call exercises the prefix cache (exact hit).
-                again, width_again = relation.combined_column_codes(attributes)
-                assert list(again) == list(codes) and width_again == width
-                results.append((list(codes), width))
-        assert results[0] == results[1]
+        codes, width = relation.combined_column_codes(attributes)
+        # A second call exercises the prefix cache (exact hit).
+        again, width_again = relation.combined_column_codes(attributes)
+        assert list(again) == list(codes) and width_again == width
+        # The oracle's fold from the first column on, step by step.
+        expected, expected_width = relation.column_codes(attributes[0])
+        for attribute in attributes[1:]:
+            nxt, radix = relation.column_codes(attribute)
+            kernel, oracle = both("combine_codes", expected, expected_width, nxt, radix)
+            assert kernel == oracle
+            expected, expected_width = oracle
+        assert (plain(codes), width) == (expected, expected_width)
 
 
-@requires_numpy
 @settings(max_examples=50, deadline=None)
 @given(rows=rows_strategy)
 def test_g3_fd_checks_and_batched_validation_agree(rows):
     checks = ((("a",), "b"), (("b", "c"), "d"), (("d",), "a"), (("a", "c"), "b"))
-    per_backend = []
-    for name in ("python", "numpy"):
-        with use_backend(name):
-            relation = Relation("r", ATTRS, rows)
-            cache = PartitionCache(relation)
-            scalar = []
-            batch = []
-            if len(relation):
-                for lhs, rhs in checks:
-                    partition = cache.get(lhs)
-                    scalar.append(
-                        (
-                            fd_holds_fast(relation, partition, rhs),
-                            fd_violation_fraction_from_partition(relation, partition, rhs),
-                        )
-                    )
-                    batch.append((partition, rhs))
-            verdicts = validate_level(relation, batch)
-            errors = validate_level_errors(relation, batch)
-            # Batched answers must equal the scalar primitives point-wise.
-            for (holds, g3), verdict, error in zip(scalar, verdicts, errors):
-                assert verdict == holds
-                assert error == pytest.approx(g3)
-                assert (error == 0.0) == holds
-            per_backend.append((verdicts, errors))
-    assert per_backend[0] == per_backend[1]
+    relation = Relation("r", ATTRS, rows)
+    cache = PartitionCache(relation)
+    scalar = []
+    batch = []
+    groups = []
+    if len(relation):
+        for lhs, rhs in checks:
+            partition = cache.get(lhs)
+            codes, _ = relation.column_codes(rhs)
+            args = (partition.positions, partition.offsets, codes)
+            holds = both("constant_within_groups", *args)
+            removals = both("g3_removals", *args)
+            assert holds[0] == holds[1] and removals[0] == removals[1]
+            scalar.append(
+                (
+                    fd_holds_fast(relation, partition, rhs),
+                    fd_violation_fraction_from_partition(relation, partition, rhs),
+                )
+            )
+            assert scalar[-1] == (holds[1], removals[1] / len(relation))
+            batch.append((partition, rhs))
+            groups.append((partition.positions, partition.offsets, [codes, codes]))
+    kernel, oracle = both("validate_level_groups", groups)
+    assert kernel == oracle
+    kernel, oracle = both("validate_level_error_groups", groups)
+    assert kernel == oracle
+    verdicts = validate_level(relation, batch)
+    errors = validate_level_errors(relation, batch)
+    # Batched answers must equal the scalar primitives point-wise.
+    for (holds, g3), verdict, error in zip(scalar, verdicts, errors):
+        assert verdict == holds
+        assert error == pytest.approx(g3)
+        assert (error == 0.0) == holds
 
 
-@requires_numpy
 @settings(max_examples=12, deadline=None)
 @given(rows=st.lists(st.tuples(st.integers(0, 2), st.one_of(st.none(), st.integers(0, 2)),
                                st.integers(0, 1)), min_size=0, max_size=16))
 def test_discovery_results_identical_across_backends(rows):
-    per_backend = []
-    for name in ("python", "numpy"):
-        with use_backend(name):
-            relation = Relation("r", ("a", "b", "c"), rows)
-            per_backend.append(
-                tuple(
-                    tuple(algorithm.discover(relation).as_list())
-                    for algorithm in (TANE(), FUN(), HyFD(), ApproximateTANE(0.2))
-                )
-            )
-    assert per_backend[0] == per_backend[1]
+    # Every primitive call of the four algorithms is replayed on the oracle.
+    algorithms = (TANE(), FUN(), HyFD(), ApproximateTANE(0.2))
+    relation = Relation("r", ("a", "b", "c"), rows)
+    with cross_checked() as calls:
+        checked = [tuple(algorithm.discover(relation).as_list()) for algorithm in algorithms]
+    relation = Relation("r", ("a", "b", "c"), rows)
+    plain_run = [tuple(algorithm.discover(relation).as_list()) for algorithm in algorithms]
+    assert checked == plain_run
+    assert not rows or calls["group_by_codes"] > 0
 
 
 def test_validate_level_on_empty_relation_and_empty_batch():
@@ -180,66 +177,15 @@ def test_validate_level_on_empty_relation_and_empty_batch():
     assert validate_level_errors(relation, []) == []
 
 
-# ---------------------------------------------------------------------------
-# Backend selection: environment variable, explicit pinning, graceful fallback.
-# ---------------------------------------------------------------------------
-
-
 class TestBackendSelection:
-    def test_resolver_names(self):
-        assert _resolve_backend("python").name == "python"
-        if numpy_available():
-            assert _resolve_backend("numpy").name == "numpy"
-            assert _resolve_backend("auto").name == "numpy"
-
     def test_unknown_choice_rejected(self):
-        with pytest.raises(ValueError):
-            _resolve_backend("fortran")
-
-    def test_env_variable_forces_python(self, monkeypatch):
-        monkeypatch.setenv(backend_module.BACKEND_ENV_VAR, "python")
-        previous = set_backend(None)  # drop the cached resolution
-        try:
-            assert get_backend().name == "python"
-        finally:
-            set_backend(previous)
-
-    def test_use_backend_restores_previous(self):
-        before = get_backend()
-        with use_backend("python") as active:
-            assert active.name == "python"
-            assert get_backend() is active
-        assert get_backend() is before
-
-    def test_auto_falls_back_to_python_when_numpy_masked(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "_np", None)
-        assert _resolve_backend("auto").name == "python"
-
-    def test_explicit_numpy_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "_np", None)
-        with pytest.raises(RuntimeError):
-            _resolve_backend("numpy")
-
-    def test_kernel_runs_with_numpy_masked(self, monkeypatch):
-        """The whole kernel works end to end on the forced fallback."""
-        monkeypatch.setattr(backend_module, "_np", None)
-        with use_backend(_resolve_backend("auto")):
-            relation = Relation(
-                "r", ("a", "b"), [(1, "x"), (1, "x"), (2, "y"), (2, "z"), (1, "x")]
-            )
-            assert get_backend().name == "python"
-            first = StrippedPartition.from_column(relation, "a")
-            second = StrippedPartition.from_column(relation, "b")
-            product = first.intersect(second)
-            assert flat(product) == flat(
-                StrippedPartition.from_columns(relation, ("a", "b"))
-            )
-            assert validate_level(relation, [(first, "b"), (second, "a")]) == [
-                False,
-                True,
-            ]
-            result = TANE().discover(relation)
-            assert result.stats.extra["partition_backend"] == "python"
+        # One kernel, nothing to select: naming any backend, on a session or
+        # per call, is a configuration error.
+        for choice in ("fortran", "python", "numpy", "auto"):
+            with pytest.raises(ConfigError, match="unknown EngineConfig fields"):
+                Session(backend=choice)
+            with pytest.raises(ConfigError, match="unknown EngineConfig fields"):
+                Session().discover(Relation("r", ATTRS, []), backend=choice)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +308,7 @@ def test_discovery_stats_extra_reports_backend_and_kernel_counters():
     relation = Relation("r", ("a", "b"), [(1, 2), (1, 2), (2, 3), (2, 4)])
     result = TANE().discover(relation)
     extra = result.stats.extra
-    assert extra["partition_backend"] == get_backend().name
+    assert extra["partition_backend"] == KERNEL.name == "numpy"
     assert "kernel" in extra and "mark_hits" in extra["kernel"]
     fun_result = FUN().discover(relation)
     assert "partition_cache" in fun_result.stats.extra

@@ -426,38 +426,59 @@ class TestProvenance:
         with pytest.raises(ProvenanceError):
             verify_provenance(RunResult(payload))
 
-    #: ``EngineConfig().as_dict()`` before the engine dropped its five
-    #: unmeasured knobs, and the fingerprint results recorded for it.
-    OLDER_DEFAULT_CONFIG = {
-        "backend": "auto",
-        "backend_min_numpy_rows": 0,
-        "marks_cache_bytes": 134217728,
-        "combined_codes_cache_entries": 16,
-        "partition_cache_max_positions": None,
-        "batch_validation": True,
-        "batch_min_candidates": 0,
-        "counting_sort_max_codes": 65536,
-        "shard_count": 0,
-        "shard_min_rows": 100000,
-    }
-    OLDER_DEFAULT_FINGERPRINT = "874b2dd5c6160388"
+    #: ``EngineConfig().as_dict()`` of earlier releases and the fingerprints
+    #: results recorded for them: the 10-field config before the engine
+    #: dropped its five unmeasured knobs, and the 5-field config before it
+    #: dropped runtime backend selection.
+    OLDER_DEFAULT_CONFIGS = (
+        (
+            {
+                "backend": "auto",
+                "backend_min_numpy_rows": 0,
+                "marks_cache_bytes": 134217728,
+                "combined_codes_cache_entries": 16,
+                "partition_cache_max_positions": None,
+                "batch_validation": True,
+                "batch_min_candidates": 0,
+                "counting_sort_max_codes": 65536,
+                "shard_count": 0,
+                "shard_min_rows": 100000,
+            },
+            "874b2dd5c6160388",
+        ),
+        (
+            {
+                "backend": "auto",
+                "backend_min_numpy_rows": 0,
+                "marks_cache_bytes": 134217728,
+                "combined_codes_cache_entries": 16,
+                "partition_cache_max_positions": None,
+            },
+            "ea092732b5fed7ad",
+        ),
+    )
 
-    def _older_payload(self):
+    def _older_payload(self, config, fingerprint, backend="numpy"):
         payload = json.loads(Session().discover(make_relation()).to_json())
-        payload["engine"]["config"] = dict(self.OLDER_DEFAULT_CONFIG)
-        payload["engine"]["config_fingerprint"] = self.OLDER_DEFAULT_FINGERPRINT
-        payload["provenance"]["config_fingerprint"] = self.OLDER_DEFAULT_FINGERPRINT
+        payload["engine"]["backend"] = backend
+        payload["engine"]["config"] = dict(config)
+        payload["engine"]["config_fingerprint"] = fingerprint
+        payload["provenance"]["config_fingerprint"] = fingerprint
         return payload
 
     def test_verify_provenance_accepts_older_config_fields(self):
-        report = verify_provenance(RunResult(self._older_payload()))
-        assert report["config_fingerprint"] == self.OLDER_DEFAULT_FINGERPRINT
+        for config, fingerprint in self.OLDER_DEFAULT_CONFIGS:
+            for backend in ("numpy", "python"):
+                payload = self._older_payload(config, fingerprint, backend)
+                report = verify_provenance(RunResult(payload))
+                assert report["config_fingerprint"] == fingerprint
 
     def test_verify_provenance_rejects_tampered_older_config(self):
-        payload = self._older_payload()
-        payload["engine"]["config"]["shard_count"] = 4
-        with pytest.raises(ProvenanceError, match="fingerprint mismatch"):
-            verify_provenance(RunResult(payload))
+        for config, fingerprint in self.OLDER_DEFAULT_CONFIGS:
+            payload = self._older_payload(config, fingerprint)
+            payload["engine"]["config"]["backend_min_numpy_rows"] = 500
+            with pytest.raises(ProvenanceError, match="fingerprint mismatch"):
+                verify_provenance(RunResult(payload))
 
     @pytest.mark.parametrize("config", [None, "auto", ["backend", "auto"]])
     def test_verify_provenance_rejects_missing_engine_config(self, config):

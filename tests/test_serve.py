@@ -144,10 +144,10 @@ class TestProtocol:
 class TestTenantConfigs:
     def test_parse_with_default_layering(self):
         configs = parse_tenant_configs(
-            {"*": {"backend": "python"}, "acme": {"marks_cache_bytes": 1 << 20}}
+            {"*": {"combined_codes_cache_entries": 4}, "acme": {"marks_cache_bytes": 1 << 20}}
         )
-        assert configs["*"].backend == "python"
-        assert configs["acme"].backend == "python"
+        assert configs["*"].combined_codes_cache_entries == 4
+        assert configs["acme"].combined_codes_cache_entries == 4
         assert configs["acme"].marks_cache_bytes == 1 << 20
 
     def test_unknown_field_names_tenant(self):
@@ -160,9 +160,9 @@ class TestTenantConfigs:
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "tenants.json"
-        path.write_text(json.dumps({"acme": {"backend": "python"}}))
+        path.write_text(json.dumps({"acme": {"combined_codes_cache_entries": 4}}))
         configs = load_tenant_configs(path)
-        assert configs["acme"].backend == "python"
+        assert configs["acme"].combined_codes_cache_entries == 4
 
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "tenants.json"
@@ -181,10 +181,10 @@ class TestSessionPool:
 
     def test_per_tenant_config(self):
         configs = parse_tenant_configs(
-            {"*": {"marks_cache_bytes": 7}, "acme": {"backend": "python"}}
+            {"*": {"marks_cache_bytes": 7}, "acme": {"combined_codes_cache_entries": 4}}
         )
         pool = SessionPool(configs)
-        assert pool.get("acme").config.backend == "python"
+        assert pool.get("acme").config.combined_codes_cache_entries == 4
         assert pool.get("acme").config.marks_cache_bytes == 7
         assert pool.get("other").config.marks_cache_bytes == 7
 
@@ -513,20 +513,20 @@ class TestServer:
 
     def test_overrides_reach_the_engine(self):
         payload = discover_payload("acme", make_relation())
-        payload["overrides"] = {"backend": "python"}
+        payload["overrides"] = {"marks_cache_bytes": 0}
         with Server(workers=1) as server:
             result = server.result(server.submit(payload).job_id, timeout=WAIT)
-        assert result.backend == "python"
-        assert result.config.backend == "python"
+        assert result.backend == "numpy"
+        assert result.config.marks_cache_bytes == 0
 
     def test_per_tenant_config_reaches_results(self):
-        configs = parse_tenant_configs({"acme": {"backend": "python"}})
+        configs = parse_tenant_configs({"acme": {"marks_cache_bytes": 0}})
         with Server(tenant_configs=configs, workers=1) as server:
             result = server.result(
                 server.submit(discover_payload("acme", make_relation())).job_id,
                 timeout=WAIT,
             )
-        assert result.backend == "python"
+        assert result.config.marks_cache_bytes == 0
 
 
 def _http(host, port, method, path, body=None):
@@ -621,6 +621,8 @@ class TestHttpFrontend:
             ("counting_sort_max_codes", 65536),
             ("shard_count", 0),
             ("shard_min_rows", 100_000),
+            ("backend", "python"),
+            ("backend_min_numpy_rows", 0),
         ],
     )
     def test_retired_engine_fields_are_rejected(self, frontend, field, value):
@@ -632,6 +634,8 @@ class TestHttpFrontend:
         status, body = _http(host, port, "POST", "/jobs", payload)
         assert status == 400
         assert "unknown EngineConfig fields" in body["error"] and field in body["error"]
+        del payload["overrides"]
+        assert _http(host, port, "POST", "/jobs", payload)[0] == 202  # serving continues
 
     def test_unread_body_error_closes_the_connection(self, frontend):
         """Early-exit POST errors must not corrupt HTTP/1.1 keep-alive: the
@@ -770,7 +774,7 @@ class TestServeCLI:
     def test_python_m_repro_serve_end_to_end(self, tmp_path, executor):
         """`python -m repro serve` boots, serves a job over HTTP, shuts down."""
         tenant_config = tmp_path / "tenants.json"
-        tenant_config.write_text(json.dumps({"acme": {"backend": "auto"}}))
+        tenant_config.write_text(json.dumps({"acme": {"marks_cache_bytes": 1 << 20}}))
         argv = [
             sys.executable,
             "-m",

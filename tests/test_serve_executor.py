@@ -188,23 +188,23 @@ class TestExecutorParity:
 
     def test_tenant_configs_reach_worker_processes(self):
         configs = parse_tenant_configs(
-            {"*": {"marks_cache_bytes": 5}, "acme": {"backend": "python"}}
+            {"*": {"marks_cache_bytes": 5}, "acme": {"combined_codes_cache_entries": 4}}
         )
         payload = job_payload("acme", "discover", make_relation(), {"algorithm": "tane"})
         other = dict(payload, tenant="other")
         with Server(tenant_configs=configs, workers=1, executor="process") as server:
             acme = server.result(server.submit(payload).job_id, timeout=WAIT)
             unlisted = server.result(server.submit(other).job_id, timeout=WAIT)
-        assert acme.backend == "python"
+        assert acme.config.combined_codes_cache_entries == 4
         assert acme.config.marks_cache_bytes == 5
         assert unlisted.config.marks_cache_bytes == 5  # "*" default applied
 
     def test_overrides_reach_worker_processes(self):
         payload = job_payload("acme", "discover", make_relation(), {"algorithm": "tane"})
-        payload["overrides"] = {"backend": "python"}
+        payload["overrides"] = {"marks_cache_bytes": 0}
         with Server(workers=1, executor="process") as server:
             result = server.result(server.submit(payload).job_id, timeout=WAIT)
-        assert result.backend == "python"
+        assert result.config.marks_cache_bytes == 0
 
 
 class TestProcessExecutorQueueSemantics:

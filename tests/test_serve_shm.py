@@ -4,8 +4,8 @@ The headline pins:
 
 * **byte parity** — a job served through shm-attached process workers
   produces the identical artefact fingerprint as the thread executor and a
-  bare session, on both the numpy and the pure-python engine backends, and
-  on the wire-fallback leg (shm faulted off);
+  bare session, under the default engine config and with every cache at its
+  minimum, and on the wire-fallback leg (shm faulted off);
 * **serialise-once** — a retried job ships the exact payload bytes of its
   first attempt (``PreparedTask.serialisations == 1`` across attempts);
 * **lifecycle hygiene** — kill storms reconcile segment refcounts, session
@@ -41,7 +41,7 @@ from tests.test_serve_executor import WAIT, make_relation
 
 pytestmark = [
     pytest.mark.slow,
-    pytest.mark.skipif(not plane_available(), reason="host lacks shared memory or numpy"),
+    pytest.mark.skipif(not plane_available(), reason="host lacks shared memory"),
 ]
 
 
@@ -61,7 +61,10 @@ def ref_payload(tenant: str, ref: str, overrides: dict | None = None) -> dict:
 
 
 class TestByteParity:
-    @pytest.mark.parametrize("overrides", [{}, {"backend": "python"}])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"marks_cache_bytes": 0, "combined_codes_cache_entries": 2}],
+    )
     def test_shm_thread_and_bare_session_agree(self, tmp_path, overrides):
         relation = make_relation(n_rows=90)
         registry = str(tmp_path / "registry")

@@ -5,9 +5,9 @@ Covers the acceptance criteria of the session redesign:
 * ``Session.discover``/``validate``/``profile``/``infine`` return
   :class:`RunResult` objects whose ``save``/``load`` round-trips are
   byte-identical;
-* artefacts stay byte-identical across backends, across the per-relation
-  backend switch point (``backend_min_numpy_rows``), and across env-var vs
-  ``EngineConfig`` configuration of the same settings;
+* artefacts stay byte-identical with every kernel call checked against the
+  pure-python oracle, and across env-var vs ``EngineConfig`` configuration
+  of the same settings;
 * configuration precedence: env var < ``EngineConfig``/constructor kwarg <
   per-call override;
 * two concurrent sessions share neither kernel caches nor counters;
@@ -15,24 +15,22 @@ Covers the acceptance criteria of the session redesign:
   double-counting across repeated commands in one process).
 """
 
+import dataclasses
 import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from kernel_oracle import LEGS, kernel_leg
 
 import repro
 from repro import EngineConfig, Relation, RunResult, Session, TANE, base, join
 from repro.cli import main
 from repro.config import (
-    ENV_BACKEND,
-    ENV_BACKEND_MIN_NUMPY_ROWS,
     ENV_COMBINED_CACHE_ENTRIES,
     ENV_MARKS_CACHE_BYTES,
     ConfigError,
 )
-from repro.relational.backend import KERNEL_COUNTERS, numpy_available
+from repro.relational.backend import KERNEL_COUNTERS
 from repro.relational.partition import (
     StrippedPartition,
     fd_holds_fast,
@@ -41,10 +39,6 @@ from repro.relational.partition import (
     validate_level_errors,
 )
 from repro.session import default_session
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy fast path not importable"
-)
 
 
 def small_relation(name: str = "r") -> Relation:
@@ -88,14 +82,10 @@ class TestEngineConfig:
     def test_env_variables_are_defaults(self):
         config = EngineConfig.from_env(
             env={
-                ENV_BACKEND: "python",
-                ENV_BACKEND_MIN_NUMPY_ROWS: "128",
                 ENV_MARKS_CACHE_BYTES: "4096",
                 ENV_COMBINED_CACHE_ENTRIES: "5",
             }
         )
-        assert config.backend == "python"
-        assert config.backend_min_numpy_rows == 128
         assert config.marks_cache_bytes == 4096
         assert config.combined_codes_cache_entries == 5
 
@@ -104,22 +94,26 @@ class TestEngineConfig:
         assert config.marks_cache_bytes == EngineConfig().marks_cache_bytes
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(backend="fortran")
-        with pytest.raises(ConfigError):
-            EngineConfig.from_env(env={ENV_BACKEND: "fortran"})
+        # There is one kernel: every backend choice is an unknown field.
+        assert [field.name for field in dataclasses.fields(EngineConfig)] == [
+            "marks_cache_bytes",
+            "combined_codes_cache_entries",
+            "partition_cache_max_positions",
+        ]
+        for choice in ("fortran", "python", "numpy", "auto"):
+            with pytest.raises(ConfigError, match="unknown EngineConfig fields"):
+                EngineConfig.from_dict({"backend": choice})
 
     def test_replace_ignores_none_and_rejects_unknown(self):
-        config = EngineConfig(backend="python")
-        assert config.replace(backend=None) is config
-        assert config.replace(backend="auto").backend == "auto"
+        config = EngineConfig(marks_cache_bytes=4096)
+        assert config.replace(marks_cache_bytes=None) is config
+        assert config.replace(marks_cache_bytes=0).marks_cache_bytes == 0
         with pytest.raises(ConfigError):
             config.replace(warp_drive=True)
 
     @pytest.mark.parametrize(
         "field",
         [
-            "backend_min_numpy_rows",
             "marks_cache_bytes",
             "combined_codes_cache_entries",
             "partition_cache_max_positions",
@@ -144,12 +138,12 @@ class TestEngineConfig:
 
     def test_fingerprint_tracks_content(self):
         assert EngineConfig().fingerprint() == EngineConfig().fingerprint()
-        assert EngineConfig().fingerprint() != EngineConfig(backend="python").fingerprint()
+        assert EngineConfig().fingerprint() != EngineConfig(marks_cache_bytes=0).fingerprint()
 
     def test_env_vs_explicit_config_are_the_same_settings(self):
-        explicit = EngineConfig(backend="python", marks_cache_bytes=4096)
+        explicit = EngineConfig(marks_cache_bytes=4096, combined_codes_cache_entries=5)
         from_env = EngineConfig.from_env(
-            env={ENV_BACKEND: "python", ENV_MARKS_CACHE_BYTES: "4096"}
+            env={ENV_MARKS_CACHE_BYTES: "4096", ENV_COMBINED_CACHE_ENTRIES: "5"}
         )
         assert explicit == from_env
         assert explicit.fingerprint() == from_env.fingerprint()
@@ -186,7 +180,7 @@ class TestRunResultRoundTrip:
     def test_every_verb_reports_engine_provenance(self):
         session = Session()
         for result in self.run_all_verbs(session).values():
-            assert result.backend in ("python", "numpy")
+            assert result.backend == "numpy"
             assert result.config_fingerprint == session.config.fingerprint()
             assert "fds" in result.artifacts
             assert result.stats  # non-empty volatile section
@@ -206,28 +200,32 @@ class TestRunResultRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Byte-identical artefacts across backends and configuration styles.
+# Byte-identical artefacts across the oracle check and configuration styles.
 # ---------------------------------------------------------------------------
 
 
-@requires_numpy
 class TestArtifactsAcrossConfigurations:
+    # The ``python`` leg replays every kernel primitive call on the
+    # pure-python oracle; a divergence fails inside the run.
     def test_discover_identical_across_backends(self):
         relation_rows = list(small_relation())
         fingerprints = set()
-        for backend in ("python", "numpy"):
-            session = Session(backend=backend)
-            result = session.discover(Relation("r", ("a", "b", "c", "d"), relation_rows))
-            assert result.backend == backend
+        for leg in LEGS:
+            with kernel_leg(leg):
+                result = Session().discover(Relation("r", ("a", "b", "c", "d"), relation_rows))
+            assert result.backend == "numpy"
             fingerprints.add(result.artifact_fingerprint())
         assert len(fingerprints) == 1
 
     def test_infine_identical_across_backends(self):
         view = join(base("customers"), base("orders"), on="cid")
         outputs = []
-        for backend in ("python", "numpy"):
-            result = Session(backend=backend).infine(view, tiny_catalog())
+        checked = {}
+        for leg in LEGS:
+            with kernel_leg(leg) as checked[leg]:
+                result = Session().infine(view, tiny_catalog())
             outputs.append(result.artifact_fingerprint())
+        assert checked["python"]["match"] > 0
         assert outputs[0] == outputs[1]
 
     def test_batched_and_scalar_validation_identical(self):
@@ -249,19 +247,19 @@ class TestArtifactsAcrossConfigurations:
 
     def test_env_var_and_engine_config_produce_identical_artifacts(self, monkeypatch):
         relation_rows = list(small_relation())
-        monkeypatch.setenv(ENV_BACKEND, "python")
+        monkeypatch.setenv(ENV_COMBINED_CACHE_ENTRIES, "3")
         monkeypatch.setenv(ENV_MARKS_CACHE_BYTES, "8192")
         via_env = Session()  # EngineConfig.from_env()
-        monkeypatch.delenv(ENV_BACKEND)
+        monkeypatch.delenv(ENV_COMBINED_CACHE_ENTRIES)
         monkeypatch.delenv(ENV_MARKS_CACHE_BYTES)
         explicit = Session(
-            config=EngineConfig(backend="python", marks_cache_bytes=8192)
+            config=EngineConfig(combined_codes_cache_entries=3, marks_cache_bytes=8192)
         )
         assert via_env.config == explicit.config
         first = via_env.discover(Relation("r", ("a", "b", "c", "d"), relation_rows))
         second = explicit.discover(Relation("r", ("a", "b", "c", "d"), relation_rows))
         # Same artefacts AND the very same engine provenance (config +
-        # fingerprint + resolved backend); only runtimes may differ.
+        # fingerprint + kernel name); only runtimes may differ.
         assert first.artifact_fingerprint() == second.artifact_fingerprint()
         assert first.payload["engine"] == second.payload["engine"]
 
@@ -271,53 +269,52 @@ class TestArtifactsAcrossConfigurations:
 # ---------------------------------------------------------------------------
 
 
-@requires_numpy
 class TestConfigPrecedence:
     def test_constructor_kwarg_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "python")
-        assert Session().config.backend == "python"  # env provides the default
-        session = Session(backend="numpy")  # explicit kwarg wins
-        assert session.config.backend == "numpy"
-        assert session.discover(small_relation()).backend == "numpy"
+        monkeypatch.setenv(ENV_MARKS_CACHE_BYTES, "4096")
+        assert Session().config.marks_cache_bytes == 4096  # env provides the default
+        session = Session(marks_cache_bytes=8192)  # explicit kwarg wins
+        assert session.config.marks_cache_bytes == 8192
+        assert session.discover(small_relation()).config.marks_cache_bytes == 8192
 
     def test_explicit_config_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "numpy")
-        session = Session(config=EngineConfig(backend="python"))
-        assert session.discover(small_relation()).backend == "python"
+        monkeypatch.setenv(ENV_MARKS_CACHE_BYTES, "8192")
+        session = Session(config=EngineConfig(marks_cache_bytes=4096))
+        assert session.discover(small_relation()).config.marks_cache_bytes == 4096
 
     def test_per_call_override_beats_session_config(self):
-        session = Session(backend="numpy")
-        pinned = session.discover(small_relation(), backend="python")
-        assert pinned.backend == "python"
-        assert pinned.config.backend == "python"
+        session = Session(marks_cache_bytes=8192)
+        pinned = session.discover(small_relation(), marks_cache_bytes=0)
+        assert pinned.config.marks_cache_bytes == 0
+        assert pinned.config_fingerprint == EngineConfig(marks_cache_bytes=0).fingerprint()
         # The session itself is untouched by per-call overrides.
-        assert session.config.backend == "numpy"
-        assert session.discover(small_relation()).backend == "numpy"
+        assert session.config.marks_cache_bytes == 8192
+        assert session.discover(small_relation()).config.marks_cache_bytes == 8192
 
     def test_per_call_override_artifacts_identical(self):
-        session = Session(backend="numpy")
+        session = Session(marks_cache_bytes=8192)
         relation = small_relation()
         assert (
-            session.discover(relation, backend="python").artifact_fingerprint()
+            session.discover(relation, marks_cache_bytes=0).artifact_fingerprint()
             == session.discover(relation).artifact_fingerprint()
         )
 
     def test_per_call_override_still_counts_into_the_session(self):
-        session = Session(backend="numpy")
-        session.discover(small_relation(), backend="python")
+        session = Session(marks_cache_bytes=8192)
+        session.discover(small_relation(), marks_cache_bytes=0)
         snapshot = session.kernel_stats()
         assert snapshot["partition_misses"] + snapshot["mark_misses"] > 0
 
     def test_repeated_per_call_overrides_reuse_one_derived_state(self):
-        session = Session(backend="numpy")
+        session = Session(marks_cache_bytes=8192)
         # The derived state (and with it the relation-scoped caches) is
         # memoised per overridden configuration instead of being rebuilt on
         # every call; no-op overrides resolve to the session state itself.
-        first = session._call_state({"backend": "python"})
-        assert first is session._call_state({"backend": "python"})
+        first = session._call_state({"marks_cache_bytes": 0})
+        assert first is session._call_state({"marks_cache_bytes": 0})
         assert first is not session.state
         assert first.counters is session.counters
-        assert session._call_state({"backend": "numpy"}) is session.state
+        assert session._call_state({"marks_cache_bytes": 8192}) is session.state
 
 
 # ---------------------------------------------------------------------------
@@ -480,69 +477,6 @@ class TestSessionIsolation:
 
 
 # ---------------------------------------------------------------------------
-# Per-relation backend override heuristic (ROADMAP open item).
-# ---------------------------------------------------------------------------
-
-
-@requires_numpy
-class TestBackendMinNumpyRows:
-    def test_small_relations_resolve_to_python(self):
-        session = Session(backend="auto", backend_min_numpy_rows=100)
-        small = small_relation()
-        assert session.state.backend_for(len(small)).name == "python"
-        assert session.state.backend_for(100).name == "numpy"
-        assert session.discover(small).backend == "python"
-
-    def test_env_var_provides_the_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND_MIN_NUMPY_ROWS, "64")
-        assert Session().config.backend_min_numpy_rows == 64
-
-    def test_disabled_by_default(self):
-        assert EngineConfig().backend_min_numpy_rows == 0
-        assert Session(backend="auto").state.backend_for(1).name == "numpy"
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        rows=st.lists(
-            st.tuples(
-                st.integers(0, 3),
-                st.one_of(st.none(), st.integers(0, 2)),
-                st.integers(0, 1),
-            ),
-            min_size=0,
-            max_size=24,
-        ),
-        threshold=st.integers(0, 30),
-    )
-    def test_artifacts_byte_identical_across_the_switch_point(self, rows, threshold):
-        """Property: the heuristic never changes artefacts, wherever it lands.
-
-        ``threshold`` sweeps across the relation size, so the three sessions
-        exercise below-, at- and above-threshold resolution; the forced
-        python/numpy runs bracket both sides of the switch.
-        """
-        payloads = set()
-        backends = set()
-        for config in (
-            EngineConfig(backend="auto", backend_min_numpy_rows=threshold),
-            EngineConfig(backend="python"),
-            EngineConfig(backend="numpy"),
-        ):
-            session = Session(config=config)
-            relation = Relation("r", ("a", "b", "c"), rows)
-            result = session.discover(relation, algorithm="tane")
-            payloads.add(result.artifact_fingerprint())
-            backends.add(result.backend)
-            graded = session.profile(relation, threshold=0.5, max_lhs=1)
-            payloads.add(graded.artifact_fingerprint())
-        assert len(payloads) == 2  # one discover payload + one profile payload
-        if 0 < threshold <= len(rows):
-            pass  # heuristic landed exactly at the boundary for some runs
-        if threshold > len(rows):
-            assert "python" in backends  # the heuristic actually switched
-
-
-# ---------------------------------------------------------------------------
 # CLI: --kernel-stats scoped per invocation (double-counting fix).
 # ---------------------------------------------------------------------------
 
@@ -567,17 +501,21 @@ class TestKernelStatsScoping:
         )
 
     def test_cli_backend_flag(self, capsys):
-        assert main(["table1", "--scale", "tiny", "--databases", "pte",
-                     "--backend", "python", "--kernel-stats"]) == 0
-        output = capsys.readouterr().out
-        assert "[kernel] backend=python" in output
+        # The flag is gone: naming it is a usage error, and the kernel
+        # statistics name the one kernel.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--scale", "tiny", "--databases", "pte", "--backend", "python"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert main(self.ARGS) == 0
+        assert "[kernel] backend=numpy" in capsys.readouterr().out
 
-    @requires_numpy
     def test_cli_tables_identical_across_backends(self, capsys):
+        # The python leg replays every kernel primitive call on the oracle.
         outputs = []
-        for backend in ("python", "numpy"):
-            assert main(["table1", "--scale", "tiny", "--databases", "pte",
-                         "--backend", backend]) == 0
+        for leg in LEGS:
+            with kernel_leg(leg):
+                assert main(["table1", "--scale", "tiny", "--databases", "pte"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 

@@ -34,7 +34,7 @@ from repro.shm import (
 
 pytestmark = [
     pytest.mark.slow,
-    pytest.mark.skipif(not plane_available(), reason="host lacks shared memory or numpy"),
+    pytest.mark.skipif(not plane_available(), reason="host lacks shared memory"),
 ]
 
 

@@ -5,9 +5,11 @@ codes and decodes rows only on demand.  The oracle below is the row-tuple
 implementation those operators replaced: it builds every output row as a
 Python tuple and lets the output re-encode itself.  Seeded random relations
 (NULL and duplicate keys, ``1``/``1.0``/``True`` in one column, empty and
-one-row sides) run through both, on both partition backends, and must give
-the same rows in the same order, the same per-column codes and dictionaries
-and the same ``content_hash()``.
+one-row sides) run through both and must give the same rows in the same
+order, the same per-column codes and dictionaries and the same
+``content_hash()``.  Each test runs on two legs: ``numpy`` (the kernel
+alone) and ``python`` (every kernel primitive call also replayed on the
+pure-python oracle of ``kernel_oracle.py`` and compared).
 
 A derived relation decodes each value to its column's first-seen
 representative under ``==``, so the oracle runs on that canonical form of
@@ -21,6 +23,7 @@ import random
 from collections import defaultdict
 
 import pytest
+from kernel_oracle import LEGS, ORACLE, kernel_leg
 
 from repro import Session
 from repro.datasets import load_all, paper_views
@@ -33,11 +36,10 @@ from repro.relational.algebra import (
     select,
     union,
 )
-from repro.relational.backend import numpy_available, use_backend
+from repro.relational.backend import KERNEL
 from repro.relational.predicates import AttributeComparison, InSet, IsNull, Not, eq, ne
 from repro.relational.relation import NULL, Relation
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 SEEDS = range(40)
 
 #: Values of the key columns: NULL, duplicates, and three ``==``-equal
@@ -166,22 +168,24 @@ def join_inputs(rng):
 
 
 # -- operator properties -----------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("kind", list(JoinKind))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_join_matches_oracle(backend, kind, seed):
+def test_join_matches_oracle(leg, kind, seed):
     rng = random.Random(seed)
     left, right, left_on, right_on = join_inputs(rng)
     expected = oracle_join(canonical(left), canonical(right), left_on, right_on, kind)
     raw = oracle_join(left, right, left_on, right_on, kind)
-    with use_backend(backend):
+    with kernel_leg(leg) as checked:
         joined = equi_join(left, right, left_on, right_on, kind=kind)
         assert_same(joined, expected, raw)
+    if leg == "python":
+        assert checked["match"] == 1 and checked["gather_densify"] > 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_select_project_take_match_oracle(backend, seed):
+def test_select_project_take_match_oracle(leg, seed):
     rng = random.Random(seed)
     relation = random_relation(rng, "T", ["k", "m"], ["a", "b"])
     predicates = [
@@ -196,7 +200,7 @@ def test_select_project_take_match_oracle(backend, seed):
     n_taken = rng.randint(0, 8) if len(relation) else 0
     positions = [rng.randrange(len(relation)) for _ in range(n_taken)]
     base = canonical(relation)
-    with use_backend(backend):
+    with kernel_leg(leg):
         assert_same(select(relation, predicate), oracle_select(base, predicate))
         assert_same(project(relation, attributes), oracle_project(base, attributes))
         assert_same(relation.take(positions), oracle_take(base, positions))
@@ -215,14 +219,14 @@ def test_select_project_take_match_oracle(backend, seed):
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("seed", range(20))
-def test_union_and_product_match_oracle(backend, seed):
+def test_union_and_product_match_oracle(leg, seed):
     rng = random.Random(seed)
     first = random_relation(rng, "A", ["k"], ["a"])
     second = random_relation(rng, "B", ["k"], ["a"])
     third = random_relation(rng, "C", ["j"], [])
-    with use_backend(backend):
+    with kernel_leg(leg):
         rows = canonical(first).rows + canonical(second).rows
         assert_same(union(first, second), Relation("oracle", first.schema, rows))
         product = [row + other for row in canonical(first).rows for other in canonical(third).rows]
@@ -233,12 +237,12 @@ def test_union_and_product_match_oracle(backend, seed):
 SEMI_KINDS = (("left", JoinKind.LEFT_SEMI), ("right", JoinKind.RIGHT_SEMI))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("seed", range(30))
-def test_match_semi_joins_are_the_semi_join_operators(backend, seed):
+def test_match_semi_joins_are_the_semi_join_operators(leg, seed):
     rng = random.Random(seed)
     left, right, left_on, right_on = join_inputs(rng)
-    with use_backend(backend):
+    with kernel_leg(leg):
         for kind in JoinKind:
             match = JoinMatch(left, right, left_on, right_on, kind)
             for side, semi_kind in SEMI_KINDS:
@@ -246,17 +250,18 @@ def test_match_semi_joins_are_the_semi_join_operators(backend, seed):
                 assert_same(match.semi(side), expected)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_wide_composite_keys_are_redensified(backend):
+@pytest.mark.parametrize("leg", LEGS)
+def test_wide_composite_keys_are_redensified(leg):
     # Key widths whose product overflows int64 force the joint re-densify.
-    with use_backend(backend) as active:
-        width = 2**40
-        left_keys = [([0, 1, 1], [5, width - 1], width)] * 3
-        right_keys = [([1, 0], [5, width - 1], width)] * 3
-        left_idx, right_idx, n_head = active.match(left_keys, right_keys, "inner")
-        assert list(left_idx) == [0, 1, 2]
-        assert list(right_idx) == [1, 0, 0]
-        assert n_head == 3
+    # The oracle needs no re-densify (python ints): it pins the expected match.
+    active = {"python": ORACLE, "numpy": KERNEL}[leg]
+    width = 2**40
+    left_keys = [([0, 1, 1], [5, width - 1], width)] * 3
+    right_keys = [([1, 0], [5, width - 1], width)] * 3
+    left_idx, right_idx, n_head = active.match(left_keys, right_keys, "inner")
+    assert list(left_idx) == [0, 1, 2]
+    assert list(right_idx) == [1, 0, 0]
+    assert n_head == 3
 
 
 # -- InFine never decodes derived rows ---------------------------------------------

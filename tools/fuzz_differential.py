@@ -1,15 +1,17 @@
 """Differential conformance fuzzer: one workload, every engine leg, same bytes.
 
-The repo's central invariant is that *no engine choice changes artefacts*:
-the python and numpy partition backends are bit-compatible.  This tool
-makes that a *fuzzed* invariant instead of a per-PR claim: a
-seed-replayable generator produces adversarial relations (skew, constants,
-all-distinct runs, nulls, long equal blocks, empty and single-row
-instances) and every registered discovery algorithm is executed on both
-engine legs of the conformance grid
+The repo's central invariant is that *no engine setting changes artefacts*,
+and that the vectorized kernel computes exactly what its pure-python
+reference (``tests/kernel_oracle.py``) computes.  This tool makes both
+*fuzzed* invariants instead of per-PR claims: a seed-replayable generator
+produces adversarial relations (skew, constants, all-distinct runs, nulls,
+long equal blocks, empty and single-row instances) and every registered
+discovery algorithm is executed on both engine legs of the conformance grid
 
-    {python, numpy}
+    {default, min-caches}
 
+(``min-caches`` sets every cache to its minimum: ``marks_cache_bytes=0``,
+``combined_codes_cache_entries=2``, ``partition_cache_max_positions=0``),
 asserting, per seed:
 
 * the canonical FD set of every algorithm is identical across legs;
@@ -17,7 +19,9 @@ asserting, per seed:
   with sorted keys) and the configuration-invariant
   ``artifact_fingerprint()`` agrees;
 * the stripped partitions themselves (flat positions/offsets of every
-  single attribute and of the full attribute combination) are identical.
+  single attribute and of the full attribute combination) are identical;
+* on the ``default`` leg, every kernel primitive call returns what the
+  oracle returns on the same inputs.
 
 Usage::
 
@@ -34,14 +38,17 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "src", _ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+from kernel_oracle import cross_checked  # noqa: E402
 
 from repro.discovery.registry import available_algorithms  # noqa: E402
-from repro.relational.backend import numpy_available  # noqa: E402
 from repro.relational.partition import StrippedPartition  # noqa: E402
 from repro.relational.relation import Relation  # noqa: E402
 from repro.session import Session  # noqa: E402
@@ -91,23 +98,32 @@ def generate_case(seed: int) -> tuple[tuple[str, ...], list[tuple], list[str]]:
     return names, rows, shapes
 
 
-def conformance_legs() -> list[tuple[str, dict]]:
-    """The engine legs of the grid, as ``(label, Session overrides)`` pairs.
+#: Every cache of ``EngineConfig`` at its smallest legal setting.
+MIN_CACHES = {
+    "marks_cache_bytes": 0,
+    "combined_codes_cache_entries": 2,
+    "partition_cache_max_positions": 0,
+}
 
-    Without numpy only the python leg exists (nothing to differ from, but
-    the tool still exercises the generator and the python run).
-    """
-    legs = [("python", {"backend": "python"})]
-    if numpy_available():
-        legs.append(("numpy", {"backend": "numpy"}))
-    return legs
+
+def conformance_legs() -> list[tuple[str, dict]]:
+    """The engine legs of the grid, as ``(label, Session overrides)`` pairs."""
+    return [("default", {}), ("min-caches", dict(MIN_CACHES))]
 
 
 def _observe_leg(
-    names: tuple[str, ...], rows: list[tuple], overrides: dict, algorithms: list[str]
+    names: tuple[str, ...],
+    rows: list[tuple],
+    overrides: dict,
+    algorithms: list[str],
+    oracle: bool = False,
 ) -> dict:
-    """Everything one leg produces, in a directly comparable form."""
-    with Session(**overrides) as session:
+    """Everything one leg produces, in a directly comparable form.
+
+    With ``oracle``, every kernel primitive call is also replayed on the
+    pure-python oracle; a divergence raises ``AssertionError``.
+    """
+    with Session(**overrides) as session, cross_checked() if oracle else nullcontext():
         relation = Relation("fuzz", names, rows)
         partitions = {}
         for attribute in names:
@@ -131,7 +147,10 @@ def check_case(label: str, names: tuple[str, ...], rows: list[tuple]) -> list[st
     reference_leg: str | None = None
     reference: dict | None = None
     for leg, overrides in conformance_legs():
-        observed = _observe_leg(names, rows, overrides, algorithms)
+        try:
+            observed = _observe_leg(names, rows, overrides, algorithms, oracle=reference is None)
+        except AssertionError as exc:
+            return [f"{label}: {exc} on leg {leg}"]
         if reference is None:
             reference_leg, reference = leg, observed
             continue
