@@ -187,6 +187,18 @@ class TestBackendSelection:
             with pytest.raises(ConfigError, match="unknown EngineConfig fields"):
                 Session().discover(Relation("r", ATTRS, []), backend=choice)
 
+    def test_env_variable_forces_python(self, monkeypatch):
+        # REPRO_PARTITION_BACKEND is retired: setting it neither changes the
+        # configuration nor the kernel a run records or the artefacts.
+        relation_rows = [(i % 3, i % 2, i % 5, None) for i in range(12)]
+        baseline = Session().discover(Relation("r", ATTRS, relation_rows))
+        monkeypatch.setenv("REPRO_PARTITION_BACKEND", "python")
+        session = Session()
+        assert session.config == Session().config
+        result = session.discover(Relation("r", ATTRS, relation_rows))
+        assert result.backend == KERNEL.name == "numpy"
+        assert result.artifact_fingerprint() == baseline.artifact_fingerprint()
+
 
 # ---------------------------------------------------------------------------
 # Relation-scoped, byte-budgeted mark-table cache.

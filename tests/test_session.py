@@ -269,6 +269,17 @@ class TestArtifactsAcrossConfigurations:
 # ---------------------------------------------------------------------------
 
 
+class TestBackendMinNumpyRows:
+    def test_env_var_provides_the_default(self, monkeypatch):
+        # REPRO_BACKEND_MIN_NUMPY_ROWS is retired: it no longer provides a
+        # default for any field, and small relations run on the one kernel.
+        monkeypatch.setenv("REPRO_BACKEND_MIN_NUMPY_ROWS", "64")
+        session = Session()
+        assert session.config == EngineConfig()
+        assert not hasattr(session.config, "backend_min_numpy_rows")
+        assert session.discover(small_relation()).backend == "numpy"
+
+
 class TestConfigPrecedence:
     def test_constructor_kwarg_beats_env_var(self, monkeypatch):
         monkeypatch.setenv(ENV_MARKS_CACHE_BYTES, "4096")
