@@ -248,7 +248,7 @@ class RelationRegistry:
                     "relation": {
                         "name": relation.name,
                         "attributes": list(relation.attribute_names),
-                        "rows": [list(row) for row in relation.rows],
+                        "rows": [list(row) for row in relation.iter_rows()],
                     },
                 }
                 try:

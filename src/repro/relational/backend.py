@@ -867,11 +867,16 @@ class MarkTableCache:
     tables are evicted once the held total exceeds ``budget_bytes`` (default
     ``REPRO_MARKS_CACHE_BYTES`` or 128 MiB ≈ sixteen 1M-row relations).  The
     most recent table is never evicted, so a single over-budget relation
-    still amortises its own probes.  Entries hold a strong reference to
-    their partition, which keeps the ``id()`` key valid.
+    still amortises its own probes.
+
+    Entries are keyed by ``id(partition)`` and hold their partition weakly:
+    a hit needs the caller to pass that very object, so a table whose
+    partition is garbage can never hit again, and it is dropped (and its
+    bytes released) the moment the partition dies.  A lock keeps the table
+    and ``held_bytes`` consistent, because a partition may die on any thread.
     """
 
-    __slots__ = ("budget_bytes", "stats", "_entries", "_held_bytes", "__weakref__")
+    __slots__ = ("budget_bytes", "stats", "_entries", "_held_bytes", "_lock", "__weakref__")
 
     def __init__(self, budget_bytes: int | None = None) -> None:
         #: Byte budget of the held mark tables (``None`` -> env / default).
@@ -879,8 +884,11 @@ class MarkTableCache:
             _default_marks_budget() if budget_bytes is None else budget_bytes
         )
         self.stats = MarkCacheStats()
-        self._entries: "OrderedDict[int, tuple[object, object, int]]" = OrderedDict()
+        self._entries: "OrderedDict[int, tuple[weakref.ref, object, int]]" = OrderedDict()
         self._held_bytes = 0
+        # Re-entrant: a collection inside ``get`` may run ``_expire`` on the
+        # same thread.
+        self._lock = threading.RLock()
 
     @staticmethod
     def _table_bytes(n_rows: int) -> int:
@@ -890,28 +898,49 @@ class MarkTableCache:
         """The mark table of ``partition`` (built on miss, LRU-refreshed on hit)."""
         counters = kernel_counters()
         key = id(partition)
-        entry = self._entries.get(key)
-        if entry is not None and entry[0] is partition:
-            self.stats.hits += 1
-            counters.mark_hits += 1
-            self._entries.move_to_end(key)
-            return entry[1]
-        self.stats.misses += 1
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0]() is partition:
+                self.stats.hits += 1
+                self._entries.move_to_end(key)
+                counters.mark_hits += 1
+                return entry[1]
+            self.stats.misses += 1
         counters.mark_misses += 1
         marks = KERNEL.build_marks(
             partition.positions, partition.offsets, partition.n_rows
         )
         table_bytes = self._table_bytes(partition.n_rows)
-        self._entries[key] = (partition, marks, table_bytes)
-        self._held_bytes += table_bytes
-        while self._held_bytes > self.budget_bytes and len(self._entries) > 1:
-            _, (_, _, evicted_bytes) = self._entries.popitem(last=False)
-            self._held_bytes -= evicted_bytes
-            self.stats.evictions += 1
-            self.stats.evicted_bytes += evicted_bytes
-            counters.mark_evictions += 1
-            counters.mark_evicted_bytes += evicted_bytes
+        cache_ref = weakref.ref(self)
+
+        def expire(ref: weakref.ref, key: int = key) -> None:
+            cache = cache_ref()
+            if cache is not None:
+                cache._expire(key, ref)
+
+        ref = weakref.ref(partition, expire)
+        with self._lock:
+            replaced = self._entries.pop(key, None)
+            if replaced is not None:
+                self._held_bytes -= replaced[2]
+            self._entries[key] = (ref, marks, table_bytes)
+            self._held_bytes += table_bytes
+            while self._held_bytes > self.budget_bytes and len(self._entries) > 1:
+                _, (_, _, evicted_bytes) = self._entries.popitem(last=False)
+                self._held_bytes -= evicted_bytes
+                self.stats.evictions += 1
+                self.stats.evicted_bytes += evicted_bytes
+                counters.mark_evictions += 1
+                counters.mark_evicted_bytes += evicted_bytes
         return marks
+
+    def _expire(self, key: int, ref: weakref.ref) -> None:
+        """Drop the entry whose partition (weakly held by ``ref``) just died."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] is ref:
+                del self._entries[key]
+                self._held_bytes -= entry[2]
 
     @property
     def held_bytes(self) -> int:

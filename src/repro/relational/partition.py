@@ -80,7 +80,14 @@ class StrippedPartition:
         the number of singleton classes and compute errors).
     """
 
-    __slots__ = ("positions", "offsets", "n_rows", "_groups_cache", "_mark_cache_ref")
+    __slots__ = (
+        "positions",
+        "offsets",
+        "n_rows",
+        "_groups_cache",
+        "_mark_cache_ref",
+        "__weakref__",
+    )
 
     def __init__(self, groups: Iterable[Sequence[int]], n_rows: int) -> None:
         positions: list[int] = []
@@ -327,10 +334,15 @@ class PartitionCache:
     Eviction never changes results — evicted partitions are recomputed on
     demand — and :attr:`stats` reports hits, misses and evictions (also
     mirrored into the process-wide kernel counters).
+
+    The cache holds its relation weakly.  A session keeps one cache per
+    relation for as long as the relation lives, so a strong reference would
+    keep every relation the session ever saw alive.  Callers keep the
+    relation referenced while they use the cache.
     """
 
     def __init__(self, relation: Relation, max_positions: int | None = None) -> None:
-        self.relation = relation
+        self._relation_ref = weakref.ref(relation)
         #: Budget on the summed ``stripped_size`` of evictable entries
         #: (``None`` = unbounded).
         self.max_positions = max_positions
@@ -338,6 +350,14 @@ class PartitionCache:
         self._pinned: dict[frozenset[str], StrippedPartition] = {}
         self._lru: "OrderedDict[frozenset[str], StrippedPartition]" = OrderedDict()
         self._held_positions = 0
+
+    @property
+    def relation(self) -> Relation:
+        """The relation whose partitions are cached."""
+        relation = self._relation_ref()
+        if relation is None:
+            raise ReferenceError("the relation of this PartitionCache was garbage collected")
+        return relation
 
     def get(self, attributes: Iterable[str]) -> StrippedPartition:
         """Return (computing and caching if needed) the partition of ``attributes``."""

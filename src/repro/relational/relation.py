@@ -18,6 +18,8 @@ A derived relation (a projection, selection, semi-join or join) never
 builds rows: it shares or gathers its parents' codes, column by column and
 only when a column is asked for.  Row tuples are decoded lazily, when
 something reads :attr:`Relation.rows`, iterates the relation or compares it.
+:meth:`Relation.columnar` copies a relation without its rows, for holders
+that keep many relations for long.
 """
 
 from __future__ import annotations
@@ -227,13 +229,21 @@ class Relation:
         """The row tuples (decoded from the columns on first access if needed)."""
         rows = self._rows
         if rows is None:
-            if self._schema.names:
-                columns = [self._decoded_column(a) for a in self._schema.names]
-                rows = tuple(zip(*columns))
-            else:
-                rows = ((),) * self._n_rows
-            self._rows = rows
+            rows = self._rows = tuple(self.iter_rows())
         return rows
+
+    def iter_rows(self) -> Iterator[tuple[Any, ...]]:
+        """Iterate over the row tuples without keeping them on the relation.
+
+        :attr:`rows` decodes a columnar relation's rows once and caches
+        them; this decodes them for one pass only, so a long-lived columnar
+        relation stays small when its rows are merely serialised.
+        """
+        if self._rows is not None:
+            return iter(self._rows)
+        if not self._schema.names:
+            return iter(((),) * self._n_rows)
+        return zip(*[self._decoded_column(a) for a in self._schema.names])
 
     @property
     def arity(self) -> int:
@@ -525,6 +535,20 @@ class Relation:
             return mapped if name == attribute else entry(name)
 
         return Relation._derived(self._name, self._schema, self._n_rows, source)
+
+    def columnar(self) -> "Relation":
+        """The same relation holding only its column encodings.
+
+        The copy shares every encoded column and the content hash, and
+        decodes rows on demand.  Rows cost one tuple per row plus a pointer
+        per value; the codes cost 8 bytes per value, so a long-lived holder
+        of many relations (the server's registry) keeps this form.
+        """
+        columns = {attribute: self._column_entry(attribute) for attribute in self._schema.names}
+        relation = Relation._derived(self._name, self._schema, self._n_rows, None)
+        relation._columns.update(columns)
+        relation._content_hash_cache = self.content_hash()
+        return relation
 
     # -- constructors ---------------------------------------------------------
     @classmethod

@@ -81,7 +81,7 @@ def relation_to_payload(relation: Relation) -> dict[str, Any]:
     return {
         "name": relation.name,
         "attributes": list(relation.attribute_names),
-        "rows": [list(row) for row in relation.rows],
+        "rows": [list(row) for row in relation.iter_rows()],
     }
 
 

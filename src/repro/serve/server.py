@@ -286,10 +286,12 @@ class Server:
 
         Accepts a :class:`~repro.relational.relation.Relation` or its inline
         wire form.  Idempotent: re-PUTting the same content returns the same
-        hash with ``"created": false``.
+        hash with ``"created": false``.  An inline relation is stored in its
+        columnar form (codes and dictionaries, no row tuples): the registry
+        keeps up to its LRU bound of them for the server's lifetime.
         """
         if not isinstance(relation, Relation):
-            relation = relation_from_payload(relation)
+            relation = relation_from_payload(relation).columnar()
         created = relation.content_hash() not in self.registry
         content_hash = self.registry.put(relation)
         return {"schema": RELATION_REF_SCHEMA, "hash": content_hash, "created": created}
@@ -412,7 +414,14 @@ class _ServeHandler(BaseHTTPRequestHandler):
             # otherwise be parsed as the next request line.  (The header also
             # flips self.close_connection inside http.server.)
             self.send_header("Connection", "close")
-        self.end_headers()
+        # One write for the whole response.  ``end_headers`` would flush the
+        # headers on their own, and on a keep-alive connection the body's
+        # second small segment then waits for the client's delayed ACK
+        # (Nagle), ~40 ms per request.  HTTP/0.9 responses carry no headers.
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+            body = b"".join(self._headers_buffer) + body
+            self._headers_buffer = []
         self.wfile.write(body)
 
     def _error(

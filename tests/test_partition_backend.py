@@ -259,6 +259,31 @@ class TestMarkTableCache:
         ]
         assert actual == expected
 
+    def test_tables_die_with_their_partitions(self):
+        """An entry whose partition is garbage can never hit again; it goes
+        (bytes included) with the partition, not at the byte budget."""
+        import gc
+
+        relation = self.relation()
+        table_bytes = 8 * len(relation)
+        cache = MarkTableCache()
+        live = [StrippedPartition.from_column(relation, a) for a in ("a", "b")]
+        dead = [StrippedPartition.from_column(relation, a) for a in ("a", "b", "c")]
+        for partition in live + dead:
+            assert cache.get(partition) is cache.get(partition)
+        assert (cache.stats.hits, cache.stats.misses) == (5, 5)
+        assert len(cache) == 5 and cache.held_bytes == 5 * table_bytes
+        del dead, partition
+        gc.collect()
+        assert len(cache) == 2 and cache.held_bytes == 2 * table_bytes
+        for partition in live:
+            cache.get(partition)
+        assert (cache.stats.hits, cache.stats.misses) == (7, 5)
+        assert cache.stats.evictions == 0
+        del live, partition
+        gc.collect()
+        assert len(cache) == 0 and cache.held_bytes == 0
+
     def test_budget_defaults_to_env_override(self, monkeypatch):
         monkeypatch.setenv(backend_module.MARKS_BUDGET_ENV_VAR, "12345")
         assert MarkTableCache().budget_bytes == 12345

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import statistics
 import subprocess
 import sys
 import threading
@@ -39,6 +40,7 @@ from repro.serve import (
     relation_from_payload,
     relation_to_payload,
 )
+from repro.serve.server import _ServeHandler
 from repro.session import Session
 
 pytestmark = pytest.mark.slow
@@ -636,6 +638,50 @@ class TestHttpFrontend:
         assert "unknown EngineConfig fields" in body["error"] and field in body["error"]
         del payload["overrides"]
         assert _http(host, port, "POST", "/jobs", payload)[0] == 202  # serving continues
+
+    def test_each_response_is_one_write_on_a_keep_alive_connection(self, frontend, monkeypatch):
+        """Headers and body leave the server in one write.  A separate body
+        write waits for the client's delayed ACK (Nagle, ~40 ms) on a
+        keep-alive connection, so every request would pay that wait."""
+        writes: list[int] = []
+        connections: list[int] = []
+        setup = _ServeHandler.setup
+
+        class CountingWriter:
+            def __init__(self, wfile):
+                self._wfile = wfile
+
+            def write(self, data):
+                writes.append(len(data))
+                return self._wfile.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._wfile, name)
+
+        def counting_setup(handler):
+            setup(handler)
+            connections.append(1)
+            handler.wfile = CountingWriter(handler.wfile)
+
+        monkeypatch.setattr(_ServeHandler, "setup", counting_setup)
+        host, port = frontend.address
+        conn = http.client.HTTPConnection(host, port, timeout=WAIT)
+        round_trips = []
+        try:
+            for count in range(1, 21):
+                started = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                round_trips.append(time.perf_counter() - started)
+                assert response.status == 200 and body["status"] == "ok"
+                assert not response.will_close
+                assert len(writes) == count
+        finally:
+            conn.close()
+        assert len(connections) == 1
+        # Loose: ~1 ms with one write, ~44 ms with the delayed-ACK stall.
+        assert statistics.median(round_trips) < 0.020
 
     def test_unread_body_error_closes_the_connection(self, frontend):
         """Early-exit POST errors must not corrupt HTTP/1.1 keep-alive: the

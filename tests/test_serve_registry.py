@@ -275,6 +275,25 @@ class TestHttpRegistrySurface:
         status, body = _http(host, port, "GET", f"/relations/{'0' * 64}")
         assert status == 404
 
+    def test_put_keeps_only_the_columnar_form(self, frontend, tmp_path):
+        """An inline PUT is held as codes and dictionaries: no row tuples,
+        the same content hash, and the same bytes on GET and on disk."""
+        host, port = frontend.address
+        rows = [(1, None, "x"), (2, "y", 2.5), (1, None, "x"), (None, "y", 3)]
+        relation = Relation("mixed", ("a", "b", "c"), rows)
+        payload = relation_to_payload(relation)
+        status, ack = _http(host, port, "PUT", "/relations", payload)
+        assert status == 200 and ack["hash"] == relation.content_hash()
+        stored = frontend.app.registry.get(ack["hash"])
+        assert stored._rows is None
+        assert stored.content_hash() == relation.content_hash()
+        status, entry = _http(host, port, "GET", f"/relations/{ack['hash']}")
+        assert status == 200 and entry["relation"] == payload
+        on_disk = json.loads((tmp_path / "objects" / f"{ack['hash']}.json").read_text())
+        assert on_disk["relation"] == payload
+        # Neither the disk write nor the GET left decoded rows behind.
+        assert stored._rows is None
+
     def test_put_rejects_malformed_relations(self, frontend):
         host, port = frontend.address
         status, body = _http(host, port, "PUT", "/relations", {"name": "", "attributes": []})

@@ -486,6 +486,24 @@ class TestSessionIsolation:
         assert lhs.intersect(rhs).error == product.error
         assert isinstance(lhs.refines(rhs), bool)
 
+    def test_validated_relations_do_not_outlive_their_callers(self):
+        """A long-lived session keeps no relation alive: its per-relation
+        caches, the partition cache included, die with the relation."""
+        import gc
+        import weakref
+
+        session = Session()
+        refs = []
+        for salt in range(50):
+            rows = [(i % 5, (i + salt) % 7, i % 3) for i in range(40)]
+            relation = Relation(f"t{salt}", ("a", "b", "c"), rows)
+            session.validate(relation, ["a -> b", "b,c -> a"])
+            refs.append(weakref.ref(relation))
+        del relation
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert session._state._relation_caches == {}
+
 
 # ---------------------------------------------------------------------------
 # CLI: --kernel-stats scoped per invocation (double-counting fix).
