@@ -32,13 +32,6 @@ A registry-backed leg rides along: one shared relation submitted
 ``relation_ref`` thereafter, recording wall seconds and submitted payload
 bytes for both modes (the ``registry`` key of the merged run).
 
-An shm-vs-pickled leg (the ``shm`` key) compares the process executor's
-shared-memory data plane against the per-job pickled/JSON wire path on the
-same hot-relation mix: published-once ``/dev/shm`` segments attached
-zero-copy by each worker versus rows re-shipped and re-decoded per job.
-On a 1-core host the win shows up as per-job payload bytes and decode
-overhead, not parallel throughput.
-
 Scale comes from ``REPRO_BENCH_SCALE`` (``tiny``/``small``/``medium``/
 ``large`` or an explicit row count).
 """
@@ -243,98 +236,6 @@ def bench_registry(executor: str, workers: int, n_rows: int, jobs: int) -> dict:
     }
 
 
-def bench_shm(workers: int, n_rows: int, jobs: int) -> dict | None:
-    """The shm-vs-pickled leg: a hot relation served to process workers.
-
-    ``pickled`` ships the relation's rows to the workers as per-job JSON
-    through the pipe (the in-memory-registry path — what every job paid
-    before the shared-memory data plane); ``shm`` publishes the relation
-    once as a ``/dev/shm`` segment and ships only attach metadata, workers
-    reconstructing zero-copy views.  Records wall seconds plus the per-job
-    payload actually travelling to a worker, and the plane's own counters
-    (``shm_jobs == jobs`` is the proof the leg really attached).  Returns
-    ``None`` on hosts without the plane.
-    """
-    from repro.shm import plane_available
-
-    if not plane_available():
-        return None
-    relation = build_relation("shared", n_rows, seed=1234)
-    mix = [JOB_MIX[index % len(JOB_MIX)] for index in range(jobs)]
-    inline_form = {
-        "name": relation.name,
-        "attributes": list(relation.attribute_names),
-        "rows": [list(row) for row in relation.rows],
-    }
-    timings: dict[str, dict] = {}
-    for mode in ("pickled", "shm"):
-        with tempfile.TemporaryDirectory(prefix="repro-bench-shm-") as root:
-            server_kwargs = (
-                # In-memory registry: refs resolve to inline rows per job.
-                {"shm_bytes": 0}
-                if mode == "pickled"
-                else {"registry": root}
-            )
-            with Server(
-                workers=workers,
-                max_queue=jobs,
-                max_inflight_per_tenant=workers,
-                executor="process",
-                warmup=True,
-                **server_kwargs,
-            ) as server:
-                content_hash = server.put_relation(relation)["hash"]
-                payload_bytes = 0
-                started = time.perf_counter()
-                tickets = []
-                for kind, params in mix:
-                    request = {
-                        "schema": "repro/job-request-v1",
-                        "tenant": "bench",
-                        "kind": kind,
-                        "relation_ref": content_hash,
-                        "params": dict(params),
-                        "overrides": {},
-                    }
-                    # What actually travels to a worker per job: the inline
-                    # rows (pickled leg resolves the ref into the payload)
-                    # versus the untouched ref payload (shm leg).
-                    wire = dict(request)
-                    if mode == "pickled":
-                        wire.pop("relation_ref")
-                        wire["relation"] = inline_form
-                    payload_bytes += len(json.dumps(wire).encode("utf-8"))
-                    tickets.append(server.submit(request))
-                jobs_list = [server.queue.get(ticket.job_id) for ticket in tickets]
-                for job in jobs_list:
-                    if not job.wait(600):
-                        raise SystemExit(f"shm bench job {job.job_id} did not finish")
-                    if job.status != "done":
-                        raise SystemExit(f"shm bench job failed: {job.error}")
-                elapsed = time.perf_counter() - started
-                executor_stats = server.executor.stats()
-        timings[mode] = {
-            "wall_seconds": round(elapsed, 6),
-            "payload_bytes": payload_bytes,
-            "payload_bytes_per_job": payload_bytes // jobs,
-            "throughput_jobs_per_s": round(jobs / elapsed, 3),
-            "shm_jobs": executor_stats["shm_jobs"],
-            "wire_jobs": executor_stats["wire_jobs"],
-        }
-    pickled, shm = timings["pickled"], timings["shm"]
-    return {
-        "workers": workers,
-        "jobs": jobs,
-        "n_rows": n_rows,
-        "pickled": pickled,
-        "shm": shm,
-        "payload_bytes_saved_per_job": (
-            pickled["payload_bytes_per_job"] - shm["payload_bytes_per_job"]
-        ),
-        "speedup_vs_pickled": round(pickled["wall_seconds"] / shm["wall_seconds"], 3),
-    }
-
-
 def bench_bare_baseline(requests_by_tenant: dict[str, list[JobRequest]]) -> float:
     """Sequential bare-session execution of the same mix (no serving layer)."""
     from repro.serve import execute_request
@@ -392,11 +293,6 @@ def main(argv: list[str] | None = None) -> None:
         bench_registry(executor, registry_workers, n_rows, jobs=args.jobs_per_tenant)
         for executor in args.executors
     ]
-    shm_leg = (
-        bench_shm(registry_workers, n_rows, jobs=args.jobs_per_tenant)
-        if "process" in args.executors
-        else None
-    )
     headlines = {
         executor: max(
             entry["throughput_jobs_per_s"]
@@ -420,7 +316,6 @@ def main(argv: list[str] | None = None) -> None:
         },
         "sweep": sweeps,
         "registry": registry_legs,
-        "shm": shm_leg,
         "headline_by_executor": headlines,
         "headline_throughput_jobs_per_s": max(headlines.values()),
     }
@@ -460,17 +355,6 @@ def main(argv: list[str] | None = None) -> None:
             f"by-ref={leg['relation_ref']['wall_seconds']:.3f} s "
             f"(x{leg['speedup_vs_inline']:.2f})  "
             f"payload saved={saved:,} B ({100.0 * saved / inline_bytes:.1f}%)"
-        )
-    if shm_leg is not None:
-        saved = shm_leg["payload_bytes_saved_per_job"]
-        pickled_bytes = shm_leg["pickled"]["payload_bytes_per_job"]
-        print(
-            f"  shm      executor=process  workers={shm_leg['workers']:<3} "
-            f"pickled={shm_leg['pickled']['wall_seconds']:.3f} s  "
-            f"shm={shm_leg['shm']['wall_seconds']:.3f} s "
-            f"(x{shm_leg['speedup_vs_pickled']:.2f})  "
-            f"payload/job saved={saved:,} B ({100.0 * saved / pickled_bytes:.1f}%)  "
-            f"shm_jobs={shm_leg['shm']['shm_jobs']}"
         )
     print(f"  -> merged into {output} under label {args.label!r}")
 

@@ -234,10 +234,6 @@ ENV_SERVE_PROCESSES = "REPRO_SERVE_PROCESSES"
 #: never recycle).
 ENV_SERVE_MAX_JOBS_PER_WORKER = "REPRO_SERVE_MAX_JOBS_PER_WORKER"
 
-#: Environment variable budgeting the shared-memory data plane in bytes
-#: (``0`` disables it; jobs then always travel the pickled wire path).
-ENV_SHM_BYTES = "REPRO_SHM_BYTES"
-
 #: Default serving worker count (threads or worker processes).
 DEFAULT_SERVE_WORKERS = 4
 
@@ -253,10 +249,6 @@ DEFAULT_SERVE_RESTART_WINDOW = 30.0
 
 #: Default graceful-drain deadline, in seconds.
 DEFAULT_SERVE_DRAIN_DEADLINE = 10.0
-
-#: Default shared-memory plane budget: sixteen ~1M-row, 8-column relations of
-#: 8-byte codes.  ``0`` disables the plane.
-DEFAULT_SHM_BYTES = 256 * 1024 * 1024
 
 _EXECUTOR_CHOICES = ("thread", "process")
 
@@ -319,13 +311,6 @@ class ServeConfig:
         Recycle each worker process after this many completed jobs (bounds
         per-worker memory growth; the replacement spawn is *not* counted
         against the supervision restart budget).  ``0`` never recycles.
-    shm_bytes:
-        Byte budget of the shared-memory data plane
-        (:class:`repro.shm.SharedRelationPlane`): registry-resident
-        relations are published once as ``/dev/shm`` segments and attached
-        zero-copy by worker processes instead of being re-pickled per job.
-        ``0`` disables the plane (jobs travel the wire path, artefacts are
-        byte-identical either way).
     """
 
     executor: str = "thread"
@@ -341,7 +326,6 @@ class ServeConfig:
     registry_dir: str | None = None
     processes: int = 0
     max_jobs_per_worker: int = 0
-    shm_bytes: int = DEFAULT_SHM_BYTES
 
     def __post_init__(self) -> None:
         if self.executor not in _EXECUTOR_CHOICES:
@@ -366,7 +350,7 @@ class ServeConfig:
             raise ConfigError(f"restart_window must be positive, got {self.restart_window}")
         if self.drain_deadline <= 0:
             raise ConfigError(f"drain_deadline must be positive, got {self.drain_deadline}")
-        for name in ("processes", "max_jobs_per_worker", "shm_bytes"):
+        for name in ("processes", "max_jobs_per_worker"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
 
@@ -405,7 +389,6 @@ class ServeConfig:
             registry_dir=(env.get(ENV_REGISTRY_DIR) or "").strip() or None,
             processes=_env_int(env, ENV_SERVE_PROCESSES, 0),
             max_jobs_per_worker=_env_int(env, ENV_SERVE_MAX_JOBS_PER_WORKER, 0),
-            shm_bytes=_env_int(env, ENV_SHM_BYTES, DEFAULT_SHM_BYTES),
         )
 
     @classmethod
@@ -446,7 +429,6 @@ class ServeConfig:
             "registry_dir": lambda: (env.get(ENV_REGISTRY_DIR) or "").strip() or None,
             "processes": lambda: _env_int(env, ENV_SERVE_PROCESSES, 0),
             "max_jobs_per_worker": lambda: _env_int(env, ENV_SERVE_MAX_JOBS_PER_WORKER, 0),
-            "shm_bytes": lambda: _env_int(env, ENV_SHM_BYTES, DEFAULT_SHM_BYTES),
         }
         unknown = set(names) - set(parsers)
         if unknown:

@@ -4,8 +4,10 @@ The data-plane counterpart of the serving layer's fault tolerance: relations
 are addressed by a canonical columnar content hash
 (:func:`relation_content_hash`, exposed as
 :meth:`~repro.relational.relation.Relation.content_hash`), stored in a
-crash-safe :class:`RelationRegistry` (atomic writes, read-time integrity
-verification with quarantine, a startup recovery scan), and every
+crash-safe :class:`RelationRegistry` as columnar objects
+(:mod:`repro.registry.objects`: dictionaries plus int64 code blocks — the
+one stored form of a relation) with atomic writes, read-time integrity
+verification with quarantine and a startup recovery scan, and every
 :class:`~repro.session.RunResult` is stamped with a provenance block that
 :func:`verify_provenance` can re-check end-to-end::
 
@@ -20,9 +22,9 @@ verification with quarantine, a startup recovery scan), and every
 
 Over the wire, ``PUT /relations`` stores a relation once and ``job-request-v1``
 payloads may then reference it via the additive ``relation_ref`` field (see
-``docs/PROTOCOL.md``); the serving layer resolves references through one
-shared registry, so kernel caches stay warm across jobs, tenants and the
-process-executor boundary.
+``docs/PROTOCOL.md``); the server resolves references through its registry
+and each process worker through its own reader of the same directory, so
+kernel caches stay warm across jobs and tenants.
 """
 
 from .hashing import (

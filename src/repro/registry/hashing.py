@@ -63,7 +63,8 @@ def _canonical_json_bytes(value: Any) -> bytes:
     return _ENCODER.encode(value).encode("utf-8")
 
 
-def _code_bytes(codes: array) -> bytes:
+def code_bytes(codes: Any) -> bytes:
+    """A column's code stream as little-endian int64 bytes (what is hashed and stored)."""
     if sys.byteorder == "big":  # pragma: no cover - no big-endian CI host
         swapped = array("q", codes)
         swapped.byteswap()
@@ -71,42 +72,59 @@ def _code_bytes(codes: array) -> bytes:
     return codes.tobytes()
 
 
-def column_digest(relation: "Relation", attribute: str) -> bytes:
-    """The sha256 leaf of one column: header + code stream + dictionary."""
-    codes, n_codes = relation.column_codes(attribute)
+def column_leaf(attribute: str, n_codes: int, codes: bytes, dictionary: "list[Any]") -> bytes:
+    """The sha256 leaf of one column: header + little-endian code bytes + dictionary."""
     digest = hashlib.sha256()
     digest.update(
         _canonical_json_bytes(
             {"attribute": attribute, "n_codes": n_codes, "version": _HASH_VERSION}
         )
     )
-    digest.update(_code_bytes(codes))
-    for value in relation.column_dictionary(attribute):
+    digest.update(codes)
+    for value in dictionary:
         encoded = _canonical_json_bytes(value)
         digest.update(len(encoded).to_bytes(8, "little"))
         digest.update(encoded)
     return digest.digest()
 
 
-def relation_content_hash(relation: "Relation") -> str:
-    """The content address of ``relation`` (64-char sha256 hexdigest).
-
-    Prefer :meth:`Relation.content_hash`, which memoises this per instance.
-    """
+def fold_relation_hash(
+    name: str, attributes: "list[str]", n_rows: int, leaves: "list[bytes]"
+) -> str:
+    """The relation hash: sha256 of the relation header, then the column leaves."""
     digest = hashlib.sha256()
     digest.update(
         _canonical_json_bytes(
             {
-                "attributes": list(relation.attribute_names),
-                "n_rows": len(relation),
-                "name": relation.name,
+                "attributes": list(attributes),
+                "n_rows": n_rows,
+                "name": name,
                 "version": _HASH_VERSION,
             }
         )
     )
-    for attribute in relation.attribute_names:
-        digest.update(column_digest(relation, attribute))
+    for leaf in leaves:
+        digest.update(leaf)
     return digest.hexdigest()
+
+
+def column_digest(relation: "Relation", attribute: str) -> bytes:
+    """The sha256 leaf of one column of ``relation``."""
+    codes, n_codes = relation.column_codes(attribute)
+    dictionary = relation.column_dictionary(attribute)
+    return column_leaf(attribute, n_codes, code_bytes(codes), dictionary)
+
+
+def relation_content_hash(relation: "Relation") -> str:
+    """The content address of ``relation`` (64-char sha256 hexdigest).
+
+    Prefer :meth:`Relation.content_hash`, which memoises this per instance.
+    The registry's object reader folds the same leaves straight from the
+    stored bytes (:func:`column_leaf`, :func:`fold_relation_hash`).
+    """
+    names = relation.attribute_names
+    leaves = [column_digest(relation, attribute) for attribute in names]
+    return fold_relation_hash(relation.name, list(names), len(relation), leaves)
 
 
 def catalog_content_hash(catalog: Mapping[str, "Relation"]) -> str:

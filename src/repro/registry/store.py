@@ -7,19 +7,25 @@ one class:
 * **in-memory** (``root=None``) — a bounded LRU of materialised relations;
   what a registry-less server uses so ``relation_ref`` submissions still
   work within one process.
-* **on-disk** (``root=<dir>``) — one JSON entry per relation under
-  ``<root>/objects/<hash>.json``.  Writes are atomic (tmp file + fsync +
-  rename into the hash-named path), so a concurrent duplicate ``PUT`` ends
-  with one intact file and a crash mid-write leaves only a tmp leftover.
-  Every disk read re-verifies the entry by recomputing its content hash;
-  corrupt or truncated entries are moved to ``<root>/quarantine/`` and
-  surface as a typed :class:`IntegrityError` — an *infra*-class failure in
-  the serving layer's classification — never as silently wrong bytes.
+* **on-disk** (``root=<dir>``) — one columnar object per relation under
+  ``<root>/objects/<hash>.rel`` (the layout of :mod:`repro.registry.objects`:
+  a JSON header with the dictionaries, then little-endian int64 code
+  blocks).  Writes are atomic (tmp file + fsync + rename into the
+  hash-named path), so a concurrent duplicate ``PUT`` ends with one intact
+  file and a crash mid-write leaves only a tmp leftover.  Every disk read
+  re-verifies the object by re-hashing its stored content before any column
+  is built; corrupt or truncated objects are moved to ``<root>/quarantine/``
+  and surface as a typed :class:`IntegrityError` — an *infra*-class failure
+  in the serving layer's classification — never as silently wrong bytes.
 
 A **recovery scan** runs at construction of a disk-backed registry: tmp
-leftovers from a ``kill -9`` mid-``PUT`` are removed (and reported via
-``stats()["recovery"]``), foreign files in ``objects/`` are quarantined,
-and the surviving hash-named entries form the index.
+leftovers from a ``kill -9`` mid-``PUT`` are removed, entries of the older
+``repro/relation-v1`` JSON-row layout are verified and converted to
+objects, foreign files in ``objects/`` are quarantined, and the surviving
+objects form the index (reported via ``stats()["recovery"]``).  Only the
+process that owns the directory may run it: a reader opened with
+``recover=False`` (a serving worker process) must not delete the tmp file
+of a write in flight.
 
 The disk backend keeps the in-memory LRU in front of it, and a cache hit
 returns the *same* :class:`Relation` object every time — which is what lets
@@ -50,9 +56,14 @@ from typing import Any, Callable, Optional
 
 from ..relational.relation import Relation, RelationError
 from .hashing import is_relation_hash
+from .objects import OBJECT_SUFFIX, ObjectFormatError, decode_object, encode_object
 
-#: Schema tag of one on-disk registry entry.
+#: Schema tag of a relation's JSON-row form: the ``GET /relations/<hash>``
+#: body, and the on-disk entry layout that recovery converts to objects.
 RELATION_ENTRY_SCHEMA = "repro/relation-v1"
+
+#: File suffix of a ``repro/relation-v1`` JSON-row entry (converted by recovery).
+_LEGACY_SUFFIX = ".json"
 
 #: Fault-injection site names (must match ``repro.serve.faults.SITE_REGISTRY_*``;
 #: duplicated so the registry never imports the serving package).
@@ -106,25 +117,25 @@ def _fsync_directory(path: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_text(
+def atomic_write_bytes(
     path: "str | os.PathLike[str]",
-    text: str,
+    data: bytes,
     before_replace: Callable[[], None] | None = None,
 ) -> Path:
-    """Write ``text`` to ``path`` atomically: tmp file + fsync + rename.
+    """Write ``data`` to ``path`` atomically: tmp file + fsync + rename.
 
     A crash at any point leaves either the old content or the new content at
     ``path`` — never a truncated mix; at worst a ``.tmp`` leftover remains
     next to it (the registry's recovery scan removes those).
     ``before_replace`` runs after the data is durable but before the rename
     — the hook the registry uses to expose the torn-write window to fault
-    injection.  Shared by :meth:`repro.session.RunResult.save`.
+    injection.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(tmp, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         hook = _TEST_BEFORE_REPLACE
@@ -141,6 +152,18 @@ def atomic_write_text(
         raise
     _fsync_directory(path.parent)
     return path
+
+
+def atomic_write_text(
+    path: "str | os.PathLike[str]",
+    text: str,
+    before_replace: Callable[[], None] | None = None,
+) -> Path:
+    """:func:`atomic_write_bytes` of ``text`` as UTF-8.
+
+    Shared by :meth:`repro.session.RunResult.save`.
+    """
+    return atomic_write_bytes(path, text.encode("utf-8"), before_replace)
 
 
 class RelationRegistry:
@@ -167,6 +190,11 @@ class RelationRegistry:
         grows the directory without bound.  Oldest files are pruned first,
         at construction (stale quarantine from previous runs) and after
         every new quarantine; ``0`` disables pruning.
+    recover:
+        Run the startup maintenance of a disk-backed registry: the
+        :meth:`recover` scan and the quarantine pruning.  ``False`` opens
+        the directory as a reader beside its owner (the server's worker
+        processes), which must not touch writes in flight.
     """
 
     def __init__(
@@ -175,6 +203,7 @@ class RelationRegistry:
         faults: Any = None,
         max_cached_relations: int = 256,
         max_quarantine_bytes: int = 64 * 1024 * 1024,
+        recover: bool = True,
     ) -> None:
         if max_cached_relations < 1:
             raise ValueError(
@@ -204,8 +233,9 @@ class RelationRegistry:
         if self.root is not None:
             self._objects_dir.mkdir(parents=True, exist_ok=True)
             self._quarantine_dir.mkdir(parents=True, exist_ok=True)
-            self.last_recovery = self.recover()
-            self._prune_quarantine()
+            if recover:
+                self.last_recovery = self.recover()
+                self._prune_quarantine()
 
     # -- layout ----------------------------------------------------------------
     @property
@@ -222,7 +252,7 @@ class RelationRegistry:
         return self.root / "quarantine"
 
     def _object_path(self, content_hash: str) -> Path:
-        return self._objects_dir / f"{content_hash}.json"
+        return self._objects_dir / f"{content_hash}{OBJECT_SUFFIX}"
 
     # -- the store verbs -------------------------------------------------------
     def put(self, relation: Relation) -> str:
@@ -231,7 +261,8 @@ class RelationRegistry:
         Disk writes are atomic and skipped when the hash-named entry already
         exists (reads verify, so trusting an existing file is safe); two
         concurrent ``put``\\ s of the same relation both succeed and leave
-        exactly one intact file.  Persisting requires JSON-native values.
+        exactly one intact file.  Persisting requires JSON-native scalar
+        values: anything else raises :class:`ValueError` and writes nothing.
         """
         content_hash = relation.content_hash()
         with self._lock:
@@ -242,23 +273,7 @@ class RelationRegistry:
                 with self._lock:
                     self._counters["write_skips"] += 1
             else:
-                entry = {
-                    "schema": RELATION_ENTRY_SCHEMA,
-                    "hash": content_hash,
-                    "relation": {
-                        "name": relation.name,
-                        "attributes": list(relation.attribute_names),
-                        "rows": [list(row) for row in relation.iter_rows()],
-                    },
-                }
-                try:
-                    text = json.dumps(entry, sort_keys=True, ensure_ascii=False, allow_nan=False)
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(
-                        f"relation {relation.name!r} holds values that are not "
-                        f"JSON-native and cannot be persisted: {exc}"
-                    ) from exc
-                atomic_write_text(path, text, before_replace=self._fire_write)
+                atomic_write_bytes(path, encode_object(relation), before_replace=self._fire_write)
                 with self._lock:
                     self._counters["writes"] += 1
         self._remember(content_hash, relation)
@@ -302,8 +317,8 @@ class RelationRegistry:
         with self._lock:
             known = set(self._cache)
         if self.persistent:
-            for path in self._objects_dir.glob("*.json"):
-                stem = path.name[: -len(".json")]
+            for path in self._objects_dir.glob(f"*{OBJECT_SUFFIX}"):
+                stem = path.name[: -len(OBJECT_SUFFIX)]
                 if is_relation_hash(stem):
                     known.add(stem)
         return sorted(known)
@@ -334,18 +349,9 @@ class RelationRegistry:
     def _read_verified(self, content_hash: str) -> Relation:
         path = self._object_path(content_hash)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except FileNotFoundError:
             raise KeyError(content_hash) from None
-        except UnicodeDecodeError as exc:
-            quarantined = self._quarantine(path)
-            raise IntegrityError(
-                f"registry entry {content_hash} is corrupt (not UTF-8: {exc}); "
-                f"moved to quarantine",
-                content_hash=content_hash,
-                path=str(path),
-                quarantined=quarantined,
-            ) from exc
         except OSError as exc:
             raise IntegrityError(
                 f"registry entry {content_hash} is unreadable: {exc}",
@@ -355,38 +361,50 @@ class RelationRegistry:
         with self._lock:
             self._counters["disk_reads"] += 1
         try:
-            entry = json.loads(text)
-            if not isinstance(entry, dict):
-                raise ValueError("entry is not a JSON object")
-            if entry.get("schema") != RELATION_ENTRY_SCHEMA:
-                raise ValueError(f"unexpected entry schema {entry.get('schema')!r}")
+            return decode_object(data, content_hash)
+        except ObjectFormatError as exc:
+            raise self._corrupt(path, content_hash, exc) from exc
+
+    def _corrupt(self, path: Path, content_hash: str, cause: Exception) -> IntegrityError:
+        """Quarantine the entry at ``path`` and describe why."""
+        quarantined = self._quarantine(path)
+        return IntegrityError(
+            f"registry entry {content_hash} failed verification ({cause}); moved to quarantine",
+            content_hash=content_hash,
+            path=str(path),
+            quarantined=quarantined,
+        )
+
+    def _convert_legacy(self, path: Path, content_hash: str) -> bool:
+        """Rewrite a ``repro/relation-v1`` JSON-row entry as an object.
+
+        The entry is verified first (it must hash to its address); one that
+        does not is quarantined and ``False`` returned.  The object is
+        written atomically before the JSON file goes, so a crash in between
+        leaves both, and the next scan finishes the job.
+        """
+        try:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(entry, dict) or entry.get("schema") != RELATION_ENTRY_SCHEMA:
+                raise ValueError("not a repro/relation-v1 entry")
             if entry.get("hash") != content_hash:
                 raise ValueError("embedded hash does not match the entry's address")
             payload = entry["relation"]
             relation = Relation(payload["name"], tuple(payload["attributes"]), payload["rows"])
+            actual = relation.content_hash()
+            if actual != content_hash:
+                raise ValueError(f"stored rows hash to {actual}")
+            data = encode_object(relation)
         except (ValueError, KeyError, TypeError, RelationError) as exc:
-            # json.JSONDecodeError is a ValueError: truncated and bit-flipped
-            # entries land here unless the flip kept the JSON well-formed —
-            # then the hash check below catches it.
-            quarantined = self._quarantine(path)
-            raise IntegrityError(
-                f"registry entry {content_hash} is corrupt ({exc}); "
-                f"moved to quarantine",
-                content_hash=content_hash,
-                path=str(path),
-                quarantined=quarantined,
-            ) from exc
-        actual = relation.content_hash()
-        if actual != content_hash:
-            quarantined = self._quarantine(path)
-            raise IntegrityError(
-                f"registry entry {content_hash} failed verification "
-                f"(stored bytes hash to {actual}); moved to quarantine",
-                content_hash=content_hash,
-                path=str(path),
-                quarantined=quarantined,
-            )
-        return relation
+            # UnicodeDecodeError and JSONDecodeError are ValueErrors; a
+            # TypeError is an unhashable value in the stored rows.
+            self._corrupt(path, content_hash, exc)
+            return False
+        target = self._object_path(content_hash)
+        if not target.exists():
+            atomic_write_bytes(target, data)
+        path.unlink()
+        return True
 
     def _quarantine(self, path: Path) -> str | None:
         target = self._quarantine_dir / f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}"
@@ -449,28 +467,34 @@ class RelationRegistry:
         """Scan ``objects/`` and rebuild a consistent state after a crash.
 
         Removes tmp leftovers (partial writes killed before their rename),
-        quarantines files that are neither entries nor tmp files, and counts
-        the surviving hash-named entries.  Runs automatically when a
-        disk-backed registry is constructed; the report is kept on
+        converts ``repro/relation-v1`` JSON-row entries to objects (or
+        quarantines them when they fail verification), quarantines files
+        that are neither, and counts the objects.  Runs when a disk-backed
+        registry is constructed with ``recover=True``; the report is kept on
         ``last_recovery`` and surfaced through :meth:`stats`.
         """
-        report = {"entries": 0, "partial_writes_removed": 0, "foreign_files_quarantined": 0}
+        report = {
+            "entries": 0,
+            "converted": 0,
+            "partial_writes_removed": 0,
+            "foreign_files_quarantined": 0,
+        }
         for path in sorted(self._objects_dir.iterdir()):
-            name = path.name
-            if name.endswith(".tmp"):
+            stem, suffix = os.path.splitext(path.name)
+            hash_named = is_relation_hash(stem) and path.is_file()
+            if suffix == ".tmp":
                 try:
                     path.unlink()
                 except OSError:  # pragma: no cover - raced by a writer
                     continue
                 report["partial_writes_removed"] += 1
-            elif (
-                name.endswith(".json")
-                and is_relation_hash(name[: -len(".json")])
-                and path.is_file()
-            ):
-                report["entries"] += 1
-            elif self._quarantine(path) is not None:
-                report["foreign_files_quarantined"] += 1
+            elif hash_named and suffix == _LEGACY_SUFFIX:
+                if self._convert_legacy(path, stem):
+                    report["converted"] += 1
+            elif not (hash_named and suffix == OBJECT_SUFFIX):
+                if self._quarantine(path) is not None:
+                    report["foreign_files_quarantined"] += 1
+        report["entries"] = sum(1 for _ in self._objects_dir.glob(f"*{OBJECT_SUFFIX}"))
         return report
 
     def stats(self) -> dict[str, Any]:

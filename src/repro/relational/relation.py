@@ -351,8 +351,8 @@ class Relation:
         The decode table of :meth:`column_codes`: ``dictionary[code]`` is the
         raw value that ``code`` stands for, so ``(codes, dictionary)`` round-
         trips the column exactly (``NULL`` included).  Together with
-        :meth:`from_codes` this is the export/import surface the
-        shared-memory data plane ships relations through.
+        :meth:`column_codes` this is what the registry stores as a
+        relation object (:mod:`repro.registry.objects`).
         """
         return list(self._column_entry(attribute)[3])
 

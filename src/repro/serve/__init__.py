@@ -32,7 +32,10 @@ engine behind a concurrent front door:
   ``DELETE /jobs/<id>``, ``PUT /relations``, ``GET /relations/<hash>``,
   ``GET /healthz``, ``GET /stats``).  Jobs may reference a stored relation
   by content hash (``relation_ref``) instead of shipping rows inline —
-  byte-identical results, a fraction of the payload.
+  byte-identical results, a fraction of the payload.  With a persistent
+  registry a by-reference job carries only the hash: each process worker
+  reads the relation object from the registry directory, verifies its
+  content hash and keeps it in a small LRU.
 * :mod:`~repro.serve.faults` — deterministic fault injection
   (:class:`~repro.serve.faults.FaultPlan`): seeded worker kills, delays,
   pipe drops and transient errors at named sites, the substrate of the

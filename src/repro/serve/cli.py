@@ -113,15 +113,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         f"(default: {defaults.max_jobs_per_worker})",
     )
     parser.add_argument(
-        "--shm-bytes",
-        type=int,
-        default=defaults.shm_bytes,
-        help="byte budget of the zero-copy shared-memory data plane "
-        "(process executor; registry-resident relations attach in "
-        "workers instead of travelling as per-job JSON); 0 disables "
-        f"(default: {defaults.shm_bytes})",
-    )
-    parser.add_argument(
         "--max-queue",
         type=int,
         default=64,
@@ -245,7 +236,6 @@ def main_serve(argv: Sequence[str] | None = None) -> int:
         registry=args.registry_dir,
         processes=args.processes,
         max_jobs_per_worker=args.max_jobs_per_worker,
-        shm_bytes=args.shm_bytes,
     )
     frontend = HttpFrontend(server, host=args.host, port=args.port, verbose=args.verbose)
     host, port = frontend.address

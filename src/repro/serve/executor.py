@@ -25,15 +25,16 @@ Crash recovery: a worker process that dies mid-job (OOM-kill, segfault,
 pipe, marks the job ``failed`` with a diagnostic naming the dead pid and
 exit code, and the executor spawns a fresh worker process for the next job.
 
-The wire across the pipe is deliberately thin: ``("job", payload_bytes,
-shm_meta)`` in — the payload JSON is encoded **once per submission** by
-:class:`PreparedTask` and reused across retries, and ``shm_meta`` (when the
-shared-memory plane holds the job's relation) names the segment to attach
-zero-copy instead of re-parsing rows — and ``("result", json_text,
-shm_status)`` out (``("error", message)`` for job-level failures).  Plain
-zero-argument picklables are also accepted (``("call", fn)``), which keeps
-:class:`ProcessExecutor` drivable by the queue's generic tests without
-going through the session machinery.
+The wire across the pipe is deliberately thin: ``("job", payload_bytes)``
+in — the payload JSON is encoded **once per submission** by
+:class:`PreparedTask` and reused across retries — and ``("result",
+json_text)`` out (``("error", message)`` for job-level failures,
+``("integrity", message)`` for a registry object that failed
+verification).  A by-reference job carries only its ``relation_ref``: the
+worker reads, verifies and caches the relation object from the registry
+directory itself.  Plain zero-argument picklables are also accepted
+(``("call", fn)``), which keeps :class:`ProcessExecutor` drivable by the
+queue's generic tests without going through the session machinery.
 """
 
 from __future__ import annotations
@@ -57,11 +58,16 @@ from .faults import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
 
-    from ..shm.plane import SharedRelationPlane
+    from ..registry.store import RelationRegistry
     from .pool import SessionPool
 
 #: Executor kinds selectable by name (CLI ``--executor``, ``ServeConfig``).
 EXECUTOR_KINDS = ("thread", "process")
+
+#: Relations a worker process keeps verified and decoded: its registry LRU
+#: bound.  Each kept relation also keeps its kernel caches alive, so the
+#: bound is what caps a worker's memory across many registry relations.
+WORKER_CACHED_RELATIONS = 8
 
 
 class PreparedTask:
@@ -71,17 +77,12 @@ class PreparedTask:
     dict on *every* retry attempt; :meth:`encoded` memoises the canonical
     JSON bytes so attempt N ships the exact buffer attempt 1 built
     (``serialisations`` counts encodes and is pinned to 1 by tests).
-    ``shm_hash`` carries the content hash of the job's relation when the
-    shared-memory plane holds it — each execution attempt then leases the
-    segment and ships attach metadata instead of relying on the payload's
-    rows.
     """
 
-    __slots__ = ("payload", "shm_hash", "serialisations", "_encoded")
+    __slots__ = ("payload", "serialisations", "_encoded")
 
-    def __init__(self, payload: Mapping[str, Any], shm_hash: "str | None" = None) -> None:
+    def __init__(self, payload: Mapping[str, Any]) -> None:
         self.payload = dict(payload)
-        self.shm_hash = shm_hash
         self.serialisations = 0
         self._encoded: "bytes | None" = None
 
@@ -249,6 +250,20 @@ class ThreadExecutor(WorkerExecutor):
 # ---------------------------------------------------------------------------
 
 
+def open_worker_registry(registry_root: str) -> "RelationRegistry":
+    """A worker process's reader of the server's registry directory.
+
+    It skips the recovery scan (the server owns the directory; a scan here
+    would delete the tmp file of a ``PUT`` in flight) and keeps at most
+    :data:`WORKER_CACHED_RELATIONS` verified relations.
+    """
+    from ..registry.store import RelationRegistry
+
+    return RelationRegistry(
+        registry_root, max_cached_relations=WORKER_CACHED_RELATIONS, recover=False
+    )
+
+
 def _process_worker_main(
     conn: "Connection",
     tenant_configs_payload: dict | None,
@@ -258,31 +273,28 @@ def _process_worker_main(
 
     Owns a lazily built :class:`SessionPool` configured exactly like the
     parent's (the per-tenant ``EngineConfig`` mapping travels as its JSON
-    form), executes ``("job", payload, shm_meta)`` messages through the
-    same :func:`~repro.serve.protocol.execute_payload` path a bare session
-    uses, and replies with the canonical ``repro/run-result-v1`` JSON text
-    plus how the relation arrived (``"shm"``/``"fallback"``/``"wire"``).
-    The payload travels as pre-encoded JSON bytes; ``shm_meta`` (when
-    present) names a shared-memory segment to attach zero-copy — *any*
-    attach failure (segment evicted, corrupt header) falls back
-    to resolving the payload itself, so shm is purely an optimisation.
-    ``registry_root`` (the server's persistent relation registry directory)
-    lets workers resolve ``relation_ref`` jobs themselves — each worker's
-    registry keeps its own verified-relation cache, so a tenant hammering
-    one relation decodes it once per worker, not once per job.
-    Job-level exceptions become ``("error", "ExcType: message")`` replies;
-    only a dead pipe (parent gone) or ``("exit",)`` ends the loop.
+    form), executes ``("job", payload)`` messages through the same
+    :func:`~repro.serve.protocol.execute_payload` path a bare session uses,
+    and replies with the canonical ``repro/run-result-v1`` JSON text.  The
+    payload travels as pre-encoded JSON bytes.  ``registry_root`` (the
+    server's persistent relation registry directory) lets workers resolve
+    ``relation_ref`` jobs themselves: each worker reads and verifies a
+    relation object once and keeps it in its own registry LRU, so a tenant
+    hammering one relation decodes it once per worker, not once per job.
+    Job-level exceptions become ``("error", "ExcType: message")`` replies,
+    and a registry object that fails verification an ``("integrity",
+    message)`` reply; only a dead pipe (parent gone) or ``("exit",)`` ends
+    the loop.
     """
     # Imports happen here (not at module import) so the parent can ship this
     # function to a spawn-context child before the repro package is touched.
     from ..config import EngineConfig
-    from ..registry.store import RelationRegistry
+    from ..registry.store import IntegrityError
     from .pool import SessionPool
     from .protocol import execute_payload
 
     pool: SessionPool | None = None
-    registry: RelationRegistry | None = None
-    attach_cache = None
+    registry = None
     while True:
         try:
             message = conn.recv()
@@ -299,20 +311,6 @@ def _process_worker_main(
                 payload = message[1]
                 if isinstance(payload, (bytes, bytearray)):
                     payload = json.loads(payload)
-                shm_meta = message[2] if len(message) > 2 else None
-                relation = None
-                shm_status = "wire"
-                if shm_meta is not None:
-                    try:
-                        if attach_cache is None:
-                            from ..shm.relation import SegmentAttachCache
-
-                            attach_cache = SegmentAttachCache()
-                        relation = attach_cache.get(shm_meta["name"], shm_meta["hash"])
-                        shm_status = "shm"
-                    except Exception:  # noqa: BLE001 - any miss means wire
-                        relation = None
-                        shm_status = "fallback"
                 if pool is None:
                     configs = None
                     if tenant_configs_payload is not None:
@@ -322,20 +320,19 @@ def _process_worker_main(
                         }
                     pool = SessionPool(configs)
                 if registry is None and registry_root is not None:
-                    registry = RelationRegistry(registry_root)
-                result = execute_payload(pool, payload, registry=registry, relation=relation)
-                conn.send(("result", json.dumps(result.payload, sort_keys=True), shm_status))
+                    registry = open_worker_registry(registry_root)
+                result = execute_payload(pool, payload, registry=registry)
+                conn.send(("result", json.dumps(result.payload, sort_keys=True)))
             elif op == "call":
                 conn.send(("value", message[1]()))
             else:
                 conn.send(("error", f"ProtocolError: unknown worker op {op!r}"))
         except Exception as exc:  # noqa: BLE001 - job errors become replies
+            kind = "integrity" if isinstance(exc, IntegrityError) else "error"
             try:
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+                conn.send((kind, f"{type(exc).__name__}: {exc}"))
             except (OSError, ValueError):  # parent gone / unpicklable detail
                 break
-    if attach_cache is not None:
-        attach_cache.close()
 
 
 class _ProcessSlot:
@@ -397,27 +394,21 @@ class ProcessExecutor(WorkerExecutor):
     faults:
         Optional :class:`~repro.serve.faults.FaultPlan` wired to the
         ``process.send``/``process.recv``/``process.kill`` injection sites.
-    registry_root:
-        Root directory of the server's **persistent** relation registry;
-        each worker process opens its own handle on it to resolve
-        ``relation_ref`` jobs (``None`` = no registry, by-reference jobs
-        are resolved inline by the server before dispatch).
+    registry:
+        The server's relation registry.  When it is persistent, each worker
+        process opens its directory as a reader to resolve ``relation_ref``
+        jobs (an in-memory registry is invisible to workers, so the server
+        resolves refs before dispatch); the degraded-mode fallback resolves
+        through the registry object itself.
     processes:
         Worker-process pool size N (``0`` = match the queue worker count
         handed to :meth:`start`).
     max_jobs_per_worker:
         Recycle a worker process after this many completed jobs: it is
         asked to exit and a fresh worker spawns lazily on the slot's next
-        job.  Bounds per-worker memory growth (session caches, attached
-        segments); a recycle is *not* a crash — it never touches the
+        job.  Bounds per-worker memory growth (session caches, cached
+        relations); a recycle is *not* a crash — it never touches the
         supervision budget or the ``respawns`` counter.  ``0`` disables.
-    plane:
-        The parent-owned :class:`~repro.shm.plane.SharedRelationPlane`, or
-        ``None`` to disable the shared-memory path.  The executor leases a
-        segment per execution attempt of every :class:`PreparedTask` that
-        carries a ``shm_hash`` (releasing in ``finally`` — that is how
-        refcounts reconcile when a worker dies mid-job) and closes the
-        plane with itself.
     """
 
     name = "process"
@@ -432,10 +423,9 @@ class ProcessExecutor(WorkerExecutor):
         restart_window: float = 30.0,
         fallback: bool = False,
         faults: "FaultPlan | None" = None,
-        registry_root: str | None = None,
+        registry: "RelationRegistry | None" = None,
         processes: int = 0,
         max_jobs_per_worker: int = 0,
-        plane: "SharedRelationPlane | None" = None,
     ) -> None:
         if processes < 0:
             raise ValueError(f"processes must be non-negative, got {processes}")
@@ -450,17 +440,18 @@ class ProcessExecutor(WorkerExecutor):
         )
         self._ctx = multiprocessing.get_context(start_method)
         self.start_method = start_method
-        self.registry_root = registry_root
+        self.registry = registry
+        self.registry_root = (
+            str(registry.root) if registry is not None and registry.persistent else None
+        )
         self.warmup = warmup
         self.faults = faults
         self.supervisor = RestartSupervisor(budget=restart_budget, window=restart_window)
         self.fallback = fallback
         self.processes = processes
         self.max_jobs_per_worker = max_jobs_per_worker
-        self.plane = plane
         self._fallback_lock = threading.Lock()
         self._fallback_pool: "SessionPool | None" = None
-        self._fallback_registry = None
         self._fallback_jobs = 0
         self._slots: list[_ProcessSlot] = []
         self._lifecycle = threading.Lock()
@@ -468,7 +459,7 @@ class ProcessExecutor(WorkerExecutor):
         self._spawned = 0
         self._respawns = 0
         self._recycled = 0
-        self._shm_jobs = 0
+        self._ref_jobs = 0
         self._wire_jobs = 0
         # M:N dispatch state: the idle list holds slot indices any queue
         # thread may claim; _active maps queue slot -> worker slot while a
@@ -596,13 +587,13 @@ class ProcessExecutor(WorkerExecutor):
             self._recycled += 1
 
     def execute(self, slot_index: int, task: Any) -> Any:
-        shm_hash = None
+        by_ref = False
         if isinstance(task, PreparedTask):
-            payload_bytes = task.encoded()
-            shm_hash = task.shm_hash
-            message: Any = ("job", payload_bytes, None)
+            by_ref = "relation_ref" in task.payload
+            message: Any = ("job", task.encoded())
         elif isinstance(task, Mapping):
-            message = ("job", json.dumps(dict(task), sort_keys=True).encode("utf-8"), None)
+            by_ref = "relation_ref" in task
+            message = ("job", json.dumps(dict(task), sort_keys=True).encode("utf-8"))
         elif callable(task):
             message = ("call", task)
         else:
@@ -613,19 +604,9 @@ class ProcessExecutor(WorkerExecutor):
         if self.fallback and self.supervisor.degraded():
             return self._execute_inline(task)
         faults = self.faults
-        plane = self.plane
         worker_index = self._acquire_worker(slot_index)
         slot = self._slots[worker_index]
-        shm_meta = None
         try:
-            # Lease the relation's segment per attempt: acquire absorbs its
-            # own shm.attach faults (returning None), and the finally below
-            # releases even when the worker dies mid-job — that pairing is
-            # what keeps refcounts reconciled under kill storms.
-            if shm_hash is not None and plane is not None:
-                shm_meta = plane.acquire(shm_hash)
-                if shm_meta is not None:
-                    message = (message[0], message[1], shm_meta)
             with slot.lock:
                 slot.busy = True
                 try:
@@ -644,9 +625,7 @@ class ProcessExecutor(WorkerExecutor):
                         slot.conn.send(message)
                         if faults is not None:
                             faults.fire(SITE_PROCESS_RECV)
-                        reply = slot.conn.recv()
-                        kind, value = reply[0], reply[1]
-                        shm_status = reply[2] if len(reply) > 2 else None
+                        kind, value = slot.conn.recv()
                         slot.jobs_done += 1
                     except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
                         pid, exitcode, respawned = self._reap_and_respawn(slot)
@@ -668,13 +647,11 @@ class ProcessExecutor(WorkerExecutor):
             ):
                 self._retire(slot)
         finally:
-            if shm_meta is not None:
-                plane.release(shm_hash)
             self._release_worker(slot_index, worker_index)
         if kind == "result":
             with self._lifecycle:
-                if shm_status == "shm":
-                    self._shm_jobs += 1
+                if by_ref:
+                    self._ref_jobs += 1
                 else:
                     self._wire_jobs += 1
             from ..session import RunResult
@@ -682,6 +659,10 @@ class ProcessExecutor(WorkerExecutor):
             return RunResult(json.loads(value))
         if kind == "value":
             return value
+        if kind == "integrity":
+            from ..registry.store import IntegrityError
+
+            raise IntegrityError(value)
         raise RemoteJobError(value)
 
     def _execute_inline(self, task: Any) -> Any:
@@ -705,12 +686,8 @@ class ProcessExecutor(WorkerExecutor):
                         for tenant, fields in self._tenant_configs_payload.items()
                     }
                 self._fallback_pool = SessionPool(configs)
-            if self._fallback_registry is None and self.registry_root is not None:
-                from ..registry.store import RelationRegistry
-
-                self._fallback_registry = RelationRegistry(self.registry_root)
             pool = self._fallback_pool
-            registry = self._fallback_registry
+        registry = self.registry
         if isinstance(task, PreparedTask):
             from .protocol import execute_payload
 
@@ -794,10 +771,6 @@ class ProcessExecutor(WorkerExecutor):
                     slot.process = slot.conn = None
                 finally:
                     slot.lock.release()
-        # The plane unlinks last: every worker that could attach by name is
-        # gone, so nothing keeps segment names alive past close.
-        if self.plane is not None:
-            self.plane.close()
 
     # -- diagnostics -----------------------------------------------------------
     def worker_pids(self) -> list[int | None]:
@@ -820,11 +793,10 @@ class ProcessExecutor(WorkerExecutor):
         with self._lifecycle:
             spawned, respawns = self._spawned, self._respawns
             recycled = self._recycled
-            shm_jobs, wire_jobs = self._shm_jobs, self._wire_jobs
+            ref_jobs, wire_jobs = self._ref_jobs, self._wire_jobs
         with self._fallback_lock:
             fallback_jobs = self._fallback_jobs
         supervision = self.supervisor.snapshot()
-        plane = self.plane
         return {
             "executor": self.name,
             "workers": len(self._slots),
@@ -835,13 +807,15 @@ class ProcessExecutor(WorkerExecutor):
             "respawns": respawns,
             "recycled": recycled,
             "max_jobs_per_worker": self.max_jobs_per_worker,
-            "shm_jobs": shm_jobs,
+            # Jobs whose worker resolved the relation from the registry, and
+            # jobs that carried it inline.  The key names are kept from the
+            # retired shared-memory plane because benchmarks read them.
+            "shm_jobs": ref_jobs,
             "wire_jobs": wire_jobs,
             "start_method": self.start_method,
             "host_cpu_count": os.cpu_count(),
             "fallback": self.fallback,
             "fallback_jobs": fallback_jobs,
-            "shm": plane.stats() if plane is not None else {"enabled": False},
             **supervision,
         }
 
@@ -855,28 +829,14 @@ def make_executor(
     restart_window: float = 30.0,
     fallback: bool = False,
     faults: "FaultPlan | None" = None,
-    registry_root: str | None = None,
+    registry: "RelationRegistry | None" = None,
     processes: int = 0,
     max_jobs_per_worker: int = 0,
-    shm_bytes: int = 0,
 ) -> WorkerExecutor:
-    """Build a :class:`WorkerExecutor` from its CLI/config name.
-
-    ``shm_bytes`` > 0 attaches a :class:`~repro.shm.plane.SharedRelationPlane`
-    to the process executor when the host supports it (``/dev/shm``); on
-    other hosts — and always for the thread executor, which shares the
-    server's memory anyway — the flag is silently inert and jobs use the
-    wire.
-    """
+    """Build a :class:`WorkerExecutor` from its CLI/config name."""
     if kind == "thread":
         return ThreadExecutor(faults=faults)
     if kind == "process":
-        plane = None
-        if shm_bytes > 0:
-            from ..shm.plane import SharedRelationPlane, plane_available
-
-            if plane_available():
-                plane = SharedRelationPlane(shm_bytes, faults=faults)
         return ProcessExecutor(
             tenant_configs_payload=tenant_configs_payload,
             start_method=start_method,
@@ -885,9 +845,8 @@ def make_executor(
             restart_window=restart_window,
             fallback=fallback,
             faults=faults,
-            registry_root=registry_root,
+            registry=registry,
             processes=processes,
             max_jobs_per_worker=max_jobs_per_worker,
-            plane=plane,
         )
     raise ValueError(f"unknown executor kind {kind!r}: expected one of {EXECUTOR_KINDS}")

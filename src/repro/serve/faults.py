@@ -30,12 +30,6 @@ sites in ``repro/registry/store.py``):
                              after the tmp file is durable, before the rename;
                              a ``kill`` rule here SIGKILLs the *current
                              process* (the power-loss-mid-PUT simulation)
-``shm.attach``               the shared-memory plane is about to hand a job a
-                             segment lease (``error``/``drop`` force the job
-                             onto the pickled wire path — the fallback drill)
-``shm.evict``                the plane is about to unlink an idle segment to
-                             meet the byte budget (``error`` aborts that
-                             eviction sweep; the budget is retried later)
 ============================ ==================================================
 
 Kinds:
@@ -85,13 +79,10 @@ SITE_PROCESS_RECV = "process.recv"
 SITE_PROCESS_KILL = "process.kill"
 SITE_REGISTRY_READ = "registry.read"
 SITE_REGISTRY_WRITE = "registry.write"
-SITE_SHM_ATTACH = "shm.attach"
-SITE_SHM_EVICT = "shm.evict"
 
 #: Every site a rule may bind to.  The ``registry.*`` literals are duplicated
-#: in :mod:`repro.registry.store` and the ``shm.*`` literals in
-#: :mod:`repro.shm.plane` (whose hooks fire them) so neither package ever
-#: imports the serving package.
+#: in :mod:`repro.registry.store` (whose hooks fire them) so the registry
+#: never imports the serving package.
 KNOWN_SITES = (
     SITE_QUEUE_EXECUTE,
     SITE_THREAD_RUN,
@@ -100,8 +91,6 @@ KNOWN_SITES = (
     SITE_PROCESS_KILL,
     SITE_REGISTRY_READ,
     SITE_REGISTRY_WRITE,
-    SITE_SHM_ATTACH,
-    SITE_SHM_EVICT,
 )
 
 #: Every fault kind a rule may inject.

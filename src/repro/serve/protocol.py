@@ -335,7 +335,6 @@ def execute_request(
     session: "Session",
     request: JobRequest,
     registry: "RelationRegistry | None" = None,
-    relation: Relation | None = None,
 ) -> "RunResult":
     """Run ``request`` on ``session`` — the worker-side dispatch.
 
@@ -346,14 +345,9 @@ def execute_request(
     :meth:`~repro.session.Session.profile` call with the same inputs.
     By-reference requests resolve through ``registry`` first (a cache hit
     returns the *same* :class:`Relation` object, so engine caches keyed on
-    relation identity stay warm across jobs).  An explicit ``relation``
-    skips resolution entirely — the shared-memory attach path hands in a
-    zero-copy instance it has already verified against the request's
-    content hash (the caller's responsibility; both encodings are
-    bit-identical, so artefacts do not depend on which path ran).
+    relation identity stay warm across jobs).
     """
-    if relation is None:
-        relation = resolve_relation(request, registry)
+    relation = resolve_relation(request, registry)
     params = request.params
     overrides = request.overrides
     if request.kind == "discover":
@@ -387,7 +381,6 @@ def execute_payload(
     pool: "SessionPool",
     payload: Mapping[str, Any],
     registry: "RelationRegistry | None" = None,
-    relation: Relation | None = None,
 ) -> "RunResult":
     """Parse a ``repro/job-request-v1`` payload and run it on the tenant's session.
 
@@ -395,9 +388,7 @@ def execute_payload(
     receives jobs in wire form (the process executor's worker processes):
     parse → pooled session → :func:`execute_request`.  Going through the
     identical dispatch as the in-process path is what keeps served
-    artefacts byte-identical no matter where the job ran.  ``relation``
-    short-circuits resolution with a pre-attached instance (see
-    :func:`execute_request`).
+    artefacts byte-identical no matter where the job ran.
     """
     request = JobRequest.from_payload(payload)
-    return execute_request(pool.get(request.tenant), request, registry=registry, relation=relation)
+    return execute_request(pool.get(request.tenant), request, registry=registry)

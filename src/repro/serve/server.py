@@ -18,7 +18,7 @@ DELETE ``/jobs/<id>``      cancel a queued job → 200 ``{"cancelled": ...}``
 PUT    ``/relations``      store a relation by content → 200 ref payload
 GET    ``/relations/<h>``  fetch a stored relation → 200 entry, 404 unknown
 GET    ``/healthz``        executor liveness → 200 healthy, 503 degraded
-GET    ``/stats``          queue + pool + executor + registry + shm counters
+GET    ``/stats``          queue + pool + executor + registry counters
 ====== =================== ==========================================
 """
 
@@ -78,21 +78,20 @@ class Server:
     injection for chaos testing.
 
     Process-pool shape: ``processes`` sizes the worker-process pool
-    independently of the queue's thread count (``0``/``None`` = match it),
-    ``max_jobs_per_worker`` recycles each worker process after that many
-    jobs, and ``shm_bytes`` budgets the zero-copy shared-memory data plane
-    (``0`` disables it; registry-resident relations then travel as per-job
-    JSON).  All three resolve from ``REPRO_SERVE_PROCESSES``/
-    ``REPRO_SERVE_MAX_JOBS_PER_WORKER``/``REPRO_SHM_BYTES`` when ``None``
-    and are inert for thread executors.
+    independently of the queue's thread count (``0``/``None`` = match it)
+    and ``max_jobs_per_worker`` recycles each worker process after that many
+    jobs.  Both resolve from ``REPRO_SERVE_PROCESSES``/
+    ``REPRO_SERVE_MAX_JOBS_PER_WORKER`` when ``None`` and are inert for
+    thread executors.
 
     ``registry`` wires the content-addressed relation store behind
     ``PUT /relations`` and ``relation_ref`` jobs: a directory path (or a
     ready :class:`~repro.registry.RelationRegistry`) makes it persistent —
-    process workers then resolve refs themselves from disk — while ``None``
-    resolves ``REPRO_REGISTRY_DIR`` and falls back to an in-memory store
-    (refs still work; the server resolves them inline before dispatching to
-    remote executors).
+    process workers then read, verify and cache the relation objects
+    themselves, and a by-reference job carries only its hash — while
+    ``None`` resolves ``REPRO_REGISTRY_DIR`` and falls back to an in-memory
+    store (refs still work; the server resolves them inline before
+    dispatching to remote executors).
 
     Usable as a context manager; :meth:`close` cancels queued jobs, waits
     for running ones (terminating process workers that overrun the drain
@@ -119,7 +118,6 @@ class Server:
         registry: "str | RelationRegistry | None" = None,
         processes: int | None = None,
         max_jobs_per_worker: int | None = None,
-        shm_bytes: int | None = None,
     ) -> None:
         explicit = {
             "workers": workers,
@@ -135,7 +133,6 @@ class Server:
             "registry_dir": registry if isinstance(registry, (str, type(None))) else "",
             "processes": processes,
             "max_jobs_per_worker": max_jobs_per_worker,
-            "shm_bytes": shm_bytes,
         }
         missing = [name for name, value in explicit.items() if value is None]
         if missing:
@@ -157,7 +154,6 @@ class Server:
                 registry = resolved.get("registry_dir")
             processes = resolved.get("processes", processes)
             max_jobs_per_worker = resolved.get("max_jobs_per_worker", max_jobs_per_worker)
-            shm_bytes = resolved.get("shm_bytes", shm_bytes)
         # One shared plan: executor sites, queue sites and registry sites
         # count arrivals on the same seeded counters, so a storm spec
         # replays identically.
@@ -183,10 +179,9 @@ class Server:
                 restart_window=restart_window,
                 fallback=bool(degraded_fallback),
                 faults=plan,
-                registry_root=str(registry.root) if registry.persistent else None,
+                registry=registry,
                 processes=processes or 0,
                 max_jobs_per_worker=max_jobs_per_worker or 0,
-                shm_bytes=shm_bytes or 0,
             )
         self.executor = executor
         self.queue = JobQueue(
@@ -225,23 +220,14 @@ class Server:
 
         if self.executor.remote:
             payload: dict[str, Any] = request.to_payload()
-            shm_hash = None
-            if request.relation_ref is not None:
-                relation = self.registry.get(request.relation_ref)
-                if not self.registry.persistent:
-                    # Worker processes cannot see an in-memory registry; ship
-                    # the resolved relation inline instead (refs stay a pure
-                    # client-side optimisation either way).
-                    payload.pop("relation_ref")
-                    payload["relation"] = relation_to_payload(relation)
-                plane = getattr(self.executor, "plane", None)
-                if plane is not None:
-                    # Publish is idempotent by content hash and may decline
-                    # (budget, non-scalar values) — then shm_hash stays None
-                    # and the job simply travels the wire it carries anyway.
-                    shm_hash = plane.publish(relation)
+            if request.relation_ref is not None and not self.registry.persistent:
+                # Worker processes cannot see an in-memory registry; ship the
+                # resolved relation inline instead (refs stay a pure
+                # client-side optimisation either way).
+                relation = self.registry.get(payload.pop("relation_ref"))
+                payload["relation"] = relation_to_payload(relation)
             # Serialised once here; every retry attempt reuses the bytes.
-            task: Any = PreparedTask(payload, shm_hash=shm_hash)
+            task: Any = PreparedTask(payload)
         else:
 
             def run(request: JobRequest = request) -> RunResult:
@@ -312,14 +298,12 @@ class Server:
 
     # -- bookkeeping -----------------------------------------------------------
     def stats(self) -> dict[str, Any]:
-        """Queue, pool and executor counters (what ``GET /stats`` returns)."""
-        executor_stats = self.executor.stats()
+        """Queue, pool, executor and registry counters (what ``GET /stats`` returns)."""
         return {
             "queue": self.queue.stats(),
             "pool": self.pool.stats(),
-            "executor": executor_stats,
+            "executor": self.executor.stats(),
             "registry": self.registry.stats(),
-            "shm": executor_stats.get("shm", {"enabled": False}),
         }
 
     def health(self) -> dict[str, Any]:
@@ -490,11 +474,15 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return
         try:
             ack = self.app.put_relation(payload)
-        except ProtocolError as exc:
-            self._error(400, str(exc))
         except ValueError as exc:
-            # Non-JSON-native values cannot be stored by content.
+            # A malformed relation (ProtocolError is a ValueError), or values
+            # that are not JSON-native scalars and cannot be stored.
             self._error(400, str(exc))
+        except OSError as exc:
+            # The store write failed: a disk error, or an injected
+            # registry.write fault (InjectedFault is a ConnectionError).  The
+            # body was read, so the connection stays usable.
+            self._error(503, f"relation store write failed: {type(exc).__name__}: {exc}")
         else:
             self._send_json(200, ack)
 

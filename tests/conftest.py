@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 # Allow running the tests without installing the package (e.g. in an offline
 # environment where `pip install -e .` cannot resolve build dependencies).
@@ -20,6 +21,10 @@ if str(_SRC) not in sys.path:
 
 from repro.datasets import load_database  # noqa: E402
 from repro.relational import NULL, Relation  # noqa: E402
+
+# The longer sweep of ``tests/test_object_fuzz.py`` that the CI fuzz job
+# selects with ``--hypothesis-profile=object-sweep``.
+settings.register_profile("object-sweep", max_examples=2000)
 
 
 @pytest.fixture(scope="session")

@@ -46,6 +46,12 @@ def make_relation(name: str = "t", n_rows: int = 40, salt: int = 0) -> Relation:
     return Relation(name, ("a", "b", "c", "d"), rows)
 
 
+def code_block_offset(data: bytes) -> int:
+    """Where the code blocks of relation object ``data`` start."""
+    header_end = 16 + int.from_bytes(data[8:16], "little")
+    return (header_end + 7) & ~7
+
+
 def _subprocess_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_SRC)
@@ -157,21 +163,31 @@ class TestDiskRegistry:
         stats = registry.stats()
         assert stats["writes"] == 1
         assert stats["write_skips"] == 1
-        assert len(list((tmp_path / "objects").glob("*.json"))) == 1
+        assert len(list((tmp_path / "objects").glob("*.rel"))) == 1
 
     def test_non_json_native_values_rejected(self, tmp_path):
         registry = RelationRegistry(tmp_path)
         with pytest.raises(ValueError, match="JSON-native"):
             registry.put(Relation("r", ("a",), [(b"raw-bytes",)]))
 
+    def test_non_scalar_values_rejected_without_a_file(self, tmp_path):
+        # Tuples would come back as lists and NaN is not JSON: neither can
+        # be read back, so neither may be stored.
+        registry = RelationRegistry(tmp_path)
+        for rows in ([((1, 2),), ((3, 4),)], [(float("nan"),)]):
+            with pytest.raises(ValueError, match="JSON-native"):
+                registry.put(Relation("r", ("a",), rows))
+        assert list((tmp_path / "objects").iterdir()) == []
+        assert registry.stats()["writes"] == 0
+
     def test_bit_flip_detected_and_quarantined(self, tmp_path):
         registry = RelationRegistry(tmp_path)
         digest = registry.put(make_relation())
-        path = tmp_path / "objects" / f"{digest}.json"
+        path = tmp_path / "objects" / f"{digest}.rel"
         raw = bytearray(path.read_bytes())
-        # Flip a bit inside a row value so the JSON may stay well-formed:
+        # Flip a bit inside a code block so the header stays well-formed:
         # the recomputed content hash is what must catch it.
-        index = raw.rindex(b'"rows"') + 20
+        index = code_block_offset(bytes(raw)) + 20
         raw[index] ^= 0x01
         path.write_bytes(bytes(raw))
         fresh = RelationRegistry(tmp_path)
@@ -188,7 +204,7 @@ class TestDiskRegistry:
     def test_truncation_detected_and_quarantined(self, tmp_path):
         registry = RelationRegistry(tmp_path)
         digest = registry.put(make_relation())
-        path = tmp_path / "objects" / f"{digest}.json"
+        path = tmp_path / "objects" / f"{digest}.rel"
         path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
         with pytest.raises(IntegrityError):
             RelationRegistry(tmp_path).get(digest)
@@ -197,7 +213,7 @@ class TestDiskRegistry:
     def test_non_utf8_garbage_detected(self, tmp_path):
         registry = RelationRegistry(tmp_path)
         digest = registry.put(make_relation())
-        path = tmp_path / "objects" / f"{digest}.json"
+        path = tmp_path / "objects" / f"{digest}.rel"
         path.write_bytes(b"\xde\xad\xbe\xef" * 32)
         with pytest.raises(IntegrityError):
             RelationRegistry(tmp_path).get(digest)
@@ -207,7 +223,7 @@ class TestDiskRegistry:
         registry = RelationRegistry(tmp_path)
         digest = registry.put(make_relation())
         assert registry.verify(digest)
-        (tmp_path / "objects" / f"{digest}.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "objects" / f"{digest}.rel").write_text("{}", encoding="utf-8")
         with pytest.raises(IntegrityError):
             registry.verify(digest)
 
@@ -220,6 +236,7 @@ class TestDiskRegistry:
         reopened = RelationRegistry(tmp_path)
         assert reopened.last_recovery == {
             "entries": 1,
+            "converted": 0,
             "partial_writes_removed": 1,
             "foreign_files_quarantined": 1,
         }
@@ -248,7 +265,7 @@ class TestDiskRegistry:
         assert not errors
         assert len(set(digests)) == 1
         files = list((tmp_path / "objects").iterdir())
-        assert [f.name for f in files] == [f"{digests[0]}.json"]
+        assert [f.name for f in files] == [f"{digests[0]}.rel"]
         assert RelationRegistry(tmp_path).get(digests[0]).rows == relation.rows
 
     def test_kill_nine_during_put_leaves_consistent_store(self, tmp_path):
@@ -276,7 +293,7 @@ class TestDiskRegistry:
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         assert "UNREACHABLE" not in proc.stdout
         objects = tmp_path / "objects"
-        assert list(objects.glob("*.json")) == []
+        assert list(objects.glob("*.rel")) == []
         leftovers = list(objects.glob("*.tmp"))
         assert len(leftovers) == 1
         recovered = RelationRegistry(tmp_path)
@@ -285,6 +302,114 @@ class TestDiskRegistry:
         # The store still works: a re-PUT lands the entry.
         digest = recovered.put(Relation("t", ("a", "b"), [(i % 5, i % 3) for i in range(20)]))
         assert digest in RelationRegistry(tmp_path)
+
+
+class TestConcurrentReaders:
+    def test_worker_reader_leaves_a_write_in_flight_alone(self, tmp_path, monkeypatch):
+        """A worker process opening the directory mid-PUT must not run the
+        recovery scan: it would delete the writer's tmp file."""
+        from repro.registry import store
+        from repro.serve.executor import open_worker_registry
+
+        owner = RelationRegistry(tmp_path)
+        readers = []
+
+        def open_reader(tmp: Path) -> None:
+            readers.append(open_worker_registry(str(tmp_path)))
+            assert tmp.exists()
+
+        monkeypatch.setattr(store, "_TEST_BEFORE_REPLACE", open_reader)
+        digest = owner.put(make_relation())
+        assert len(readers) == 1 and readers[0].last_recovery is None
+        assert readers[0].get(digest).content_hash() == digest
+
+    def test_a_recovering_open_would_break_the_write(self, tmp_path, monkeypatch):
+        # The hazard the reader avoids: the owner's scan removes tmp files.
+        from repro.registry import store
+
+        owner = RelationRegistry(tmp_path)
+        monkeypatch.setattr(store, "_TEST_BEFORE_REPLACE", lambda tmp: RelationRegistry(tmp_path))
+        with pytest.raises(FileNotFoundError):
+            owner.put(make_relation())
+
+
+class TestLegacyEntries:
+    """Entries of the ``repro/relation-v1`` JSON-row layout convert at recovery."""
+
+    @staticmethod
+    def write_legacy(root: Path, relation: Relation, digest: "str | None" = None) -> Path:
+        """Write ``relation`` exactly as the JSON-row store wrote its entries."""
+        digest = digest or relation.content_hash()
+        entry = {
+            "schema": "repro/relation-v1",
+            "hash": digest,
+            "relation": {
+                "name": relation.name,
+                "attributes": list(relation.attribute_names),
+                "rows": [list(row) for row in relation.rows],
+            },
+        }
+        objects = root / "objects"
+        objects.mkdir(parents=True, exist_ok=True)
+        path = objects / f"{digest}.json"
+        text = json.dumps(entry, sort_keys=True, ensure_ascii=False, allow_nan=False)
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_recovery_converts_entries_with_the_same_hash(self, tmp_path):
+        rows = [(1, "a", 1.5), (None, "b", 2.0), (3, None, None), (1, "a", -0.25), (2, "ü", 1e20)]
+        relation = Relation("pinned", ("k", "s", "x"), rows)
+        digest = relation.content_hash()
+        legacy = self.write_legacy(tmp_path, relation)
+        registry = RelationRegistry(tmp_path)
+        assert registry.last_recovery == {
+            "entries": 1,
+            "converted": 1,
+            "partial_writes_removed": 0,
+            "foreign_files_quarantined": 0,
+        }
+        assert not legacy.exists()
+        assert [path.name for path in (tmp_path / "objects").iterdir()] == [f"{digest}.rel"]
+        fetched = RelationRegistry(tmp_path).get(digest)
+        assert fetched.content_hash() == digest
+        assert fetched.rows == relation.rows
+        assert RelationRegistry(tmp_path).last_recovery["converted"] == 0
+
+    def test_interrupted_conversion_is_finished(self, tmp_path):
+        # A crash between the object write and the JSON unlink leaves both.
+        relation = make_relation()
+        digest = RelationRegistry(tmp_path).put(relation)
+        legacy = self.write_legacy(tmp_path, relation)
+        registry = RelationRegistry(tmp_path)
+        assert registry.last_recovery["converted"] == 1
+        assert registry.last_recovery["entries"] == 1
+        assert not legacy.exists()
+        assert registry.get(digest).rows == relation.rows
+
+    @pytest.mark.parametrize("damage", ["row", "hash", "truncate", "unhashable"])
+    def test_damaged_entries_are_quarantined(self, tmp_path, damage):
+        relation = make_relation()
+        digest = relation.content_hash()
+        if damage == "unhashable":
+            # The JSON-row store accepted tuple values; they come back as
+            # unhashable lists, which no relation can hold.
+            relation = Relation("r", ("a",), [((1, 2),), ((3, 4),)])
+            digest = relation.content_hash()
+        path = self.write_legacy(tmp_path, relation, digest)
+        text = path.read_text(encoding="utf-8")
+        if damage == "row":
+            path.write_text(text.replace('"v1"', '"v2"', 1), encoding="utf-8")
+        elif damage == "hash":
+            path.write_text(text.replace(digest, "0" * 64), encoding="utf-8")
+        elif damage == "truncate":
+            path.write_text(text[: len(text) // 2], encoding="utf-8")
+        registry = RelationRegistry(tmp_path)
+        assert registry.last_recovery["converted"] == 0
+        assert registry.last_recovery["entries"] == 0
+        assert list((tmp_path / "objects").iterdir()) == []
+        assert len(list((tmp_path / "quarantine").iterdir())) == 1
+        assert registry.stats()["quarantined"] == 1
+        assert digest not in registry
 
 
 class TestQuarantineCap:
@@ -313,7 +438,7 @@ class TestQuarantineCap:
         old = self._stale_quarantine(tmp_path, count=1, size=4096)
         registry = RelationRegistry(tmp_path, max_quarantine_bytes=4096)
         digest = registry.put(make_relation())
-        path = tmp_path / "objects" / f"{digest}.json"
+        path = tmp_path / "objects" / f"{digest}.rel"
         path.write_bytes(b"\xde\xad" * 64)
         fresh = RelationRegistry(tmp_path, max_quarantine_bytes=4096)
         with pytest.raises(IntegrityError) as excinfo:

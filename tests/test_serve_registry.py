@@ -17,11 +17,13 @@ import time
 import pytest
 
 from repro.registry import IntegrityError, RelationRegistry, verify_provenance
+from repro.registry.objects import decode_object
 from repro.relational.relation import Relation
 from repro.serve import (
     DONE,
     FAILED,
     FAILURE_INFRA,
+    FaultPlan,
     RELATION_REF_SCHEMA,
     HttpFrontend,
     JobRequest,
@@ -192,7 +194,7 @@ class TestServerRegistry:
             content_hash = server.put_relation(relation)["hash"]
             # Corrupt the entry on disk and drop the warm cache so the next
             # resolution must read (and verify) the damaged bytes.
-            path = tmp_path / "objects" / f"{content_hash}.json"
+            path = tmp_path / "objects" / f"{content_hash}.rel"
             raw = bytearray(path.read_bytes())
             raw[len(raw) // 2] ^= 0x01
             path.write_bytes(bytes(raw))
@@ -204,6 +206,28 @@ class TestServerRegistry:
             assert job.failure_class == FAILURE_INFRA
             assert "IntegrityError" in job.error
             assert server.stats()["registry"]["quarantined"] == 1
+
+    def test_corrupt_entry_fails_process_job_as_infra(self, tmp_path):
+        # Process workers read objects themselves; a damaged one is an infra
+        # failure there too, and the worker quarantines it.
+        relation = make_relation()
+        with Server(
+            workers=1, executor="process", registry=str(tmp_path), max_attempts=2
+        ) as server:
+            content_hash = server.put_relation(relation)["hash"]
+            path = tmp_path / "objects" / f"{content_hash}.rel"
+            raw = bytearray(path.read_bytes())
+            raw[-1] ^= 0x01  # the last code of the last column
+            path.write_bytes(bytes(raw))
+            ticket = server.submit(ref_payload("acme", content_hash))
+            job = server.queue.get(ticket.job_id)
+            assert job.wait(WAIT)
+            assert job.status == FAILED
+            assert job.failure_class == FAILURE_INFRA
+            assert job.attempts == 2  # retried: the second read finds it gone
+            assert "IntegrityError" in job.error
+            assert not path.exists()
+            assert len(list((tmp_path / "quarantine").iterdir())) == 1
 
     def test_classify_failure_counts_integrity_as_infra(self):
         assert classify_failure(IntegrityError("corrupt")) == FAILURE_INFRA
@@ -289,10 +313,47 @@ class TestHttpRegistrySurface:
         assert stored.content_hash() == relation.content_hash()
         status, entry = _http(host, port, "GET", f"/relations/{ack['hash']}")
         assert status == 200 and entry["relation"] == payload
-        on_disk = json.loads((tmp_path / "objects" / f"{ack['hash']}.json").read_text())
-        assert on_disk["relation"] == payload
+        stored_bytes = (tmp_path / "objects" / f"{ack['hash']}.rel").read_bytes()
+        on_disk = decode_object(stored_bytes, ack["hash"])
+        assert relation_to_payload(on_disk) == payload
         # Neither the disk write nor the GET left decoded rows behind.
         assert stored._rows is None
+
+    def test_put_store_failure_is_503_and_keeps_the_connection(self, tmp_path):
+        server = Server(
+            workers=1,
+            executor="thread",
+            registry=str(tmp_path),
+            faults=FaultPlan.from_spec("registry.write:error:times=1"),
+        )
+        frontend = HttpFrontend(server, port=0).start()
+        host, port = frontend.address
+        conn = http.client.HTTPConnection(host, port, timeout=WAIT)
+        body = json.dumps(relation_to_payload(make_relation()))
+        try:
+            conn.request("PUT", "/relations", body, {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            failed = json.loads(response.read())
+            assert response.status == 503
+            assert "InjectedFault" in failed["error"]
+            assert list((tmp_path / "objects").iterdir()) == []
+            # The same keep-alive connection serves the retry.
+            conn.request("PUT", "/relations", body, {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            ack = json.loads(response.read())
+            assert response.status == 200 and ack["created"] is True
+        finally:
+            conn.close()
+            frontend.stop()
+            server.close()
+
+    def test_put_rejects_unstorable_values(self, frontend, tmp_path):
+        host, port = frontend.address
+        payload = {"name": "r", "attributes": ["a"], "rows": [[float("nan")]]}
+        status, body = _http(host, port, "PUT", "/relations", payload)
+        assert status == 400
+        assert "JSON-native" in body["error"]
+        assert list((tmp_path / "objects").iterdir()) == []
 
     def test_put_rejects_malformed_relations(self, frontend):
         host, port = frontend.address
@@ -316,6 +377,36 @@ class TestHttpRegistrySurface:
             ticket = server.submit(ref_payload("acme", content_hash))
             result = server.result(ticket.job_id, timeout=WAIT)
             assert result.provenance["relation_hash"] == content_hash
+
+
+class TestLegacyRegistry:
+    def test_json_entries_convert_and_serve_the_same_body(self, tmp_path):
+        """A directory of repro/relation-v1 JSON-row entries opens, converts
+        to objects under the same hashes, and serves the same GET body."""
+        from tests.test_registry import TestLegacyEntries
+
+        relation = make_relation()
+        content_hash = relation.content_hash()
+        TestLegacyEntries.write_legacy(tmp_path, relation)
+        expected = {
+            "schema": "repro/relation-v1",
+            "hash": content_hash,
+            "relation": relation_to_payload(relation),
+        }
+        server = Server(workers=1, executor="process", registry=str(tmp_path))
+        frontend = HttpFrontend(server, port=0).start()
+        try:
+            assert server.registry.last_recovery["converted"] == 1
+            assert (tmp_path / "objects" / f"{content_hash}.rel").exists()
+            host, port = frontend.address
+            status, entry = _http(host, port, "GET", f"/relations/{content_hash}")
+            assert status == 200 and entry == expected
+            ticket = server.submit(ref_payload("acme", content_hash))
+            result = server.result(ticket.job_id, timeout=WAIT)
+            assert result.provenance["relation_hash"] == content_hash
+        finally:
+            frontend.stop()
+            server.close()
 
 
 class TestRegistryPassthrough:

@@ -1,16 +1,20 @@
-"""Integration tests: the shm data plane + M:N pool under the serving stack.
+"""Integration tests: by-reference jobs and the M:N pool under the serving stack.
 
-The headline pins:
+With a persistent registry a by-reference job carries only its hash, and
+each worker process reads, verifies and caches the relation object itself
+(the module keeps the name of the shared-memory plane it replaced).  The
+headline pins:
 
-* **byte parity** — a job served through shm-attached process workers
+* **byte parity** — a job served by reference through process workers
   produces the identical artefact fingerprint as the thread executor and a
   bare session, under the default engine config and with every cache at its
-  minimum, and on the wire-fallback leg (shm faulted off);
+  minimum, and on the wire leg (an in-memory registry, whose relations the
+  server ships inline);
 * **serialise-once** — a retried job ships the exact payload bytes of its
   first attempt (``PreparedTask.serialisations == 1`` across attempts);
-* **lifecycle hygiene** — kill storms reconcile segment refcounts, session
-  eviction never unlinks an in-flight segment, and ``Server.close()``
-  leaves zero ``/dev/shm`` segments and zero worker processes.
+* **lifecycle hygiene** — kill storms and session eviction never disturb
+  the stored objects, and ``Server.close()`` leaves zero ``/dev/shm``
+  segments and zero worker processes.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ from functools import partial
 
 import pytest
 
+from repro.config import ServeConfig
 from repro.serve import (
     DONE,
     FAILED,
     FAILURE_INFRA,
     FaultPlan,
+    FaultSpecError,
     JobQueue,
     PreparedTask,
     ProcessExecutor,
@@ -36,13 +42,9 @@ from repro.serve import (
     execute_payload,
     relation_to_payload,
 )
-from repro.shm import plane_available
 from tests.test_serve_executor import WAIT, make_relation
 
-pytestmark = [
-    pytest.mark.slow,
-    pytest.mark.skipif(not plane_available(), reason="host lacks shared memory"),
-]
+pytestmark = pytest.mark.slow
 
 
 def leaked_segments() -> list[str]:
@@ -88,38 +90,47 @@ class TestByteParity:
         assert fingerprints["process"] == bare.artifact_fingerprint()
 
     def test_wire_fallback_leg_agrees(self, tmp_path):
-        # Every shm.attach faulted: jobs fall back to the wire, artefacts
-        # must not change.  (This is the leg CI exercises explicitly.)
+        # Workers cannot read an in-memory registry: the server ships the
+        # relation inline instead, and the artefacts must not change.
         relation = make_relation(n_rows=90)
-        registry = str(tmp_path / "registry")
-        with Server(
-            workers=1,
-            executor="process",
-            registry=registry,
-            faults="seed=5;shm.attach:error:p=1.0",
-        ) as server:
+        with Server(workers=1, executor="process") as server:
             ref = server.put_relation(relation)["hash"]
             ticket = server.submit(ref_payload("acme", ref))
             result = server.result(ticket.job_id, timeout=WAIT)
             stats = server.stats()
             assert stats["executor"]["shm_jobs"] == 0
             assert stats["executor"]["wire_jobs"] == 1
-            assert stats["shm"]["attach_faults"] == 1
-            faulted = result.artifact_fingerprint()
-        with Server(workers=1, executor="thread", registry=registry) as server:
+            wired = result.artifact_fingerprint()
+        with Server(workers=1, executor="thread", registry=str(tmp_path)) as server:
+            ref = server.put_relation(relation)["hash"]
             ticket = server.submit(ref_payload("acme", ref))
-            assert server.result(ticket.job_id, timeout=WAIT).artifact_fingerprint() == faulted
+            assert server.result(ticket.job_id, timeout=WAIT).artifact_fingerprint() == wired
 
-    def test_shm_disabled_still_serves(self, tmp_path):
-        with Server(
-            workers=1, executor="process", registry=str(tmp_path / "r"), shm_bytes=0
-        ) as server:
+    def test_shm_disabled_still_serves(self, tmp_path, monkeypatch):
+        # REPRO_SHM_BYTES budgeted the retired shared-memory plane; it is
+        # ignored now, and by-reference jobs read the registry as always.
+        assert ServeConfig.from_env({"REPRO_SHM_BYTES": "0"}) == ServeConfig.from_env({})
+        monkeypatch.setenv("REPRO_SHM_BYTES", "0")
+        with Server(workers=1, executor="process", registry=str(tmp_path / "r")) as server:
             ref = server.put_relation(make_relation())["hash"]
             ticket = server.submit(ref_payload("acme", ref))
             server.result(ticket.job_id, timeout=WAIT)
             stats = server.stats()
-            assert stats["shm"] == {"enabled": False}
-            assert stats["executor"]["wire_jobs"] == 1
+            assert "shm" not in stats
+            assert stats["executor"]["shm_jobs"] == 1
+            assert stats["executor"]["wire_jobs"] == 0
+
+    def test_retired_shm_options_are_gone(self):
+        from repro.serve.cli import build_serve_parser
+
+        with pytest.raises(SystemExit):
+            build_serve_parser().parse_args(["--shm-bytes", "0"])
+        with pytest.raises(TypeError):
+            Server(workers=1, executor="thread", shm_bytes=0)
+        assert "shm_bytes" not in ServeConfig().as_dict()
+        for site in ("shm.attach", "shm.evict"):
+            with pytest.raises(FaultSpecError):
+                FaultPlan.from_spec(f"{site}:error")
 
 
 class TestSerialiseOnce:
@@ -203,9 +214,9 @@ class TestPoolShape:
 
 class TestLifecycleHygiene:
     def test_session_eviction_leaves_inflight_segment_alone(self, tmp_path):
-        # A shm-backed job is mid-flight (lease held, worker attached) while
-        # the parent's SessionPool LRU-evicts; the segment must survive until
-        # the job finishes, and close() must leave /dev/shm clean.
+        # A by-reference job is mid-flight while the parent's SessionPool
+        # LRU-evicts; the stored object must survive and the job finish, and
+        # close() must leave /dev/shm clean.
         relation = make_relation(n_rows=90)
         with Server(
             workers=1,
@@ -216,27 +227,26 @@ class TestLifecycleHygiene:
         ) as server:
             ref = server.put_relation(relation)["hash"]
             ticket = server.submit(ref_payload("acme", ref))
-            plane = server.executor.plane
+            job = server.queue.get(ticket.job_id)
             deadline = time.monotonic() + WAIT
-            while plane.refcounts().get(ref, 0) == 0:  # lease taken = in flight
-                assert time.monotonic() < deadline, "job never leased the segment"
+            while job.status != "running":
+                assert time.monotonic() < deadline, "job never started"
                 time.sleep(0.005)
-            segment = plane.segment_names()[0]
             # LRU-evict the tenant's parent-side session mid-flight.
             server.pool.get("other-tenant")
             assert server.pool.peek("acme") is None  # evicted (max_sessions=1)
-            assert os.path.exists(f"/dev/shm/{segment}")  # segment unharmed
+            assert (tmp_path / "registry" / "objects" / f"{ref}.rel").exists()
             result = server.result(ticket.job_id, timeout=WAIT)
             assert result.payload["provenance"]["relation_hash"] == ref
-            assert plane.refcounts()[ref] == 0  # lease returned
-        assert leaked_segments() == []  # close() unlinked everything
+        assert leaked_segments() == []
 
-    def test_kill_storm_reconciles_refcounts_and_leaks_nothing(self, tmp_path):
+    def test_kill_storm_leaks_nothing(self, tmp_path):
         relation = make_relation(n_rows=60)
+        registry = tmp_path / "registry"
         server = Server(
             workers=2,
             executor="process",
-            registry=str(tmp_path / "registry"),
+            registry=str(registry),
             max_attempts=4,
             restart_budget=100,
             faults="seed=11;process.kill:kill:p=0.4",
@@ -250,46 +260,18 @@ class TestLifecycleHygiene:
                 assert job.failure_class == FAILURE_INFRA
             else:
                 assert job.status == DONE
-        plane = server.executor.plane
-        assert set(plane.refcounts().values()) <= {0}  # every lease reconciled
+                assert job.result.payload["provenance"]["relation_hash"] == ref
         executor = server.executor
         server.close()
         assert executor.stats()["alive"] == 0  # no leaked worker processes
-        assert leaked_segments() == []  # no leaked segments
-
-    def test_evicted_segment_mid_queue_falls_back_to_wire(self):
-        # The segment is published at submit time but evicted before the job
-        # executes: the lease misses and the job completes over the wire.
-        from repro.shm import SharedRelationPlane, encode_segment
-
-        a, b = make_relation("a", n_rows=90), make_relation("b", n_rows=90, salt=1)
-        _, _, size = encode_segment(a)
-        plane = SharedRelationPlane(budget_bytes=int(size * 1.5))
-        executor = ProcessExecutor(warmup=False, plane=plane)
-        queue = JobQueue(workers=1, executor=executor)
-        try:
-            hash_a = plane.publish(a)
-            assert plane.publish(b) is not None  # evicts a before "its" job runs
-            inline = {
-                "schema": "repro/job-request-v1",
-                "tenant": "acme",
-                "kind": "validate",
-                "relation": relation_to_payload(a),
-                "params": {"fds": ["a -> b"]},
-                "overrides": {},
-            }
-            job = queue.submit("acme", PreparedTask(inline, shm_hash=hash_a))
-            assert job.wait(WAIT) and job.status == DONE
-            stats = executor.stats()
-            assert stats["wire_jobs"] == 1 and stats["shm_jobs"] == 0
-            assert plane.stats()["lease_misses"] == 1
-        finally:
-            queue.close()
         assert leaked_segments() == []
+        # Killed readers never touch the store: one object, nothing else.
+        assert [path.name for path in (registry / "objects").iterdir()] == [f"{ref}.rel"]
+        assert list((registry / "quarantine").iterdir()) == []
 
 
 class TestStatsSurface:
-    def test_stats_exposes_shm_and_pool_blocks(self, tmp_path):
+    def test_stats_exposes_transport_and_pool_blocks(self, tmp_path):
         with Server(
             workers=2,
             executor="process",
@@ -300,14 +282,17 @@ class TestStatsSurface:
             ref = server.put_relation(make_relation())["hash"]
             ticket = server.submit(ref_payload("acme", ref))
             server.result(ticket.job_id, timeout=WAIT)
+            inline = ref_payload("acme", ref)
+            inline.pop("relation_ref")
+            inline["relation"] = relation_to_payload(make_relation())
+            ticket = server.submit(inline)
+            server.result(ticket.job_id, timeout=WAIT)
             stats = server.stats()
-            shm = stats["shm"]
-            assert shm["enabled"] is True
-            assert shm["published"] == 1 and shm["leases"] == 1
-            assert shm["segments"] == 1 and shm["bytes"] > 0
+            assert set(stats) == {"queue", "pool", "executor", "registry"}
             executor = stats["executor"]
             assert executor["workers"] == 1  # --processes sized the pool
             assert executor["queue_threads"] == 2
             assert executor["max_jobs_per_worker"] == 7
-            assert executor["shm_jobs"] == 1
+            assert executor["shm_jobs"] == 1  # resolved by reference
+            assert executor["wire_jobs"] == 1  # carried inline
             assert json.dumps(stats, sort_keys=True)  # JSON-serialisable for /stats

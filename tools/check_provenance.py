@@ -17,11 +17,12 @@ registry makes:
 4. **Fault-grammar retries**: with ``registry.read:error:times=1`` injected
    (the ``REPRO_FAULTS`` grammar), a by-reference job must classify the
    fault as *infra*, retry, and complete on attempt 2.
-5. **Corruption quarantine**: after a bit-flip in the stored object file, a
-   by-reference job must fail as *infra* with ``IntegrityError`` in the
-   error string, the entry must be quarantined (moved aside, then unknown),
-   and a recovery scan over a dirtied registry must remove partial writes
-   and quarantine foreign files.
+5. **Corruption quarantine**: after a bit-flip inside a code block of the
+   stored object file (the header still parses, so only the re-hash can
+   catch it), a by-reference job must fail as *infra* with
+   ``IntegrityError`` in the error string, the entry must be quarantined
+   (moved aside, then unknown), and a recovery scan over a dirtied registry
+   must remove partial writes and quarantine foreign files.
 
 Exit status is non-zero on the first violated guarantee, with one line per
 check on stdout.  Network-free and self-contained (temp dirs only)::
@@ -177,9 +178,12 @@ def check_corruption_quarantine(root: str) -> None:
     relation = build_relation()
     with Server(workers=1, executor="thread", registry=root, max_attempts=1) as server:
         content_hash = server.put_relation(relation)["hash"]
-        object_path = Path(root) / "objects" / f"{content_hash}.json"
+        object_path = Path(root) / "objects" / f"{content_hash}.rel"
         raw = bytearray(object_path.read_bytes())
-        index = raw.rindex(b'"rows"') + 20
+        # The code blocks start at the 8-aligned end of the header, whose
+        # length is the little-endian uint64 at offset 8.
+        header_end = 16 + int.from_bytes(raw[8:16], "little")
+        index = ((header_end + 7) & ~7) + 20
         raw[index] ^= 0x01
         object_path.write_bytes(bytes(raw))
         server.registry._cache.clear()
@@ -221,7 +225,12 @@ def check_recovery_scan(root: str) -> None:
     (objects / "not-a-hash.json").write_text("{}")
     # Constructing a disk-backed registry runs the recovery scan itself.
     report = RelationRegistry(root).last_recovery
-    expected = {"entries": 1, "partial_writes_removed": 1, "foreign_files_quarantined": 1}
+    expected = {
+        "entries": 1,
+        "converted": 0,
+        "partial_writes_removed": 1,
+        "foreign_files_quarantined": 1,
+    }
     if report != expected:
         fail(f"recovery report {report} != {expected}")
     ok(f"recovery scan: {report}")
@@ -240,7 +249,7 @@ def check_registry_write_fault(root: str) -> None:
     else:
         fail("injected registry.write error did not surface from put()")
     objects = Path(root) / "objects"
-    if any(objects.glob("*.json")):
+    if any(objects.glob("*.rel")):
         fail("faulted PUT left a committed object behind")
     content_hash = registry.put(relation)
     if registry.get(content_hash).rows != relation.rows:
