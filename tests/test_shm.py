@@ -4,8 +4,9 @@ The object is the layout the retired shared-memory segments used (a JSON
 header with the dictionaries, then 8-aligned int64 code blocks), now the
 one stored form of a relation; the module keeps its name.  Covers the
 format (round trips, rejection of non-scalar dictionaries, corrupt-header
-diagnostics), ``Relation.from_codes`` and the worker-side reader: objects
-are read and verified, never mapped, and kept in a bounded LRU.
+diagnostics), ``Relation.from_codes``, the worker-side reader (objects
+are read and verified, never mapped, and kept in a bounded LRU) and
+idempotent publishing into the store by content.
 """
 
 from __future__ import annotations
@@ -166,3 +167,18 @@ class TestWorkerReader:
         path.write_bytes(b"\0" * 16)
         assert read.rows == relation.rows
         assert list(read.column_codes("d")[0]) == list(relation.column_codes("d")[0])
+
+
+class TestSharedRelationPlane:
+    """The registry's object store is the plane relations are published to."""
+
+    def test_publish_is_idempotent_by_content(self, tmp_path):
+        # Publishing an equal relation again, from this or a later owner of
+        # the same store, yields the same hash and leaves the one object.
+        relation = make_relation()
+        first = RelationRegistry(tmp_path).put(relation)
+        owner = RelationRegistry(tmp_path)
+        second = owner.put(make_relation())
+        assert first == second == relation.content_hash()
+        assert owner.stats()["writes"] == 0 and owner.stats()["write_skips"] == 1
+        assert [p.name for p in (tmp_path / "objects").iterdir()] == [f"{first}.rel"]
