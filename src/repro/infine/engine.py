@@ -27,7 +27,6 @@ from typing import Mapping, Sequence
 
 from ..discovery.base import FDDiscoveryAlgorithm
 from ..discovery.registry import make_algorithm
-from ..fd.fd import FD
 from ..fd.fdset import FDSet
 from ..relational.algebra import JoinMatch, project
 from ..relational.relation import Relation
@@ -366,15 +365,14 @@ class InFine:
         """
         combined = ProvenanceSet(inherited)
         combined.extend(new_triples)
-        all_fds = combined.fds().as_list()
-        minimal: set[FD] = set()
-        for dependency in all_fds:
-            dominated = any(
-                other.rhs == dependency.rhs and other.lhs < dependency.lhs
-                for other in all_fds
-            )
-            if not dominated:
-                minimal.add(dependency)
+        # Only an FD with the same RHS can dominate: compare within groups.
+        lhs_by_rhs: dict[str, list[frozenset[str]]] = {}
+        for triple in combined:
+            lhs_by_rhs.setdefault(triple.dependency.rhs, []).append(triple.dependency.lhs)
         return ProvenanceSet(
-            triple for triple in combined if triple.dependency in minimal
+            triple
+            for triple in combined
+            if not any(
+                other < triple.dependency.lhs for other in lhs_by_rhs[triple.dependency.rhs]
+            )
         )

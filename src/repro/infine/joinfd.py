@@ -23,12 +23,28 @@ discovery of the straightforward approach by combining four prunings:
 The candidate lattice is walked once for all dependents, level by level as
 in TANE (Huhtala et al., 1999).  At level ``k`` every dependent first runs
 the four prunings over its candidates; the LHSs left over are then
-validated against the (partial) join, materialised lazily and once.  Each
-distinct LHS gets one stripped partition per level, shared by every
-dependent that needs it and built by one product of its fewest-groups
-parent from level ``k - 1`` with a single-attribute partition, so only two
-levels of partitions are ever alive.  ``fd_holds_fast`` then probes the RHS
-column codes within the LHS groups (one boolean-mask pass).
+validated against the (partial) join, materialised lazily and once.
+
+Attribute sets are int bitmasks over the join node's attribute universe.
+The attribute at sorted position ``i`` of ``N`` gets bit ``N-1-i``, so a
+level's masks sorted as plain ints in descending order are in the sorted
+order of their attribute names.  Closures under the known FDs, the known
+plus mined FDs and each side's cover are memoised bitmask fixpoints, and
+apriori generation works on ints.  Domination is a set lookup: apriori
+generation never produces a superset of a smaller dominating LHS, so only
+an equal LHS is left to dominate.  An ``FD`` (with its ``frozenset`` LHS)
+is built only for an emitted triple.
+
+An LHS's partition of the partial join is a dense class label per row plus
+the class count.  Each LHS validated at a level gets its labels once, shared
+by every dependent that needs it: the product
+(:meth:`~repro.relational.backend.NumpyBackend.product_labels`) of the
+parent from level ``k - 1`` with the smallest key space and the codes of the
+one missing column, or a fold of the single columns when no parent was
+validated.  Only two levels of labels are ever alive.  ``fd_holds_fast``
+then rejects an LHS with fewer classes than the RHS has values, and
+otherwise checks the RHS codes against the labels in one O(rows) pass
+(:meth:`~repro.relational.backend.NumpyBackend.labels_determine`).
 
 Deferring a level's validations until all of its prunings ran cannot change
 the result: a candidate the combined closure would have accepted after a
@@ -47,10 +63,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..fd.closure import FDIndex
 from ..fd.fd import FD
 from ..relational.algebra import JoinKind, JoinMatch
-from ..relational.partition import PartitionCache, StrippedPartition, fd_holds_fast
+from ..relational.backend import KERNEL
 from ..relational.relation import Relation
 from .provenance import FDType, ProvenanceTriple
 
@@ -76,28 +91,47 @@ class JoinMiningOutcome:
     partial_join_rows: int = 0
 
 
-class _ClosureMemo:
-    """Closures under a growing FD list, memoised per attribute set."""
+def fd_holds_fast(labels, n_classes: int, codes, n_codes: int) -> bool:
+    """Whether ``X -> a`` holds, given ``X``'s row labels and ``a``'s codes.
 
-    __slots__ = ("fds", "index", "memo")
+    ``X -> a`` maps ``X``'s classes onto ``a``'s values, so it cannot hold
+    with fewer classes than values.
+    """
+    return n_classes >= n_codes and KERNEL.labels_determine(labels, n_classes, codes)
 
-    def __init__(self, fds: Iterable[FD]) -> None:
-        self.fds = list(fds)
-        self.index: FDIndex | None = None
-        self.memo: dict[frozenset[str], frozenset[str]] = {}
 
-    def add(self, dependency: FD) -> None:
-        """Extend the FD list; the index and the memo are rebuilt lazily."""
-        self.fds.append(dependency)
-        self.index = None
-        self.memo.clear()
+class _Closure(dict):
+    """Closures of attribute bitmasks under a growing FD list.
 
-    def __call__(self, attributes: frozenset[str]) -> frozenset[str]:
-        closure = self.memo.get(attributes)
-        if closure is None:
-            if self.index is None:
-                self.index = FDIndex(self.fds)
-            closure = self.memo[attributes] = self.index.closure(attributes)
+    ``closure[mask]`` is the closure of ``mask``, computed as a fixpoint on
+    first lookup and memoised until the next :meth:`add`.
+    """
+
+    __slots__ = ("rules",)
+
+    def __init__(self, fds: Iterable[tuple[int, int]]) -> None:
+        super().__init__()
+        #: LHS mask -> the union of its RHS bits.
+        self.rules: dict[int, int] = {}
+        for lhs, rhs in fds:
+            self.rules[lhs] = self.rules.get(lhs, 0) | rhs
+
+    def add(self, lhs: int, rhs: int) -> None:
+        """Extend the FD list; the memoised closures are dropped."""
+        self.rules[lhs] = self.rules.get(lhs, 0) | rhs
+        self.clear()
+
+    def __missing__(self, attributes: int) -> int:
+        closure = attributes
+        while True:
+            grown = closure
+            for lhs, rhs in self.rules.items():
+                if lhs & grown == lhs:
+                    grown |= rhs
+            if grown == closure:
+                break
+            closure = grown
+        self[attributes] = closure
         return closure
 
 
@@ -106,12 +140,13 @@ class _RhsWalk:
     """The lattice walk state of one dependent attribute."""
 
     rhs: str
+    bit: int
     in_left: bool
     in_right: bool
-    #: LHSs of the known and found FDs with this dependent.
-    dominating: list[frozenset[str]]
-    #: The current level's candidates, sorted by their sorted attribute names.
-    alive: list[frozenset[str]]
+    #: LHS masks of the known and found FDs with this dependent.
+    dominating: set[int]
+    #: The current level's candidates, in descending mask order.
+    alive: list[int]
     triples: list[ProvenanceTriple] = field(default_factory=list)
 
 
@@ -164,36 +199,63 @@ def mine_join_fds(
         # there is no room for join FDs.
         return outcome
 
-    left_side = set(left_instance.attribute_names)
-    right_side = set(right_instance.attribute_names)
+    left_names = left_instance.attribute_names
+    right_names = right_instance.attribute_names
     # The equi-join output keeps a shared join attribute once, on the left.
     dropped_right = {rgt for lft, rgt in zip(left_on, right_on) if lft == rgt}
-    right_kept = [a for a in right_instance.attribute_names if a not in dropped_right]
+    right_kept = [a for a in right_names if a not in dropped_right]
     allowed = set(attributes)
-    view_attrs = [a for a in (*left_instance.attribute_names, *right_kept) if a in allowed]
+    view_attrs = [a for a in (*left_names, *right_kept) if a in allowed]
     if len(view_attrs) < 2:
         return outcome
 
     known = list(known_fds)
     left_cover = list(left_fds)
     right_cover = list(right_fds)
-    left_join_attrs = frozenset(left_on)
-    right_join_attrs = frozenset(right_on)
-    left_closure = _ClosureMemo(left_cover)
-    right_closure = _ClosureMemo(right_cover)
-    known_closure = _ClosureMemo(known)
+    universe = set(left_names) | set(right_names)
+    for dependency in (*known, *left_cover, *right_cover):
+        universe |= dependency.lhs
+        universe.add(dependency.rhs)
+    names = sorted(universe)
+    bit_of = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
+    name_of = {bit: name for name, bit in bit_of.items()}
+
+    def mask_of(attrs: Iterable[str]) -> int:
+        mask = 0
+        for name in attrs:
+            mask |= bit_of[name]
+        return mask
+
+    def pairs(fds: list[FD]) -> list[tuple[int, int]]:
+        return [(mask_of(dependency.lhs), bit_of[dependency.rhs]) for dependency in fds]
+
+    def fd_of(lhs: int, rhs: str) -> FD:
+        return FD((name for name in names if bit_of[name] & lhs), rhs)
+
+    known_pairs = pairs(known)
+    left_pairs = pairs(left_cover)
+    right_pairs = pairs(right_cover)
+    left_side = mask_of(left_names)
+    right_side = mask_of(right_names)
+    left_join = mask_of(left_on)
+    right_join = mask_of(right_on)
+    left_closure = _Closure(left_pairs)
+    right_closure = _Closure(right_pairs)
+    known_closure = _Closure(known_pairs)
     # Closures over `known` plus the data-validated FDs.  FDs accepted by a
     # closure are implied by the FDs already indexed and cannot change any
-    # closure, so only a data verdict extends the index.
-    combined_closure = _ClosureMemo(known)
+    # closure, so only a data verdict extends the rules.
+    combined_closure = _Closure(known_pairs)
     max_size = max_lhs_size if max_lhs_size is not None else len(view_attrs) - 1
 
+    singletons = sorted((bit_of[a] for a in view_attrs), reverse=True)
     walks: list[_RhsWalk] = []
     for rhs in view_attrs:
-        in_left = rhs in left_side
-        in_right = rhs in right_side
+        bit = bit_of[rhs]
+        in_left = bool(bit & left_side)
+        in_right = bool(bit & right_side)
         if use_theorem4 and not _rhs_is_plausible(
-            rhs, in_left, in_right, left_join_attrs, right_join_attrs, left_cover, right_cover
+            bit, in_left, in_right, left_join, right_join, left_pairs, right_pairs
         ):
             # No minimal FD of the side owning ``rhs`` involves that side's
             # join attributes in its determinant, so by Theorem 4 no
@@ -201,94 +263,126 @@ def mine_join_fds(
             # right-hand side without generating any candidate.
             outcome.candidates_pruned_logically += 1
             continue
+        dominating = {lhs for lhs, dependent in known_pairs if dependent == bit}
         walks.append(
             _RhsWalk(
                 rhs=rhs,
+                bit=bit,
                 in_left=in_left,
                 in_right=in_right,
-                dominating=[f.lhs for f in known if f.rhs == rhs],
-                alive=[frozenset({a}) for a in sorted(view_attrs) if a != rhs],
+                dominating=dominating,
+                # A known constant (``∅ -> rhs``) dominates every candidate.
+                alive=[] if 0 in dominating else [s for s in singletons if s != bit],
             )
         )
 
     joined: Relation | None = None
-    cache: PartitionCache | None = None
-    # Partitions of the LHSs validated at the previous and the current level.
-    previous: dict[frozenset[str], StrippedPartition] = {}
-    current: dict[frozenset[str], StrippedPartition] = {}
+    # Codes of the partial join's columns, by attribute bit.
+    columns: dict[int, tuple] = {}
+    # Labels of the LHSs validated at the previous and the current level.
+    previous: dict[int, tuple] = {}
+    current: dict[int, tuple] = {}
 
-    def level_partition(lhs: frozenset[str]) -> StrippedPartition:
-        partition = current.get(lhs)
-        if partition is not None:
-            return partition
-        assert cache is not None
-        best: StrippedPartition | None = None
-        best_rank = best_missing = None
-        for attribute in sorted(lhs):
-            parent = previous.get(lhs - {attribute})
-            if parent is None:
-                continue
-            rank = (parent.n_groups, parent.stripped_size)
-            if best is None or rank < best_rank:
-                best, best_rank, best_missing = parent, rank, attribute
-        if best is None:
+    def column(bit: int) -> tuple:
+        entry = columns.get(bit)
+        if entry is None:
+            codes, n_codes = joined.column_codes(name_of[bit])
+            entry = columns[bit] = (KERNEL.as_codes(codes), n_codes)
+        return entry
+
+    def level_labels(lhs: int) -> tuple:
+        entry = current.get(lhs)
+        if entry is not None:
+            return entry
+        parent = None
+        best_space = missing = 0
+        rest = lhs
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            candidate = previous.get(lhs ^ bit)
+            if candidate is not None:
+                space = candidate[1] * column(bit)[1]
+                if parent is None or space < best_space:
+                    parent, best_space, missing = candidate, space, bit
+        if parent is None:
             # A single attribute, or an LHS none of whose parents needed
-            # validation: the join's cache builds it from the singletons.
-            partition = cache.get(lhs)
+            # validation: fold its columns.
+            bit = lhs & -lhs
+            entry = column(bit)
+            rest = lhs ^ bit
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                entry = KERNEL.product_labels(*entry, *column(bit))
         else:
-            partition = best.intersect(cache.get((best_missing,)))
-        current[lhs] = partition
-        return partition
+            entry = KERNEL.product_labels(*parent, *column(missing))
+        current[lhs] = entry
+        return entry
 
     size = 1
     while size <= max_size and any(walk.alive for walk in walks):
         # Pass 1: the logical prunings, dependent by dependent.  Each entry
         # is a triple found without data access or an LHS left to validate.
-        level: list[tuple[_RhsWalk, list[ProvenanceTriple | frozenset[str]], list]] = []
+        level: list[tuple[_RhsWalk, list[ProvenanceTriple | int], list[int]]] = []
         # Whether each distinct LHS of the level is free; the combined
         # closure is fixed until Pass 2, so one verdict serves every walk.
-        free: dict[frozenset[str], bool] = {}
+        free: dict[int, bool] = {}
         for walk in walks:
             if not walk.alive:
                 continue
-            rhs = walk.rhs
-            entries: list[ProvenanceTriple | frozenset[str]] = []
-            expandable: list[frozenset[str]] = []
+            bit = walk.bit
+            dominating = walk.dominating
+            entries: list[ProvenanceTriple | int] = []
+            expandable: list[int] = []
             for lhs in walk.alive:
-                if any(d <= lhs for d in walk.dominating):
-                    continue  # dominated: neither minimal nor worth expanding
+                if lhs in dominating:
+                    # Dominated: neither minimal nor worth expanding.  A
+                    # dominating LHS smaller than ``lhs`` lies in one of its
+                    # subsets on the previous level, which was then dominated
+                    # or found to hold and not expanded, so apriori generation
+                    # never produced ``lhs``: only an equal LHS can dominate.
+                    continue
                 is_free = free.get(lhs)
                 if is_free is None:
-                    is_free = free[lhs] = not any(b in combined_closure(lhs - {b}) for b in lhs)
+                    is_free = True
+                    rest = lhs
+                    while rest:
+                        member = rest & -rest
+                        rest ^= member
+                        if combined_closure[lhs ^ member] & member:
+                            is_free = False
+                            break
+                    free[lhs] = is_free
                 if not is_free:
                     # Same partition as a smaller set: no minimal LHS here or
                     # in any superset, so neither validated nor expanded.
                     outcome.candidates_non_free += 1
                     continue
-                attrs = lhs | {rhs}
-                if attrs <= left_side or attrs <= right_side:
+                attrs = lhs | bit
+                if not attrs & ~left_side or not attrs & ~right_side:
                     # Entirely single-sided and not dominated by that side's
                     # complete FD set: it cannot hold, but supersets that add
                     # attributes from the other side still can.
                     expandable.append(lhs)
                     continue
-                if rhs in known_closure(lhs):
+                if known_closure[lhs] & bit:
                     # Valid by Armstrong reasoning over FDs carried from the
                     # inputs: an inferred FD (Definition 6), no data access.
                     fd_type = FDType.INFERRED
-                elif rhs in combined_closure(lhs):
+                elif combined_closure[lhs] & bit:
                     # Valid, but only thanks to previously mined join FDs: it
                     # is a join FD itself (Definition 7), still no data access.
                     fd_type = FDType.JOIN
                 elif use_theorem4 and not _theorem4_admits(
                     lhs,
-                    rhs,
+                    bit,
                     walk.in_left,
                     walk.in_right,
                     left_side,
                     right_side,
-                    left_join_attrs,
-                    right_join_attrs,
+                    left_join,
+                    right_join,
                     left_closure,
                     right_closure,
                 ):
@@ -301,15 +395,13 @@ def mine_join_fds(
                     entries.append(lhs)
                     continue
                 outcome.candidates_pruned_logically += 1
-                dependency = FD(lhs, rhs)
-                walk.dominating.append(lhs)
-                entries.append(ProvenanceTriple(dependency, fd_type, subquery))
+                dominating.add(lhs)
+                entries.append(ProvenanceTriple(fd_of(lhs, walk.rhs), fd_type, subquery))
             level.append((walk, entries, expandable))
 
-        # Pass 2: validate the survivors on the level's shared partitions.
+        # Pass 2: validate the survivors on the level's shared labels.
         previous, current = current, {}
         for walk, entries, expandable in level:
-            rhs = walk.rhs
             for entry in entries:
                 if isinstance(entry, ProvenanceTriple):
                     walk.triples.append(entry)
@@ -318,17 +410,15 @@ def mine_join_fds(
                     if match is None:
                         match = JoinMatch(left_instance, right_instance, left_on, right_on, kind)
                     joined = match.relation(name=f"partial({subquery})")
-                    # Pins the single-attribute partitions; larger LHSs live
-                    # in the two level maps.
-                    cache = PartitionCache(joined)
                     outcome.join_materialised = True
                     outcome.partial_join_rows = len(joined)
                 outcome.candidates_validated += 1
-                if fd_holds_fast(joined, level_partition(entry), rhs):
-                    dependency = FD(entry, rhs)
-                    combined_closure.add(dependency)
-                    walk.dominating.append(entry)
-                    walk.triples.append(ProvenanceTriple(dependency, FDType.JOIN, subquery))
+                if fd_holds_fast(*level_labels(entry), *column(walk.bit)):
+                    combined_closure.add(entry, walk.bit)
+                    walk.dominating.add(entry)
+                    walk.triples.append(
+                        ProvenanceTriple(fd_of(entry, walk.rhs), FDType.JOIN, subquery)
+                    )
                 else:
                     expandable.append(entry)
             walk.alive = _next_level(expandable)
@@ -340,13 +430,13 @@ def mine_join_fds(
 
 
 def _rhs_is_plausible(
-    rhs: str,
+    rhs: int,
     in_left: bool,
     in_right: bool,
-    left_join_attrs: frozenset[str],
-    right_join_attrs: frozenset[str],
-    left_cover: list[FD],
-    right_cover: list[FD],
+    left_join: int,
+    right_join: int,
+    left_pairs: list[tuple[int, int]],
+    right_pairs: list[tuple[int, int]],
 ) -> bool:
     """Whether any cross-side FD with dependent ``rhs`` can exist at all.
 
@@ -357,32 +447,29 @@ def _rhs_is_plausible(
     that some *minimal* FD of ``J`` with dependent ``rhs`` uses at least one
     join attribute in its determinant.  If no such FD exists, every candidate
     with this dependent is either impossible or dominated, and the dependent
-    can be skipped outright.
+    can be skipped outright.  Attribute sets are masks and ``rhs`` a bit;
+    the covers are ``(lhs mask, rhs bit)`` pairs.
     """
-    if rhs in left_join_attrs or rhs in right_join_attrs:
+    if rhs & (left_join | right_join):
         return True
-    if in_right and any(
-        dependency.rhs == rhs and dependency.lhs & right_join_attrs for dependency in right_cover
-    ):
+    if in_right and any(dependent == rhs and lhs & right_join for lhs, dependent in right_pairs):
         return True
-    if in_left and any(
-        dependency.rhs == rhs and dependency.lhs & left_join_attrs for dependency in left_cover
-    ):
+    if in_left and any(dependent == rhs and lhs & left_join for lhs, dependent in left_pairs):
         return True
     return False
 
 
 def _theorem4_admits(
-    lhs: frozenset[str],
-    rhs: str,
+    lhs: int,
+    rhs: int,
     in_left: bool,
     in_right: bool,
-    left_side: set[str],
-    right_side: set[str],
-    left_join_attrs: frozenset[str],
-    right_join_attrs: frozenset[str],
-    left_closure: _ClosureMemo,
-    right_closure: _ClosureMemo,
+    left_side: int,
+    right_side: int,
+    left_join: int,
+    right_join: int,
+    left_closure: _Closure,
+    right_closure: _Closure,
 ) -> bool:
     """Whether Theorem 4 allows the candidate ``lhs -> rhs`` to hold at all.
 
@@ -391,40 +478,45 @@ def _theorem4_admits(
     (reduced) instance of ``J``, which is decided against that side's
     complete FD cover (closures memoised once per join node).  A dependent
     shared by both sides (a join attribute) admits the candidate whenever
-    either side does.
+    either side does.  Attribute sets are masks and ``rhs`` a bit.
     """
-    if in_right:
-        closure = right_closure(right_join_attrs | (lhs & right_side))
-        if rhs in closure or rhs in right_join_attrs:
-            return True
+    if in_right and (right_closure[right_join | (lhs & right_side)] | right_join) & rhs:
+        return True
     if in_left:
-        closure = left_closure(left_join_attrs | (lhs & left_side))
-        return rhs in closure or rhs in left_join_attrs
+        return bool((left_closure[left_join | (lhs & left_side)] | left_join) & rhs)
     return False
 
 
-def _next_level(expandable: list[frozenset[str]]) -> list[frozenset[str]]:
-    """TANE's apriori generation: the next level, in sorted order.
+def _next_level(expandable: list[int]) -> list[int]:
+    """TANE's apriori generation on masks: the next level, in descending order.
 
     A set one larger is generated only when all of its subsets on this level
     are expandable.  Any other superset contains a subset that was dominated,
     found to hold or non-free, so it is dominated or non-free itself and
-    would be skipped.
+    would be skipped.  In descending order, the sets sharing all but their
+    lowest bit (their last attribute by name) are contiguous.
     """
     survivors = set(expandable)
-    ordered = sorted(tuple(sorted(lhs)) for lhs in expandable)
-    next_level: list[frozenset[str]] = []
+    ordered = sorted(expandable, reverse=True)
+    next_level: list[int] = []
     start = 0
     while start < len(ordered):
         # One block of sets sharing all but their last attribute.
-        prefix = ordered[start][:-1]
+        first = ordered[start]
+        prefix = first & (first - 1)
         end = start + 1
-        while end < len(ordered) and ordered[end][:-1] == prefix:
+        while end < len(ordered) and ordered[end] & (ordered[end] - 1) == prefix:
             end += 1
         for i in range(start, end):
             for j in range(i + 1, end):
-                candidate = frozenset(ordered[i] + ordered[j][-1:])
-                if all(candidate - {a} in survivors for a in prefix):
+                candidate = ordered[i] | ordered[j]
+                rest = prefix
+                while rest:
+                    member = rest & -rest
+                    if candidate ^ member not in survivors:
+                        break
+                    rest ^= member
+                else:
                     next_level.append(candidate)
         start = end
     return next_level

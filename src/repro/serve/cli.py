@@ -39,14 +39,17 @@ from ..config import ConfigError, ServeConfig, load_tenant_configs
 from .server import HttpFrontend, Server
 
 
-class _GracefulShutdown(Exception):
+class _GracefulShutdown(BaseException):
     """Raised out of ``serve_forever`` by the SIGTERM handler.
 
     ``HTTPServer.shutdown()`` deadlocks when called from the thread running
     ``serve_forever`` (it blocks until that loop acknowledges), and signal
     handlers run on the main thread — so the handler raises instead, which
     unwinds ``serve_forever`` exactly like ``KeyboardInterrupt`` does for
-    Ctrl-C, and the ``finally`` block performs the bounded drain.
+    Ctrl-C, and the ``finally`` block performs the bounded drain.  Like
+    ``KeyboardInterrupt`` it derives from ``BaseException``: ``socketserver``
+    handles a request under ``except Exception`` and would otherwise log the
+    signal as a request error and keep serving.
     """
 
 

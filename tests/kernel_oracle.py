@@ -39,6 +39,8 @@ PRIMITIVES = (
     "match",
     "gather_densify",
     "matched_positions",
+    "product_labels",
+    "labels_determine",
 )
 
 #: The legs of tests parametrised over kernels: the oracle-checked run and
@@ -226,6 +228,18 @@ class PythonBackend:
             if i >= 0:
                 mask[i] = 1
         return array("q", [i for i, seen in enumerate(mask) if seen])
+
+    def product_labels(self, x, nx, y, ny):
+        pairs = list(zip(x, y))
+        rank = {pair: label for label, pair in enumerate(sorted(set(pairs)))}
+        return [rank[pair] for pair in pairs], len(rank)
+
+    def labels_determine(self, labels, n, codes):
+        code_of: dict[int, int] = {}
+        for label, code in zip(labels, codes):
+            if code_of.setdefault(label, code) != code:
+                return False
+        return True
 
 
 ORACLE = PythonBackend()

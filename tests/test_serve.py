@@ -810,6 +810,23 @@ class TestServeCLI:
         assert args.workers == 6
         assert args.warmup is False
 
+    def test_graceful_shutdown_escapes_request_handling(self):
+        """SIGTERM's exception is not swallowed by ``socketserver``'s ``except Exception``."""
+        import socket
+        import socketserver
+
+        from repro.serve.cli import _GracefulShutdown
+
+        class SignalledServer(socketserver.TCPServer):
+            def process_request(self, request, client_address):
+                raise _GracefulShutdown
+
+        with SignalledServer(("127.0.0.1", 0), socketserver.BaseRequestHandler) as server:
+            server.timeout = 10
+            with socket.create_connection(server.server_address, timeout=10):
+                with pytest.raises(_GracefulShutdown):
+                    server.handle_request()
+
     def test_missing_tenant_config_fails_cleanly(self, capsys):
         from repro.serve.cli import main_serve
 
