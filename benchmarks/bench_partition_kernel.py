@@ -45,8 +45,9 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.config import config_fingerprint  # noqa: E402
 from repro.relational.backend import KERNEL  # noqa: E402
-from repro.session import Session  # noqa: E402
+from repro.session import Session, engine_config  # noqa: E402
 from repro.relational.partition import (  # noqa: E402
     PartitionCache,
     StrippedPartition,
@@ -192,13 +193,13 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
 
     scale = os.environ.get("REPRO_BENCH_SCALE", "small")
-    # Each run executes under its own Session so its cache budgets and
-    # kernel counters are its own.
+    # Each run executes under its own Session so its caches and kernel
+    # counters are its own.
     session = Session()
     with session.activate():
         result = run_bench(_resolve_rows(scale), repeats=args.repeats)
         stats = session.kernel_stats()
-    result["config_fingerprint"] = session.config.fingerprint()
+    result["config_fingerprint"] = config_fingerprint(engine_config())
     # Which sort path the kernel actually took (counting-sort vs
     # introsort) — makes a run's label verifiable from the JSON alone.
     result["sort_paths"] = {

@@ -52,9 +52,8 @@ def build_catalog() -> dict[str, Relation]:
 def main() -> None:
     catalog = build_catalog()
 
-    # One explicit engine context for the whole workload.  Environment
-    # variables provide the defaults; keyword overrides always win, and no
-    # cache budget changes the artefacts.
+    # One explicit engine context for the whole workload: its own kernel
+    # caches and counters.  The engine has no settings to pass.
     session = Session()
     print(f"== Session ==\n  {session!r}")
 

@@ -29,7 +29,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.config import parse_tenant_configs  # noqa: E402
 from repro.relational.relation import Relation  # noqa: E402
 from repro.serve import HttpFrontend, Server, relation_to_payload  # noqa: E402
 from repro.session import RunResult  # noqa: E402
@@ -80,8 +79,7 @@ def wait_for(host, port, job_id, timeout=30.0):
 
 def main():
     # -- server bootstrap (replace with a running `python -m repro serve`) ----
-    tenant_configs = parse_tenant_configs({"clinic": {"marks_cache_bytes": 1 << 20}})
-    server = Server(tenant_configs=tenant_configs, workers=2, max_queue=16)
+    server = Server(workers=2, max_queue=16)
     frontend = HttpFrontend(server, port=0).start()
     host, port = frontend.address
     print(f"serving on http://{host}:{port}")
@@ -104,7 +102,6 @@ def main():
                 "kind": "discover",
                 "relation_ref": ack["hash"],
                 "params": {"algorithm": "tane"},
-                "overrides": {},
                 "deadline_ms": 20_000,
             }
             ref_bytes += len(json.dumps(request).encode("utf-8"))

@@ -20,7 +20,7 @@ from repro.experiments import fig3_rows, fig5_rows, render_table, run_view_exper
 
 
 def main() -> None:
-    session = Session()  # env-var defaults; e.g. Session(marks_cache_bytes=0) to pin
+    session = Session()  # owns this workload's kernel caches and counters
     catalog = load_database("tpch", scale="small")
 
     experiments = []

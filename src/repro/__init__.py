@@ -6,7 +6,7 @@ is re-exported here; the recommended entry point is the session API::
 
     from repro import Relation, Session, base, join
 
-    session = Session()                      # env-var defaults; kwargs override
+    session = Session()                      # owns its kernel caches and counters
     catalog = {...}
     result = session.discover(catalog["patient"], algorithm="tane")
     view = join(base("patient"), base("admission"), on="subject_id")
@@ -19,7 +19,6 @@ session (see :func:`repro.session.default_session`).
 """
 
 from ._version import __version__
-from .config import EngineConfig
 from .discovery import (
     FUN,
     TANE,
@@ -66,7 +65,6 @@ from .session import (
 __all__ = [
     "__version__",
     "Session",
-    "EngineConfig",
     "RunResult",
     "default_session",
     "discover",

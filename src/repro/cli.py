@@ -17,7 +17,7 @@ Run everything and save the rendered tables under ``results/``::
 
 Start the multi-tenant HTTP serving endpoint (see :mod:`repro.serve.cli`)::
 
-    python -m repro serve --workers 8 --max-queue 256 --tenant-config tenants.json
+    python -m repro serve --workers 8 --max-queue 256
 """
 
 from __future__ import annotations

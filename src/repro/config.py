@@ -1,24 +1,11 @@
-"""Engine configuration: every tuning knob of the partition kernel in one place.
+"""Serving configuration and the engine-configuration fingerprint.
 
-Before the :class:`~repro.session.Session` API, the kernel was configured
-through scattered process-wide environment variables (cache budgets) read
-lazily at first use.  :class:`EngineConfig` turns those
-into an explicit, immutable value object:
-
-* environment variables become *defaults*, parsed once by
-  :meth:`EngineConfig.from_env`;
-* an explicit ``EngineConfig(...)`` (or keyword overrides on
-  ``Session(...)``/per-call overrides on ``Session.discover(...)``) always
-  wins over the environment;
-* the whole configuration is JSON-serialisable (:meth:`as_dict`) and
-  content-addressed (:meth:`fingerprint`), so every
-  :class:`~repro.session.RunResult` can record exactly which engine settings
-  produced it.
-
-The configuration only affects *how fast* results are computed, never *what*
-is computed: every cache is semantics-preserving, so artefacts stay
-byte-identical across any two configurations (this is pinned by tests).
-There is one partition kernel (numpy), so nothing here selects one.
+:class:`ServeConfig` holds the serving layer's executor settings, with
+``REPRO_SERVE_*`` environment variables as defaults.  The partition kernel
+has no settings: its two cache sizes are constants of
+:mod:`repro.relational.backend`.  Every :class:`~repro.session.RunResult`
+still records the mapping of those sizes under ``engine.config``, hashed by
+:func:`config_fingerprint`.
 """
 
 from __future__ import annotations
@@ -29,25 +16,6 @@ import json
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
-
-#: Environment variable overriding the mark-table cache budget in bytes.
-ENV_MARKS_CACHE_BYTES = "REPRO_MARKS_CACHE_BYTES"
-
-#: Environment variable overriding the combined-codes prefix cache size.
-ENV_COMBINED_CACHE_ENTRIES = "REPRO_COMBINED_CODES_CACHE_ENTRIES"
-
-#: Default mark-table budget: sixteen ~1M-row tables at 8 bytes per row.
-DEFAULT_MARKS_CACHE_BYTES = 128 * 1024 * 1024
-
-#: Default number of combined-code prefixes cached per relation.
-DEFAULT_COMBINED_CACHE_ENTRIES = 16
-
-#: The integer fields of :class:`EngineConfig` and their smallest legal value.
-_INT_FIELD_MINIMUMS = {
-    "marks_cache_bytes": 0,
-    "combined_codes_cache_entries": 2,
-    "partition_cache_max_positions": 0,
-}
 
 
 def _env_int(env: Mapping[str, str], name: str, default: int, minimum: int = 0) -> int:
@@ -78,106 +46,14 @@ def _env_float(env: Mapping[str, str], name: str, default: float, minimum: float
 
 
 class ConfigError(ValueError):
-    """Raised for invalid engine configurations."""
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Immutable configuration of the partition-kernel engine.
-
-    Parameters
-    ----------
-    marks_cache_bytes:
-        Byte budget of each relation-scoped row -> group-id mark-table cache.
-    combined_codes_cache_entries:
-        Entries of each relation-scoped combined-codes prefix LRU.
-    partition_cache_max_positions:
-        Default ``stripped_size`` budget for algorithm-owned
-        :class:`~repro.relational.partition.PartitionCache` instances
-        (``None`` = unbounded; call sites may still pass an explicit budget).
-    """
-
-    marks_cache_bytes: int = DEFAULT_MARKS_CACHE_BYTES
-    combined_codes_cache_entries: int = DEFAULT_COMBINED_CACHE_ENTRIES
-    partition_cache_max_positions: int | None = None
-
-    def __post_init__(self) -> None:
-        for name, minimum in _INT_FIELD_MINIMUMS.items():
-            value = getattr(self, name)
-            if value is None and name == "partition_cache_max_positions":
-                continue  # None = unbounded
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < minimum:
-                raise ConfigError(f"{name} must be at least {minimum}, got {value}")
-
-    # -- construction ---------------------------------------------------------
-    @classmethod
-    def from_env(cls, env: Mapping[str, str] | None = None) -> "EngineConfig":
-        """Parse the environment-variable defaults into a configuration.
-
-        Unset or malformed variables fall back to the built-in defaults, so
-        a pristine environment yields ``EngineConfig()``; variables of
-        retired fields are ignored.
-        """
-        if env is None:
-            env = os.environ
-        return cls(
-            marks_cache_bytes=_env_int(
-                env, ENV_MARKS_CACHE_BYTES, DEFAULT_MARKS_CACHE_BYTES
-            ),
-            combined_codes_cache_entries=_env_int(
-                env, ENV_COMBINED_CACHE_ENTRIES, DEFAULT_COMBINED_CACHE_ENTRIES, minimum=2
-            ),
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "EngineConfig":
-        """Build a configuration from a JSON-native mapping of field values.
-
-        The inverse of :meth:`as_dict` (and the parser of per-tenant config
-        files for the serving layer): unknown keys raise :class:`ConfigError`,
-        missing keys keep their built-in defaults, ``None`` values mean
-        "default" (mirroring :meth:`replace`).
-        """
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"engine configuration must be a mapping, got {type(data).__name__}"
-            )
-        return cls().replace(**dict(data))
-
-    def replace(self, **overrides) -> "EngineConfig":
-        """A copy with ``overrides`` applied; ``None`` values mean "keep".
-
-        This is the per-call override mechanism of the session API:
-        ``session.discover(relation, marks_cache_bytes=0)`` derives a one-call
-        configuration from the session's without mutating it.
-        """
-        cleaned = {key: value for key, value in overrides.items() if value is not None}
-        unknown = set(cleaned) - {f.name for f in dataclasses.fields(self)}
-        if unknown:
-            raise ConfigError(f"unknown EngineConfig fields: {sorted(unknown)}")
-        return dataclasses.replace(self, **cleaned) if cleaned else self
-
-    # -- serialisation --------------------------------------------------------
-    def as_dict(self) -> dict[str, object]:
-        """The configuration as a JSON-native dictionary."""
-        return dataclasses.asdict(self)
-
-    def fingerprint(self) -> str:
-        """A short, stable content hash of the configuration.
-
-        Recorded in every :class:`~repro.session.RunResult` so artefacts can
-        be traced back to the exact engine settings that produced them.
-        """
-        return config_fingerprint(self.as_dict())
+    """Raised for invalid serving configurations."""
 
 
 def config_fingerprint(config: Mapping[str, object]) -> str:
     """The short SHA-256 of a configuration mapping's canonical JSON.
 
     Hashes the mapping exactly as given, so a result recorded under an older
-    set of :class:`EngineConfig` fields still re-hashes to its fingerprint.
+    set of engine-configuration fields still re-hashes to its fingerprint.
     """
     canonical = json.dumps(dict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
@@ -363,33 +239,8 @@ class ServeConfig:
         malformed choices raise :class:`ConfigError` rather than silently
         degrading.
         """
-        if env is None:
-            env = os.environ
-        executor = (env.get(ENV_SERVE_EXECUTOR) or "thread").strip().lower() or "thread"
-        start_method = (env.get(ENV_SERVE_START_METHOD) or "spawn").strip().lower() or "spawn"
-        return cls(
-            executor=executor,
-            workers=_env_int(env, ENV_SERVE_WORKERS, DEFAULT_SERVE_WORKERS, minimum=1),
-            warmup=_env_bool(env, ENV_SERVE_WARMUP, True),
-            start_method=start_method,
-            max_attempts=_env_int(
-                env, ENV_SERVE_MAX_ATTEMPTS, DEFAULT_SERVE_MAX_ATTEMPTS, minimum=1
-            ),
-            restart_budget=_env_int(
-                env, ENV_SERVE_RESTART_BUDGET, DEFAULT_SERVE_RESTART_BUDGET
-            ),
-            restart_window=_env_float(
-                env, ENV_SERVE_RESTART_WINDOW, DEFAULT_SERVE_RESTART_WINDOW, minimum=0.001
-            ),
-            degraded_fallback=_env_bool(env, ENV_SERVE_DEGRADED_FALLBACK, False),
-            drain_deadline=_env_float(
-                env, ENV_SERVE_DRAIN_DEADLINE, DEFAULT_SERVE_DRAIN_DEADLINE, minimum=0.001
-            ),
-            faults=(env.get(ENV_SERVE_FAULTS) or "").strip() or None,
-            registry_dir=(env.get(ENV_REGISTRY_DIR) or "").strip() or None,
-            processes=_env_int(env, ENV_SERVE_PROCESSES, 0),
-            max_jobs_per_worker=_env_int(env, ENV_SERVE_MAX_JOBS_PER_WORKER, 0),
-        )
+        fields = [field.name for field in dataclasses.fields(cls)]
+        return cls(**cls.from_env_fields(fields, env))  # type: ignore[arg-type]
 
     @classmethod
     def from_env_fields(
@@ -442,63 +293,3 @@ class ServeConfig:
     def as_dict(self) -> dict[str, object]:
         """The configuration as a JSON-native dictionary."""
         return dataclasses.asdict(self)
-
-
-# ---------------------------------------------------------------------------
-# Per-tenant configuration (the serving layer's tenant model).
-# ---------------------------------------------------------------------------
-
-#: Tenant-config key holding the defaults applied to tenants with no entry.
-TENANT_DEFAULT_KEY = "*"
-
-
-def parse_tenant_configs(
-    data: Mapping[str, Mapping[str, object]],
-) -> dict[str, EngineConfig]:
-    """Parse a ``{tenant: {field: value}}`` mapping into per-tenant configs.
-
-    The wire/file format of ``python -m repro serve --tenant-config``: each
-    key is a tenant name, each value a partial :class:`EngineConfig` mapping
-    (unknown fields raise :class:`ConfigError`, naming the offending tenant).
-    The special key ``"*"`` configures the *default* applied to tenants
-    without an explicit entry; explicit entries are layered on top of it, so
-
-    .. code-block:: json
-
-        {"*": {"combined_codes_cache_entries": 4},
-         "acme": {"marks_cache_bytes": 1048576}}
-
-    gives ``acme`` the 4-entry prefix cache *and* the 1 MiB budget.
-    """
-    if not isinstance(data, Mapping):
-        raise ConfigError(
-            f"tenant configuration must be a mapping, got {type(data).__name__}"
-        )
-    base = EngineConfig()
-    default_fields = data.get(TENANT_DEFAULT_KEY)
-    if default_fields is not None:
-        try:
-            base = base.replace(**dict(default_fields))
-        except (ConfigError, TypeError, ValueError) as exc:
-            raise ConfigError(f"tenant {TENANT_DEFAULT_KEY!r}: {exc}") from exc
-    configs: dict[str, EngineConfig] = {TENANT_DEFAULT_KEY: base}
-    for tenant, fields in data.items():
-        if tenant == TENANT_DEFAULT_KEY:
-            continue
-        if not isinstance(tenant, str) or not tenant:
-            raise ConfigError(f"tenant names must be non-empty strings, got {tenant!r}")
-        try:
-            configs[tenant] = base.replace(**dict(fields))
-        except (ConfigError, TypeError, ValueError) as exc:
-            raise ConfigError(f"tenant {tenant!r}: {exc}") from exc
-    return configs
-
-
-def load_tenant_configs(path: "os.PathLike[str] | str") -> dict[str, EngineConfig]:
-    """Load :func:`parse_tenant_configs` input from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"tenant config {path}: invalid JSON ({exc})") from exc
-    return parse_tenant_configs(data)

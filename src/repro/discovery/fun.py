@@ -16,7 +16,7 @@ of FUN compared to TANE's C+ machinery.
 from __future__ import annotations
 
 from ..fd.fd import FD
-from ..relational.partition import PartitionCache, make_partition_cache, validate_level
+from ..relational.partition import PartitionCache, validate_level
 from ..relational.relation import Relation
 from .base import DiscoveryStats, FDDiscoveryAlgorithm
 
@@ -37,7 +37,7 @@ class FUN(FDDiscoveryAlgorithm):
             # Every FD holds vacuously on an empty instance.
             return [FD((), attribute) for attribute in attributes], stats
 
-        cache = make_partition_cache(relation)
+        cache = PartitionCache(relation)
         n_rows = len(relation)
         cardinality: dict[AttributeSet, int] = {frozenset(): 1}
         minimal_lhs: dict[str, list[AttributeSet]] = {a: [] for a in attributes}

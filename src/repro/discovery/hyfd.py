@@ -23,7 +23,7 @@ tuple-oriented algorithms.
 from __future__ import annotations
 
 from ..fd.fd import FD
-from ..relational.partition import PartitionCache, make_partition_cache
+from ..relational.partition import PartitionCache
 from ..relational.relation import Relation
 from .base import DiscoveryStats, FDDiscoveryAlgorithm
 
@@ -50,7 +50,7 @@ class HyFD(FDDiscoveryAlgorithm):
 
         names = tuple(sorted(attributes))
         universe = frozenset(names)
-        cache = make_partition_cache(relation)
+        cache = PartitionCache(relation)
 
         # Phase 1: focused sampling builds the negative cover.
         agree_sets = self._sample_agree_sets(relation, names, stats, cache)

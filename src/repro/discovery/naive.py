@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..fd.fd import FD
-from ..relational.partition import make_partition_cache
+from ..relational.partition import PartitionCache
 from ..relational.relation import Relation
 from .base import DiscoveryStats, FDDiscoveryAlgorithm
 
@@ -24,7 +24,7 @@ class NaiveFDDiscovery(FDDiscoveryAlgorithm):
 
     def _run(self, relation: Relation, attributes: tuple[str, ...]):
         stats = DiscoveryStats()
-        cache = make_partition_cache(relation)
+        cache = PartitionCache(relation)
         results: list[FD] = []
         # minimal LHSs discovered so far, per RHS attribute.
         minimal_lhs: dict[str, list[frozenset[str]]] = {a: [] for a in attributes}

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator
 from ..relational.partition import (
     PartitionCache,
     fd_violation_fraction,
-    make_partition_cache,
     validate_level_errors,
 )
 from ..relational.relation import Relation
@@ -82,7 +81,7 @@ def approximate_fds(
     if threshold <= 0:
         raise ValueError("threshold must be positive; use a discovery algorithm for exact FDs")
     names = tuple(attributes) if attributes is not None else relation.attribute_names
-    cache = make_partition_cache(relation)
+    cache = PartitionCache(relation)
     results: list[ApproximateFD] = []
     exact_or_afd: dict[str, list[frozenset[str]]] = {name: [] for name in names}
 
@@ -131,7 +130,7 @@ def upstageable_fds(
     ``base`` with the join-attribute values of another table; the yielded
     dependencies are precisely the candidates for *upstaged* provenance.
     """
-    cache = make_partition_cache(reduced)
+    cache = PartitionCache(reduced)
     for approximate in approximate_fds(base, threshold, max_lhs):
         dependency = approximate.dependency
         if fd_violation_fraction(reduced, dependency.lhs, dependency.rhs, cache) == 0.0:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 from ..fd.closure import transitive_fds_through
 from ..fd.fd import FD
 from ..relational.algebra import JoinKind, JoinMatch, project
-from ..relational.partition import fd_holds_fast, make_partition_cache
+from ..relational.partition import PartitionCache, fd_holds_fast
 from ..relational.relation import Relation
 from .provenance import FDType, ProvenanceTriple
 
@@ -181,7 +181,7 @@ def _refine(dependency: FD, partial: Relation | None, outcome: InferenceOutcome)
     if partial is None:
         return [dependency]
 
-    cache = make_partition_cache(partial)
+    cache = PartitionCache(partial)
     available = set(partial.attribute_names)
     lhs_attributes = sorted(dependency.lhs & available)
     if dependency.rhs not in available or len(lhs_attributes) != len(dependency.lhs):

@@ -108,7 +108,7 @@ def verify_provenance(
     if not isinstance(config, Mapping):
         raise ProvenanceError("result carries no engine.config mapping to re-hash")
     # Re-hash the recorded mapping as-is rather than re-parsing it: a result
-    # saved under an older set of EngineConfig fields must still verify.
+    # saved under an older set of engine-configuration fields must still verify.
     recomputed = config_fingerprint(config)
     if fingerprint != recorded or fingerprint != recomputed:
         raise ProvenanceError(

@@ -264,12 +264,23 @@ class RelationRegistry:
         exactly one intact file.  Persisting requires JSON-native scalar
         values: anything else raises :class:`ValueError` and writes nothing.
         """
+        return self.store(relation)[0]
+
+    def store(self, relation: Relation) -> tuple[str, bool]:
+        """:meth:`put` ``relation``; returns ``(content_hash, created)``.
+
+        ``created`` says whether this call stored something new: on disk,
+        that it wrote the object file (a quarantined object is written
+        again); in memory, that the hash was not cached.
+        """
         content_hash = relation.content_hash()
         with self._lock:
             self._counters["puts"] += 1
+            created = content_hash not in self._cache
         if self.persistent:
             path = self._object_path(content_hash)
-            if path.exists():
+            created = not path.exists()
+            if not created:
                 with self._lock:
                     self._counters["write_skips"] += 1
             else:
@@ -277,7 +288,7 @@ class RelationRegistry:
                 with self._lock:
                     self._counters["writes"] += 1
         self._remember(content_hash, relation)
-        return content_hash
+        return content_hash, created
 
     def get(self, content_hash: str) -> Relation:
         """The relation addressed by ``content_hash``.

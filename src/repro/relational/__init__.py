@@ -70,7 +70,6 @@ from .partition import (
     fd_holds_fast,
     fd_violation_fraction,
     fd_violation_fraction_from_partition,
-    make_partition_cache,
     validate_level,
     validate_level_errors,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "active_state",
     "activate_state",
     "kernel_counters",
-    "make_partition_cache",
     "fd_holds",
     "fd_holds_fast",
     "fd_violation_fraction",

@@ -15,11 +15,13 @@ provenance triples therefore depend only on the input.  The test suite keeps
 a pure-python reference implementation of every primitive and compares the
 two on the same inputs.
 
-Cache budgets and counters live on an *engine state* (:class:`EngineState`),
-the resolved runtime of one :class:`~repro.config.EngineConfig`.  The
-*active* state is a context variable installed by
+Kernel caches and counters live on an *engine state* (:class:`EngineState`).
+The *active* state is a context variable installed by
 :meth:`repro.session.Session.activate`; when no session is active, a lazy
-module-level default built from the environment is used.
+module-level default is used.  The caches are sized by two constants,
+:data:`MARKS_CACHE_BYTES` and :data:`COMBINED_CODES_CACHE_ENTRIES`, read at
+the point of use.  No cache size changes what is computed, only how often
+it is recomputed.
 
 The module also hosts the relation-scoped, byte-budgeted
 :class:`MarkTableCache` (the reusable row -> group-id scratch tables of the
@@ -32,7 +34,6 @@ sessions never double-count each other's work; the module-level
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from array import array
@@ -44,24 +45,15 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from ..config import (
-    DEFAULT_MARKS_CACHE_BYTES,
-    ENV_COMBINED_CACHE_ENTRIES,
-    ENV_MARKS_CACHE_BYTES,
-    EngineConfig,
-)
-
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from .relation import Relation
 
-#: Environment variable overriding the mark-table cache budget in bytes.
-MARKS_BUDGET_ENV_VAR = ENV_MARKS_CACHE_BYTES
+#: Byte budget of each relation-scoped mark-table cache: sixteen ~1M-row
+#: tables at 8 bytes per row.
+MARKS_CACHE_BYTES = 128 * 1024 * 1024
 
-#: Default mark-table budget: sixteen ~1M-row tables at 8 bytes per row.
-DEFAULT_MARKS_BUDGET_BYTES = DEFAULT_MARKS_CACHE_BYTES
-
-#: Environment variable overriding the combined-codes prefix cache size.
-COMBINED_CACHE_ENV_VAR = ENV_COMBINED_CACHE_ENTRIES
+#: Entries of each relation-scoped combined-codes prefix LRU (at least 2).
+COMBINED_CODES_CACHE_ENTRIES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +80,9 @@ class KernelCounters:
     mark_evicted_bytes: int = 0
     partition_hits: int = 0
     partition_misses: int = 0
+    #: Never incremented (a partition cache keeps every partition for its
+    #: lifetime); kept because the e2e benchmark reads it.
     partition_evictions: int = 0
-    partition_evicted_positions: int = 0
     combined_prefix_hits: int = 0
     combined_prefix_misses: int = 0
     combined_prefix_evictions: int = 0
@@ -741,10 +734,10 @@ class _RelationKernelCaches:
 
     __slots__ = ("relation_ref", "marks", "combined", "partitions", "__weakref__")
 
-    def __init__(self, relation: "Relation", config: EngineConfig) -> None:
+    def __init__(self, relation: "Relation") -> None:
         self.relation_ref = weakref.ref(relation)
         #: Byte-budgeted row -> group-id mark tables of the relation.
-        self.marks = MarkTableCache(config.marks_cache_bytes)
+        self.marks = MarkTableCache()
         #: Bounded LRU of hot combined-codes prefixes: ``(codes, width)``.
         self.combined: "OrderedDict[tuple[str, ...], tuple[object, int]]" = OrderedDict()
         #: Lazily attached ``PartitionCache`` (set by ``Session.partition_cache``;
@@ -753,23 +746,16 @@ class _RelationKernelCaches:
 
 
 class EngineState:
-    """The resolved runtime of one :class:`~repro.config.EngineConfig`.
+    """The kernel counters and per-relation kernel caches of one session.
 
-    Owns everything that used to be process-wide: the configuration, kernel
-    counters, and the per-relation kernel caches.  One state is
-    *active* at any point (installed by ``Session.activate()``); a lazy
-    default state built from the environment serves code running outside any
-    session, which is exactly the pre-session behaviour.
+    One state is *active* at any point (installed by
+    ``Session.activate()``); a lazy default state serves code running
+    outside any session.
     """
 
-    __slots__ = ("config", "counters", "_relation_caches", "__weakref__")
+    __slots__ = ("counters", "_relation_caches", "__weakref__")
 
-    def __init__(
-        self,
-        config: EngineConfig | None = None,
-        counters: KernelCounters | None = None,
-    ) -> None:
-        self.config = EngineConfig.from_env() if config is None else config
+    def __init__(self, counters: KernelCounters | None = None) -> None:
         self.counters = KernelCounters() if counters is None else counters
         self._relation_caches: dict[int, _RelationKernelCaches] = {}
 
@@ -785,7 +771,7 @@ class EngineState:
         entry = self._relation_caches.get(key)
         if entry is not None and entry.relation_ref() is relation:
             return entry
-        entry = _RelationKernelCaches(relation, self.config)
+        entry = _RelationKernelCaches(relation)
         self._relation_caches[key] = entry
         state_ref = weakref.ref(self)
 
@@ -824,16 +810,14 @@ _DEFAULT_STATE_LOCK = threading.Lock()
 
 
 def get_default_state() -> EngineState:
-    """The lazy module-level engine state (configured from the environment)."""
+    """The lazy module-level engine state (counting into :data:`KERNEL_COUNTERS`)."""
     global _DEFAULT_STATE
     state = _DEFAULT_STATE
     if state is None:
         with _DEFAULT_STATE_LOCK:
             state = _DEFAULT_STATE
             if state is None:
-                state = _DEFAULT_STATE = EngineState(
-                    EngineConfig.from_env(), counters=KERNEL_COUNTERS
-                )
+                state = _DEFAULT_STATE = EngineState(counters=KERNEL_COUNTERS)
     return state
 
 
@@ -891,16 +875,6 @@ class MarkCacheStats:
         }
 
 
-def _default_marks_budget() -> int:
-    raw = os.environ.get(MARKS_BUDGET_ENV_VAR)
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_MARKS_BUDGET_BYTES
-
-
 class MarkTableCache:
     """LRU cache of row -> group-id mark tables, bounded by a byte budget.
 
@@ -916,7 +890,7 @@ class MarkTableCache:
     another, and the cache dies with the relation.  A mark table is
     accounted at ``8 * n_rows`` bytes (one int64 per row); least-recently-used
     tables are evicted once the held total exceeds ``budget_bytes`` (default
-    ``REPRO_MARKS_CACHE_BYTES`` or 128 MiB ≈ sixteen 1M-row relations).  The
+    :data:`MARKS_CACHE_BYTES`, 128 MiB ≈ sixteen 1M-row relations).  The
     most recent table is never evicted, so a single over-budget relation
     still amortises its own probes.
 
@@ -929,11 +903,9 @@ class MarkTableCache:
 
     __slots__ = ("budget_bytes", "stats", "_entries", "_held_bytes", "_lock", "__weakref__")
 
-    def __init__(self, budget_bytes: int | None = None) -> None:
-        #: Byte budget of the held mark tables (``None`` -> env / default).
-        self.budget_bytes = (
-            _default_marks_budget() if budget_bytes is None else budget_bytes
-        )
+    def __init__(self) -> None:
+        #: Byte budget of the held mark tables, read when the cache is built.
+        self.budget_bytes = MARKS_CACHE_BYTES
         self.stats = MarkCacheStats()
         self._entries: "OrderedDict[int, tuple[weakref.ref, object, int]]" = OrderedDict()
         self._held_bytes = 0
@@ -1033,8 +1005,7 @@ def render_kernel_stats(state: EngineState | None = None) -> str:
     lines.append(
         "[kernel] partition cache: "
         f"hits={summary['partition_hits']} misses={summary['partition_misses']} "
-        f"evictions={summary['partition_evictions']} "
-        f"evicted_positions={summary['partition_evicted_positions']}"
+        f"evictions={summary['partition_evictions']}"
     )
     lines.append(
         "[kernel] combined-codes prefixes: "

@@ -49,7 +49,6 @@ from .backend import (
     DEFAULT_MARK_CACHE,
     KERNEL,
     MarkTableCache,
-    active_state,
     kernel_counters,
 )
 from .relation import Relation
@@ -288,12 +287,10 @@ class StrippedPartition:
 
 @dataclass
 class PartitionCacheStats:
-    """Hit/miss/eviction counters of one :class:`PartitionCache`."""
+    """Hit/miss counters of one :class:`PartitionCache`."""
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
-    evicted_positions: int = 0
 
     @property
     def requests(self) -> int:
@@ -311,29 +308,21 @@ class PartitionCacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
-            "evicted_positions": self.evicted_positions,
             "hit_rate": round(self.hit_rate, 4),
         }
 
 
 class PartitionCache:
-    """Memoising, memory-bounded cache of stripped partitions for one relation.
+    """Memoising cache of stripped partitions for one relation.
 
-    Attribute combinations are cached by frozenset of attribute names.
-    Combinations are built either directly from the column encodings (for
-    small sets) or by intersecting cached sub-partitions; when several
-    one-smaller subsets are cached, the one with the fewest groups is chosen
-    as the composition base (fewest groups ⇒ cheapest product).
-
-    Single-attribute partitions (and the empty set) are *pinned*: they are
-    the composition basis, cost ``O(n_rows)`` each, and are never evicted.
-    Multi-attribute partitions live in an LRU keyed on their
-    ``stripped_size``; when ``max_positions`` is set, least-recently-used
-    entries are evicted once the held position total exceeds the budget.
-    Eviction never changes results — evicted partitions are recomputed on
-    demand — and :attr:`stats` reports hits, misses and evictions (also
-    mirrored into the process-wide kernel counters).
+    Attribute combinations are cached by frozenset of attribute names and
+    kept for the cache's lifetime.  Single attributes (and the empty set)
+    are built directly from the column encodings; a larger combination is
+    the product of a cached one-smaller subset and one single attribute.
+    When several one-smaller subsets are cached, the one with the fewest
+    groups is chosen as the composition base (fewest groups ⇒ cheapest
+    product).  :attr:`stats` reports hits and misses (also mirrored into
+    the active engine state's kernel counters).
 
     The cache holds its relation weakly.  A session keeps one cache per
     relation for as long as the relation lives, so a strong reference would
@@ -341,15 +330,10 @@ class PartitionCache:
     relation referenced while they use the cache.
     """
 
-    def __init__(self, relation: Relation, max_positions: int | None = None) -> None:
+    def __init__(self, relation: Relation) -> None:
         self._relation_ref = weakref.ref(relation)
-        #: Budget on the summed ``stripped_size`` of evictable entries
-        #: (``None`` = unbounded).
-        self.max_positions = max_positions
         self.stats = PartitionCacheStats()
-        self._pinned: dict[frozenset[str], StrippedPartition] = {}
-        self._lru: "OrderedDict[frozenset[str], StrippedPartition]" = OrderedDict()
-        self._held_positions = 0
+        self._partitions: dict[frozenset[str], StrippedPartition] = {}
 
     @property
     def relation(self) -> Relation:
@@ -363,21 +347,14 @@ class PartitionCache:
         """Return (computing and caching if needed) the partition of ``attributes``."""
         counters = kernel_counters()
         key = frozenset(attributes)
-        cached = self._pinned.get(key)
+        cached = self._partitions.get(key)
         if cached is not None:
             self.stats.hits += 1
             counters.partition_hits += 1
-            return cached
-        cached = self._lru.get(key)
-        if cached is not None:
-            self.stats.hits += 1
-            counters.partition_hits += 1
-            self._lru.move_to_end(key)
             return cached
         self.stats.misses += 1
         counters.partition_misses += 1
-        partition = self._compute(key)
-        self._store(key, partition)
+        partition = self._partitions[key] = self._compute(key)
         return partition
 
     def _compute(self, key: frozenset[str]) -> StrippedPartition:
@@ -390,9 +367,7 @@ class PartitionCache:
         best: StrippedPartition | None = None
         for attribute in sorted(key):
             subset = key - {attribute}
-            partition = self._pinned.get(subset)
-            if partition is None:
-                partition = self._lru.get(subset)
+            partition = self._partitions.get(subset)
             if partition is None:
                 continue
             if best is None or (partition.n_groups, partition.stripped_size) < (
@@ -401,8 +376,6 @@ class PartitionCache:
             ):
                 best_subset, best = subset, partition
         if best is not None and best_subset is not None:
-            if best_subset in self._lru:
-                self._lru.move_to_end(best_subset)
             missing = next(iter(key - best_subset))
             return best.intersect(self.get([missing]))
         # Otherwise build recursively so every prefix ends up cached and can
@@ -410,46 +383,8 @@ class PartitionCache:
         first = sorted(key)[0]
         return self.get(key - {first}).intersect(self.get([first]))
 
-    def _store(self, key: frozenset[str], partition: StrippedPartition) -> None:
-        if len(key) <= 1:
-            self._pinned[key] = partition
-            return
-        self._lru[key] = partition
-        self._held_positions += partition.stripped_size
-        if self.max_positions is None:
-            return
-        counters = kernel_counters()
-        while self._held_positions > self.max_positions and len(self._lru) > 1:
-            _, evicted = self._lru.popitem(last=False)
-            self._held_positions -= evicted.stripped_size
-            self.stats.evictions += 1
-            self.stats.evicted_positions += evicted.stripped_size
-            counters.partition_evictions += 1
-            counters.partition_evicted_positions += evicted.stripped_size
-
-    @property
-    def held_positions(self) -> int:
-        """Summed ``stripped_size`` of the evictable (multi-attribute) entries."""
-        return self._held_positions
-
     def __len__(self) -> int:
-        return len(self._pinned) + len(self._lru)
-
-
-def make_partition_cache(
-    relation: Relation, max_positions: int | None = None
-) -> PartitionCache:
-    """A :class:`PartitionCache` configured from the active engine state.
-
-    ``max_positions`` defaults to the active
-    :class:`~repro.config.EngineConfig`'s
-    ``partition_cache_max_positions`` (``None`` = unbounded); an explicit
-    argument always wins.  Algorithm-owned caches go through this helper so
-    a :class:`~repro.session.Session` can bound their memory in one place.
-    """
-    if max_positions is None:
-        max_positions = active_state().config.partition_cache_max_positions
-    return PartitionCache(relation, max_positions=max_positions)
+        return len(self._partitions)
 
 
 def fd_holds(
@@ -464,7 +399,7 @@ def fd_holds(
     if rhs in lhs:
         return True
     if cache is None:
-        cache = make_partition_cache(relation)
+        cache = PartitionCache(relation)
     lhs_partition = cache.get(lhs)
     full_partition = cache.get(list(lhs) + [rhs])
     return lhs_partition.error == full_partition.error
@@ -516,7 +451,7 @@ def fd_violation_fraction(
     if rhs in lhs:
         return 0.0
     if cache is None:
-        cache = make_partition_cache(relation)
+        cache = PartitionCache(relation)
     return fd_violation_fraction_from_partition(relation, cache.get(lhs), rhs)
 
 

@@ -29,6 +29,7 @@ from collections import Counter, defaultdict
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
+from . import backend
 from .backend import KERNEL, MarkTableCache, active_state
 from .schema import Attribute, RelationSchema, SchemaError
 
@@ -39,16 +40,6 @@ NULL = None
 #: is an ``array('q')`` or an int64 ``np.ndarray`` with one code per row;
 #: ``dictionary[code]`` is the value the code stands for.
 ColumnEntry = tuple
-
-
-def _combined_cache_entries() -> int:
-    """Per-relation combined-codes prefix cache size of the active engine state.
-
-    Kept as a module-level helper for backward compatibility; the bound now
-    comes from the active :class:`~repro.config.EngineConfig` (whose default
-    is parsed from ``REPRO_COMBINED_CODES_CACHE_ENTRIES``).
-    """
-    return active_state().config.combined_codes_cache_entries
 
 
 class RelationError(ValueError):
@@ -121,7 +112,6 @@ class Relation:
         "_source",
         "_column_index_cache",
         "_content_hash_cache",
-        "_mark_cache",
         "__weakref__",
     )
 
@@ -167,9 +157,6 @@ class Relation:
         self._source = source
         self._column_index_cache: dict[str, dict[Hashable, list[int]]] = {}
         self._content_hash_cache: str | None = None
-        # Explicit mark-cache override (tests / embedders); ``None`` means
-        # "use the active engine state's relation-scoped cache".
-        self._mark_cache: MarkTableCache | None = None
 
     @staticmethod
     def _derived(
@@ -386,8 +373,8 @@ class Relation:
 
         Hot prefixes (``attributes[:k]`` for ``k >= 2``) are memoised in a
         small per-relation LRU owned by the active engine state
-        (``EngineConfig.combined_codes_cache_entries``, default 16 or
-        ``REPRO_COMBINED_CODES_CACHE_ENTRIES``), so repeated partition builds
+        (:data:`~repro.relational.backend.COMBINED_CODES_CACHE_ENTRIES`
+        entries), so repeated partition builds
         over overlapping attribute sequences stop recomputing the shared
         fold steps.  The returned sequence may be such a cached object:
         treat it as read-only.
@@ -424,7 +411,7 @@ class Relation:
         if combined is None:
             first_codes, width = self.column_codes(key[0])
             combined = KERNEL.as_codes(first_codes)
-        max_entries = state.config.combined_codes_cache_entries
+        max_entries = backend.COMBINED_CODES_CACHE_ENTRIES
         for index in range(start, len(key)):
             nxt, radix = self.column_codes(key[index])
             combined, width = KERNEL.combine_codes(combined, width, nxt, radix)
@@ -436,27 +423,13 @@ class Relation:
         return combined, width
 
     @property
-    def _combined_codes_cache(self):
-        """The active engine state's combined-codes prefix LRU for this relation.
-
-        Kept as a (read-mostly) property for backward compatibility with code
-        and tests that introspected the old per-relation attribute; storage
-        is session-scoped now.
-        """
-        return active_state().caches_for(self).combined
-
-    @property
     def mark_cache(self) -> MarkTableCache:
         """The relation-scoped byte-budgeted mark-table cache.
 
-        Owned by the active engine state (each session has its own budgeted
-        instance per relation); an explicitly assigned cache
-        (``relation._mark_cache = MarkTableCache(...)``) overrides it.
+        Owned by the active engine state: each session has its own budgeted
+        instance per relation.
         """
-        cache = self._mark_cache
-        if cache is None:
-            return active_state().caches_for(self).marks
-        return cache
+        return active_state().caches_for(self).marks
 
     # -- derivations ----------------------------------------------------------
     def _share(

@@ -1,13 +1,12 @@
 """Multi-tenant serving layer over :class:`repro.Session`.
 
-The sessions of PR 3 are perfect isolation primitives — explicit
-configuration, relation-scoped caches, private counters, byte-identical
-JSON artefacts — but single-process and synchronous.  This package puts the
+Sessions are isolation primitives — relation-scoped caches, private
+counters, byte-identical JSON artefacts — but single-process and synchronous.  This package puts the
 engine behind a concurrent front door:
 
 * :class:`~repro.serve.pool.SessionPool` — one lazily created
   :class:`~repro.session.Session` per tenant key (each with its own
-  :class:`~repro.config.EngineConfig`, caches and counters), LRU-capped;
+  caches and counters), LRU-capped;
   eviction only drops caches, so it is always safe.
 * :class:`~repro.serve.jobs.JobQueue` — a bounded thread-pool queue with
   explicit job states (``queued``/``running``/``done``/``failed``/

@@ -11,17 +11,12 @@ worker, scaling with cores; artefacts stay byte-identical)::
 
     python -m repro serve --executor process --workers 8
 
-Size the worker pool and the backpressure bound, and give tenants their own
-engine configurations::
+Size the worker pool and the backpressure bound::
 
-    python -m repro serve --workers 8 --max-queue 256 \\
-        --tenant-config tenants.json
+    python -m repro serve --workers 8 --max-queue 256
 
-where ``tenants.json`` maps tenant names to partial
-:class:`~repro.config.EngineConfig` fields (``"*"`` sets the default)::
-
-    {"*": {"combined_codes_cache_entries": 4},
-     "acme": {"marks_cache_bytes": 1048576}}
+Every tenant gets its own session (its own kernel caches and counters); the
+engine has no per-tenant settings.
 
 Submit work with ``examples/serve_client.py`` or any HTTP client: ``POST
 /jobs`` a ``repro/job-request-v1`` payload, poll ``GET /jobs/<id>``, read
@@ -35,7 +30,7 @@ import argparse
 import signal
 from typing import Sequence
 
-from ..config import ConfigError, ServeConfig, load_tenant_configs
+from ..config import ServeConfig
 from .server import HttpFrontend, Server
 
 
@@ -144,13 +139,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "queued past it are cancelled (default: none)",
     )
     parser.add_argument(
-        "--tenant-config",
-        default=None,
-        metavar="PATH",
-        help="JSON file mapping tenant names to partial "
-        "EngineConfig fields ('*' sets the default)",
-    )
-    parser.add_argument(
         "--max-attempts",
         type=int,
         default=defaults.max_attempts,
@@ -215,13 +203,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def main_serve(argv: Sequence[str] | None = None) -> int:
     """Entry point of ``python -m repro serve`` (blocks until interrupted)."""
     args = build_serve_parser().parse_args(argv)
-    try:
-        tenant_configs = load_tenant_configs(args.tenant_config) if args.tenant_config else None
-    except (OSError, ConfigError) as exc:
-        print(f"error: {exc}")
-        return 2
     server = Server(
-        tenant_configs=tenant_configs,
         workers=args.workers,
         max_queue=args.max_queue,
         max_inflight_per_tenant=args.max_inflight_per_tenant,

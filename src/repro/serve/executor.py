@@ -264,19 +264,14 @@ def open_worker_registry(registry_root: str) -> "RelationRegistry":
     )
 
 
-def _process_worker_main(
-    conn: "Connection",
-    tenant_configs_payload: dict | None,
-    registry_root: str | None = None,
-) -> None:
+def _process_worker_main(conn: "Connection", registry_root: str | None = None) -> None:
     """Main loop of one worker process.
 
-    Owns a lazily built :class:`SessionPool` configured exactly like the
-    parent's (the per-tenant ``EngineConfig`` mapping travels as its JSON
-    form), executes ``("job", payload)`` messages through the same
-    :func:`~repro.serve.protocol.execute_payload` path a bare session uses,
-    and replies with the canonical ``repro/run-result-v1`` JSON text.  The
-    payload travels as pre-encoded JSON bytes.  ``registry_root`` (the
+    Owns a lazily built :class:`SessionPool`, executes ``("job", payload)``
+    messages through the same :func:`~repro.serve.protocol.execute_payload`
+    path a bare session uses, and replies with the canonical
+    ``repro/run-result-v1`` JSON text.  The payload travels as pre-encoded
+    JSON bytes.  ``registry_root`` (the
     server's persistent relation registry directory) lets workers resolve
     ``relation_ref`` jobs themselves: each worker reads and verifies a
     relation object once and keeps it in its own registry LRU, so a tenant
@@ -288,7 +283,6 @@ def _process_worker_main(
     """
     # Imports happen here (not at module import) so the parent can ship this
     # function to a spawn-context child before the repro package is touched.
-    from ..config import EngineConfig
     from ..registry.store import IntegrityError
     from .pool import SessionPool
     from .protocol import execute_payload
@@ -312,13 +306,7 @@ def _process_worker_main(
                 if isinstance(payload, (bytes, bytearray)):
                     payload = json.loads(payload)
                 if pool is None:
-                    configs = None
-                    if tenant_configs_payload is not None:
-                        configs = {
-                            tenant: EngineConfig.from_dict(fields)
-                            for tenant, fields in tenant_configs_payload.items()
-                        }
-                    pool = SessionPool(configs)
+                    pool = SessionPool()
                 if registry is None and registry_root is not None:
                     registry = open_worker_registry(registry_root)
                 result = execute_payload(pool, payload, registry=registry)
@@ -368,10 +356,6 @@ class ProcessExecutor(WorkerExecutor):
 
     Parameters
     ----------
-    tenant_configs_payload:
-        Per-tenant engine configuration in its JSON form
-        (:meth:`repro.serve.pool.SessionPool.configs_payload`); each worker
-        process rebuilds its own :class:`SessionPool` from it.
     start_method:
         ``multiprocessing`` start method (``spawn``/``fork``/``forkserver``).
         ``spawn`` is the safe default — worker processes are started from a
@@ -416,7 +400,6 @@ class ProcessExecutor(WorkerExecutor):
 
     def __init__(
         self,
-        tenant_configs_payload: Mapping[str, Mapping[str, Any]] | None = None,
         start_method: str = "spawn",
         warmup: bool = True,
         restart_budget: int = 5,
@@ -433,11 +416,6 @@ class ProcessExecutor(WorkerExecutor):
             raise ValueError(
                 f"max_jobs_per_worker must be non-negative, got {max_jobs_per_worker}"
             )
-        self._tenant_configs_payload = (
-            None
-            if tenant_configs_payload is None
-            else {tenant: dict(fields) for tenant, fields in tenant_configs_payload.items()}
-        )
         self._ctx = multiprocessing.get_context(start_method)
         self.start_method = start_method
         self.registry = registry
@@ -488,7 +466,7 @@ class ProcessExecutor(WorkerExecutor):
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_process_worker_main,
-            args=(child_conn, self._tenant_configs_payload, self.registry_root),
+            args=(child_conn, self.registry_root),
             name="repro-serve-process-worker",
             daemon=True,
         )
@@ -669,23 +647,16 @@ class ProcessExecutor(WorkerExecutor):
         """Run ``task`` in the server process — the degraded-mode fallback.
 
         Job payloads go through the exact :func:`execute_payload` dispatch
-        the worker processes use (against a lazily built local pool with the
-        same per-tenant configuration), so fallback artefacts stay
+        the worker processes use (against a lazily built local pool), so
+        fallback artefacts stay
         byte-identical; callables are simply called, like a thread executor.
         """
         with self._fallback_lock:
             self._fallback_jobs += 1
             if self._fallback_pool is None:
-                from ..config import EngineConfig
                 from .pool import SessionPool
 
-                configs = None
-                if self._tenant_configs_payload is not None:
-                    configs = {
-                        tenant: EngineConfig.from_dict(fields)
-                        for tenant, fields in self._tenant_configs_payload.items()
-                    }
-                self._fallback_pool = SessionPool(configs)
+                self._fallback_pool = SessionPool()
             pool = self._fallback_pool
         registry = self.registry
         if isinstance(task, PreparedTask):
@@ -822,7 +793,6 @@ class ProcessExecutor(WorkerExecutor):
 
 def make_executor(
     kind: str,
-    tenant_configs_payload: Mapping[str, Mapping[str, Any]] | None = None,
     start_method: str = "spawn",
     warmup: bool = True,
     restart_budget: int = 5,
@@ -838,7 +808,6 @@ def make_executor(
         return ThreadExecutor(faults=faults)
     if kind == "process":
         return ProcessExecutor(
-            tenant_configs_payload=tenant_configs_payload,
             start_method=start_method,
             warmup=warmup,
             restart_budget=restart_budget,

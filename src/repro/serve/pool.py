@@ -2,9 +2,9 @@
 
 One :class:`~repro.session.Session` per tenant, created lazily on first use
 and capped LRU-style.  Sessions are exactly the isolation primitive the
-engine API built: each owns its :class:`~repro.config.EngineConfig`,
-relation-scoped kernel caches and :class:`~repro.relational.backend.KernelCounters`,
-so two tenants sharing one pool still share *nothing* of the engine state.
+engine API built: each owns its relation-scoped kernel caches and
+:class:`~repro.relational.backend.KernelCounters`, so two tenants sharing
+one pool still share *nothing* of the engine state.
 
 Eviction is always safe: :meth:`Session.close` only drops caches (every
 cache is semantics-preserving and rebuilt on demand), and partitions hold
@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from ..config import TENANT_DEFAULT_KEY, EngineConfig
 from ..session import Session
 
 
@@ -27,43 +26,21 @@ class SessionPool:
 
     Parameters
     ----------
-    tenant_configs:
-        Per-tenant :class:`EngineConfig` mapping (the output of
-        :func:`repro.config.parse_tenant_configs`).  The special key ``"*"``
-        configures tenants without an explicit entry; without one, unlisted
-        tenants run on the environment defaults
-        (:meth:`EngineConfig.from_env`).
     max_sessions:
         Cap on concurrently pooled sessions.  Beyond it the least recently
         *used* tenant's session is closed and dropped; the tenant transparently
         receives a fresh session (with fresh counters) on its next job.
     """
 
-    def __init__(
-        self,
-        tenant_configs: Mapping[str, EngineConfig] | None = None,
-        max_sessions: int = 64,
-    ) -> None:
+    def __init__(self, max_sessions: int = 64) -> None:
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be at least 1, got {max_sessions}")
-        configs = dict(tenant_configs or {})
-        self._default_config = configs.pop(TENANT_DEFAULT_KEY, None)
-        self._configs = configs
         self.max_sessions = max_sessions
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
         self._lock = threading.Lock()
         self._created = 0
         self._evicted = 0
         self._hits = 0
-
-    def config_for(self, tenant: str) -> EngineConfig:
-        """The engine configuration ``tenant`` runs under."""
-        config = self._configs.get(tenant)
-        if config is not None:
-            return config
-        if self._default_config is not None:
-            return self._default_config
-        return EngineConfig.from_env()
 
     def get(self, tenant: str) -> Session:
         """The tenant's pooled session (created on first use, LRU-refreshed)."""
@@ -75,7 +52,7 @@ class SessionPool:
                 self._hits += 1
                 self._sessions.move_to_end(tenant)
                 return session
-            session = Session(config=self.config_for(tenant))
+            session = Session()
             self._sessions[tenant] = session
             self._created += 1
             while len(self._sessions) > self.max_sessions:
@@ -106,22 +83,6 @@ class SessionPool:
             self._sessions.clear()
         for session in sessions:
             session.close()
-
-    def configs_payload(self) -> dict[str, dict[str, object]] | None:
-        """The pool's per-tenant configuration in JSON form (``None`` = env).
-
-        The inverse of the constructor's ``tenant_configs`` argument, with
-        every :class:`EngineConfig` flattened through
-        :meth:`EngineConfig.as_dict` — what the process executor ships to
-        its worker processes so each can rebuild an identically configured
-        pool of its own (via :meth:`EngineConfig.from_dict`).
-        """
-        if not self._configs and self._default_config is None:
-            return None
-        payload = {tenant: config.as_dict() for tenant, config in self._configs.items()}
-        if self._default_config is not None:
-            payload[TENANT_DEFAULT_KEY] = self._default_config.as_dict()
-        return payload
 
     def tenants(self) -> Iterable[str]:
         """The currently pooled tenant keys, least recently used first."""

@@ -12,9 +12,9 @@ Schemas
     ``{"schema", "tenant", "kind", "relation", "params", "overrides"}`` —
     ``kind`` is one of :data:`REQUEST_KINDS`; ``relation`` is the inline
     relation payload (``{"name", "attributes", "rows"}``); ``params`` are
-    the verb's keyword arguments; ``overrides`` are per-call
-    :class:`~repro.config.EngineConfig` field overrides layered on top of
-    the tenant's configuration.  An optional ``deadline_ms`` (positive
+    the verb's keyword arguments; ``overrides`` is retired: it may be
+    absent or ``{}``, and anything else is refused (the engine has no
+    settings to override).  An optional ``deadline_ms`` (positive
     integer) bounds the job end-to-end — queue wait plus execution — and
     an overrun yields the ``deadline_exceeded`` terminal status.  Instead
     of the inline ``relation``, a request may carry ``relation_ref`` — the
@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
-from ..config import EngineConfig
 from ..registry.hashing import is_relation_hash
 from ..registry.store import IntegrityError
 from ..relational.relation import Relation, RelationError
@@ -174,7 +173,6 @@ class JobRequest:
     kind: str
     relation: Relation | None = None
     params: dict[str, Any] = field(default_factory=dict)
-    overrides: dict[str, Any] = field(default_factory=dict)
     deadline_ms: int | None = None
     relation_ref: str | None = None
 
@@ -209,13 +207,6 @@ class JobRequest:
         if self.kind == "validate" and "fds" not in self.params:
             raise ProtocolError("validate requests must carry params.fds")
         _check_params(self.kind, self.params)
-        if self.overrides:
-            # Surface bad per-call overrides at submission time (HTTP 400)
-            # instead of failing the job later inside a worker.
-            try:
-                EngineConfig().replace(**self.overrides)
-            except ValueError as exc:
-                raise ProtocolError(f"invalid engine overrides: {exc}") from exc
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "JobRequest":
@@ -240,6 +231,11 @@ class JobRequest:
         unknown = set(payload) - known
         if unknown:
             raise ProtocolError(f"unknown job request fields: {sorted(unknown)}")
+        if payload.get("overrides", {}) != {}:
+            raise ProtocolError(
+                "engine overrides are retired: the engine has no settings, "
+                "so overrides must be absent or {}"
+            )
         relation_payload = payload.get("relation")
         relation_ref = payload.get("relation_ref")
         if relation_payload is not None and relation_ref is not None:
@@ -252,7 +248,6 @@ class JobRequest:
             kind=payload.get("kind", ""),
             relation=relation,
             params=_require_mapping(payload.get("params"), "params"),
-            overrides=_require_mapping(payload.get("overrides"), "overrides"),
             deadline_ms=payload.get("deadline_ms"),
             relation_ref=relation_ref,
         )
@@ -271,7 +266,8 @@ class JobRequest:
             # request ships the 64-char content hash instead of the rows.
             payload["relation_ref"] = self.relation_ref
         payload["params"] = dict(self.params)
-        payload["overrides"] = dict(self.overrides)
+        # Retired, but still emitted empty so request payloads keep their bytes.
+        payload["overrides"] = {}
         if self.deadline_ms is not None:
             # Additive v1 field: omitted when unset so payloads from callers
             # that never set a deadline are byte-identical to pre-deadline ones.
@@ -349,14 +345,12 @@ def execute_request(
     """
     relation = resolve_relation(request, registry)
     params = request.params
-    overrides = request.overrides
     if request.kind == "discover":
         return session.discover(
             relation,
             algorithm=params.get("algorithm", "tane"),
             attributes=params.get("attributes"),
             max_lhs_size=params.get("max_lhs_size"),
-            **overrides,
         )
     if request.kind == "validate":
         fds = [item if isinstance(item, str) else tuple(item) for item in params["fds"]]
@@ -364,7 +358,6 @@ def execute_request(
             relation,
             fds,
             with_errors=bool(params.get("with_errors", True)),
-            **overrides,
         )
     if request.kind == "profile":
         return session.profile(
@@ -372,7 +365,6 @@ def execute_request(
             threshold=params.get("threshold", 0.05),
             max_lhs=params.get("max_lhs", 2),
             attributes=params.get("attributes"),
-            **overrides,
         )
     raise ProtocolError(f"unknown request kind {request.kind!r}")  # pragma: no cover
 

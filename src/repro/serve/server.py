@@ -29,7 +29,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
-from ..config import ConfigError, EngineConfig, ServeConfig
+from ..config import ConfigError, ServeConfig
 from ..registry.store import RELATION_ENTRY_SCHEMA, IntegrityError, RelationRegistry
 from ..relational.relation import Relation
 from ..session import RunResult
@@ -53,9 +53,8 @@ class Server:
     """The programmatic multi-tenant serving API.
 
     Parameters mirror the ``python -m repro serve`` flags: ``workers`` and
-    ``max_queue`` size the :class:`JobQueue`, ``tenant_configs`` (the output
-    of :func:`repro.config.parse_tenant_configs`) and ``max_sessions`` size
-    the :class:`SessionPool`, ``max_inflight_per_tenant`` caps per-tenant
+    ``max_queue`` size the :class:`JobQueue`, ``max_sessions`` sizes the
+    :class:`SessionPool`, ``max_inflight_per_tenant`` caps per-tenant
     concurrency and ``default_timeout`` bounds queue waits.
 
     ``executor`` selects where jobs run: ``"thread"`` (in-process worker
@@ -100,7 +99,6 @@ class Server:
 
     def __init__(
         self,
-        tenant_configs: Mapping[str, EngineConfig] | None = None,
         workers: int | None = None,
         max_queue: int = 64,
         max_inflight_per_tenant: int = 1,
@@ -168,11 +166,10 @@ class Server:
             registry.faults = plan
         self.registry = registry
         self.drain_deadline = drain_deadline
-        self.pool = SessionPool(tenant_configs, max_sessions=max_sessions)
+        self.pool = SessionPool(max_sessions=max_sessions)
         if isinstance(executor, str):
             executor = make_executor(
                 executor,
-                tenant_configs_payload=self.pool.configs_payload(),
                 start_method=start_method,
                 warmup=warmup,
                 restart_budget=restart_budget,
@@ -272,14 +269,16 @@ class Server:
 
         Accepts a :class:`~repro.relational.relation.Relation` or its inline
         wire form.  Idempotent: re-PUTting the same content returns the same
-        hash with ``"created": false``.  An inline relation is stored in its
-        columnar form (codes and dictionaries, no row tuples): the registry
-        keeps up to its LRU bound of them for the server's lifetime.
+        hash with ``"created": false``.  ``created`` comes from the store
+        write itself, so a relation whose stored object was quarantined (by
+        this process or by a worker process) is written again and answers
+        ``"created": true``.  An inline relation is stored in its columnar
+        form (codes and dictionaries, no row tuples): the registry keeps up
+        to its LRU bound of them for the server's lifetime.
         """
         if not isinstance(relation, Relation):
             relation = relation_from_payload(relation).columnar()
-        created = relation.content_hash() not in self.registry
-        content_hash = self.registry.put(relation)
+        content_hash, created = self.registry.store(relation)
         return {"schema": RELATION_REF_SCHEMA, "hash": content_hash, "created": created}
 
     def get_relation(self, content_hash: str) -> dict[str, Any]:

@@ -6,19 +6,19 @@ point (``TANE().discover(...)``, ``approximate_fds(...)``,
 variable.  :class:`Session` replaces that with one explicit, embeddable
 context object:
 
-* a session owns an :class:`~repro.config.EngineConfig` (cache budgets), the
-  relation-scoped kernel caches, and its own kernel counters — two
-  concurrent sessions share nothing;
+* a session owns the relation-scoped kernel caches and its own kernel
+  counters — two concurrent sessions share nothing;
 * every workload goes through one verb — :meth:`Session.discover` (exact
   FDs), :meth:`Session.validate` (check specific FDs),
   :meth:`Session.profile` (approximate FDs) and :meth:`Session.infine`
   (provenance-aware view discovery) — and returns a unified, JSON-native
   :class:`RunResult` that records the artefacts, run statistics, kernel
   provenance and the configuration fingerprint, and round-trips through
-  :meth:`RunResult.save`/:meth:`RunResult.load` byte-identically;
-* environment variables remain *defaults* (parsed by
-  :meth:`EngineConfig.from_env`); an explicit ``Session(config=...)`` or
-  constructor/per-call keyword overrides always win.
+  :meth:`RunResult.save`/:meth:`RunResult.load` byte-identically.
+
+A session has no settings: the kernel's cache sizes are constants of
+:mod:`repro.relational.backend`, recorded in every result by
+:func:`engine_config`.
 
 A lazy module-level :func:`default_session` preserves the old one-liner
 ergonomics: the classic entry points keep working unchanged (they now run
@@ -33,11 +33,10 @@ import hashlib
 import json
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .config import EngineConfig
+from .config import config_fingerprint
 from .registry.hashing import catalog_content_hash
 from .registry.provenance import PROVENANCE_KEYS, build_provenance
 from .registry.store import atomic_write_text
@@ -47,6 +46,7 @@ from .fd.approximate import approximate_fds
 from .fd.fd import FD
 from .fd.fdset import FDSet
 from .infine.engine import InFine, InFineResult
+from .relational import backend
 from .relational.backend import (
     KERNEL,
     EngineState,
@@ -57,7 +57,6 @@ from .relational.backend import (
 )
 from .relational.partition import (
     PartitionCache,
-    make_partition_cache,
     validate_level,
     validate_level_errors,
 )
@@ -66,6 +65,22 @@ from .relational.view import ViewSpec
 
 #: Schema tag of the :class:`RunResult` serialisation format.
 RUN_RESULT_SCHEMA = "repro/run-result-v1"
+
+
+def engine_config() -> dict[str, Any]:
+    """The ``engine.config`` mapping every :class:`RunResult` records.
+
+    The kernel's two cache sizes, read from the constants of
+    :mod:`repro.relational.backend` at call time, plus the partition-cache
+    budget, which is always unbounded (``None``).  The keys are those of
+    the configuration object of earlier versions, so a default run's
+    ``config_fingerprint`` is unchanged.
+    """
+    return {
+        "marks_cache_bytes": backend.MARKS_CACHE_BYTES,
+        "combined_codes_cache_entries": backend.COMBINED_CODES_CACHE_ENTRIES,
+        "partition_cache_max_positions": None,
+    }
 
 
 def _fd_records(fds: Iterable[FD]) -> list[dict[str, Any]]:
@@ -100,8 +115,8 @@ class RunResult:
     ``stats``
         Volatile run bookkeeping (runtimes, cache counters).
     ``engine``
-        The kernel name (``numpy``), the full configuration and its
-        fingerprint.
+        The kernel name (``numpy``), the :func:`engine_config` mapping and
+        its fingerprint.
     ``provenance``
         The provenance chain: ``{relation_hash, config_fingerprint,
         code_version, executor}`` — which data (by content hash), engine
@@ -163,10 +178,9 @@ class RunResult:
         return self.payload["engine"]["backend"]
 
     @property
-    def config(self) -> EngineConfig:
-        """The engine configuration the run executed under."""
-        raw = dict(self.payload["engine"]["config"])
-        return EngineConfig(**raw)
+    def config(self) -> dict[str, Any]:
+        """The recorded engine configuration mapping (``engine.config``)."""
+        return dict(self.payload["engine"]["config"])
 
     @property
     def config_fingerprint(self) -> str:
@@ -222,8 +236,7 @@ class RunResult:
         """Content hash of the deterministic outputs only.
 
         Excludes ``stats`` and ``engine``, so two runs of the same workload
-        under different (but semantics-preserving) configurations — any
-        cache budget — produce the **same** fingerprint.
+        under different cache sizes produce the **same** fingerprint.
         """
         core = {
             "kind": self.kind,
@@ -266,9 +279,10 @@ class RunResult:
         attributes: Sequence[str],
         artifacts: dict[str, Any],
         stats: dict[str, Any],
-        config: EngineConfig,
         relation_hash: str | None = None,
     ) -> "RunResult":
+        config = engine_config()
+        fingerprint = config_fingerprint(config)
         return cls(
             {
                 "schema": RUN_RESULT_SCHEMA,
@@ -280,12 +294,12 @@ class RunResult:
                 "stats": stats,
                 "engine": {
                     "backend": KERNEL.name,
-                    "config": config.as_dict(),
-                    "config_fingerprint": config.fingerprint(),
+                    "config": config,
+                    "config_fingerprint": fingerprint,
                 },
                 # "inline" = a bare session call; the serving layer re-stamps
                 # the executor a job actually ran on via with_provenance().
-                "provenance": build_provenance(relation_hash, config.fingerprint()),
+                "provenance": build_provenance(relation_hash, fingerprint),
             }
         )
 
@@ -293,7 +307,6 @@ class RunResult:
     def from_discovery(
         cls,
         result: DiscoveryResult,
-        config: EngineConfig,
         relation_hash: str | None = None,
     ) -> "RunResult":
         """Wrap a classic :class:`DiscoveryResult`."""
@@ -312,7 +325,6 @@ class RunResult:
                 "runtime_seconds": stats.runtime_seconds,
                 "extra": stats.extra,
             },
-            config=config,
             relation_hash=relation_hash,
         )
 
@@ -321,7 +333,6 @@ class RunResult:
         cls,
         result: InFineResult,
         algorithm: str,
-        config: EngineConfig,
         relation_hash: str | None = None,
     ) -> "RunResult":
         """Wrap an :class:`InFineResult` (provenance triples and breakdowns)."""
@@ -354,23 +365,12 @@ class RunResult:
                 "partial_joins_materialised": stats.partial_joins_materialised,
                 "raw_inferred": stats.raw_inferred,
             },
-            config=config,
             relation_hash=relation_hash,
         )
 
 
 class Session:
-    """An explicit engine context: configuration, caches and counters.
-
-    Parameters
-    ----------
-    config:
-        The engine configuration (default: :meth:`EngineConfig.from_env`,
-        i.e. the environment-variable defaults).
-    **overrides:
-        Keyword overrides applied on top of ``config`` (see
-        :class:`~repro.config.EngineConfig` for the available fields), e.g.
-        ``Session(marks_cache_bytes=1 << 20)``.
+    """An explicit engine context: kernel caches and counters.
 
     A session can be used as a context manager (``with Session() as s: ...``)
     or activated explicitly around arbitrary legacy code::
@@ -382,35 +382,21 @@ class Session:
     caches die with the session (or with the relation, whichever first).
     """
 
-    #: Cap on memoised per-call-override states (each holds its own relation
-    #: caches); least recently used are dropped beyond this.
-    _MAX_DERIVED_STATES = 8
-
-    def __init__(self, config: EngineConfig | None = None, **overrides) -> None:
-        if config is None:
-            config = EngineConfig.from_env()
-        config = config.replace(**overrides)
-        self._state = EngineState(config)
-        self._derived_states: "OrderedDict[EngineConfig, EngineState]" = OrderedDict()
+    def __init__(self) -> None:
+        self._state = EngineState()
         self._local = threading.local()
 
     @classmethod
     def _from_state(cls, state: EngineState) -> "Session":
         session = object.__new__(cls)
         session._state = state
-        session._derived_states = OrderedDict()
         session._local = threading.local()
         return session
 
     # -- state plumbing -------------------------------------------------------
     @property
-    def config(self) -> EngineConfig:
-        """The session's engine configuration."""
-        return self._state.config
-
-    @property
     def state(self) -> EngineState:
-        """The resolved engine state (configuration, caches, counters)."""
+        """The session's engine state (caches and counters)."""
         return self._state
 
     @property
@@ -438,51 +424,18 @@ class Session:
         activation = self._local.activations.pop()
         activation.__exit__(*exc_info)
 
-    def _call_state(self, overrides: Mapping[str, Any]) -> EngineState:
-        """The engine state of one call: the session's, or a derived one.
-
-        Per-call overrides derive a throwaway state that *shares the
-        session's counters* (so ``--kernel-stats``-style accounting stays
-        whole) but resolves budgets from the overridden config —
-        the topmost layer of the precedence chain
-        ``env var < EngineConfig kwarg < per-call override``.
-        """
-        if not overrides:
-            return self._state
-        derived = self.config.replace(**overrides)
-        if derived is self.config or derived == self.config:
-            return self._state
-        # Derived states are memoised per configuration (bounded LRU), so
-        # repeated calls with the same overrides keep their relation caches
-        # warm without accumulating one cache hierarchy per distinct sweep
-        # value.
-        state = self._derived_states.get(derived)
-        if state is None:
-            state = EngineState(derived, counters=self._state.counters)
-            self._derived_states[derived] = state
-            while len(self._derived_states) > self._MAX_DERIVED_STATES:
-                self._derived_states.popitem(last=False)
-        else:
-            self._derived_states.move_to_end(derived)
-        return state
-
-    def partition_cache(
-        self, relation: Relation, state: EngineState | None = None
-    ) -> PartitionCache:
+    def partition_cache(self, relation: Relation) -> PartitionCache:
         """The session-owned :class:`PartitionCache` of ``relation``.
 
         Reused across :meth:`validate` calls on the same relation, so
-        repeated validations amortise their partition builds; budgeted by
-        ``EngineConfig.partition_cache_max_positions``.  The cache lives on
-        the engine state's relation-cache entry, sharing its lifecycle
-        (dropped with the session or the relation, whichever goes first).
+        repeated validations amortise their partition builds.  The cache
+        lives on the engine state's relation-cache entry, sharing its
+        lifecycle (dropped with the session or the relation, whichever goes
+        first).
         """
-        if state is None:
-            state = self._state
-        entry = state.caches_for(relation)
+        entry = self._state.caches_for(relation)
         if entry.partitions is None:
-            with activate_state(state):
-                entry.partitions = make_partition_cache(relation)
+            entry.partitions = PartitionCache(relation)
         return entry.partitions
 
     # -- diagnostics ----------------------------------------------------------
@@ -501,14 +454,9 @@ class Session:
     def close(self) -> None:
         """Drop every cache held by the session (the session stays usable)."""
         self._state.drop_caches()
-        for state in self._derived_states.values():
-            state.drop_caches()
-        self._derived_states.clear()
 
     def __repr__(self) -> str:
-        return (
-            f"Session(fingerprint={self.config.fingerprint()})"
-        )
+        return f"Session(fingerprint={config_fingerprint(engine_config())})"
 
     # -- verbs ----------------------------------------------------------------
     def discover(
@@ -518,14 +466,11 @@ class Session:
         attributes: Sequence[str] | None = None,
         *,
         max_lhs_size: int | None = None,
-        **overrides,
     ) -> RunResult:
         """Discover all minimal exact FDs of ``relation``.
 
         ``algorithm`` is a registry name (``tane``/``fun``/``fastfds``/
-        ``hyfd``/``naive``/``tane-approximate``) or an algorithm instance;
-        ``**overrides`` are per-call :class:`EngineConfig` field overrides
-        (e.g. ``marks_cache_bytes=0``).
+        ``hyfd``/``naive``/``tane-approximate``) or an algorithm instance.
         """
         if isinstance(algorithm, str):
             kwargs = {"max_lhs_size": max_lhs_size} if max_lhs_size is not None else {}
@@ -535,12 +480,9 @@ class Session:
                 "max_lhs_size only applies when `algorithm` is a registry name; "
                 "configure the algorithm instance directly instead"
             )
-        state = self._call_state(overrides)
-        with activate_state(state):
+        with self.activate():
             result = algorithm.discover(relation, attributes)
-        return RunResult.from_discovery(
-            result, state.config, relation_hash=relation.content_hash()
-        )
+        return RunResult.from_discovery(result, relation_hash=relation.content_hash())
 
     def validate(
         self,
@@ -548,7 +490,6 @@ class Session:
         fds: Iterable["FD | str | tuple"],
         *,
         with_errors: bool = True,
-        **overrides,
     ) -> RunResult:
         """Check whether specific FDs hold on ``relation``.
 
@@ -560,10 +501,9 @@ class Session:
         served from the session-owned partition cache of the relation.
         """
         parsed = [_parse_fd(item) for item in fds]
-        state = self._call_state(overrides)
-        cache = self.partition_cache(relation, state)
+        cache = self.partition_cache(relation)
         started = time.perf_counter()
-        with activate_state(state):
+        with self.activate():
             batch = [(cache.get(dependency.lhs), dependency.rhs) for dependency in parsed]
             if with_errors:
                 # One g3 pass answers both questions: an FD holds exactly
@@ -601,7 +541,6 @@ class Session:
                 "runtime_seconds": runtime,
                 "partition_cache": cache.stats.as_dict(),
             },
-            config=state.config,
             relation_hash=relation.content_hash(),
         )
 
@@ -611,7 +550,6 @@ class Session:
         threshold: float = 0.05,
         max_lhs: int = 2,
         attributes: Iterable[str] | None = None,
-        **overrides,
     ) -> RunResult:
         """Enumerate minimal approximate FDs with g3 error in ``(0, threshold]``.
 
@@ -619,9 +557,8 @@ class Session:
         the result's ``artifacts`` carry each AFD with its g3 error, and
         ``fds`` lists the dependencies themselves.
         """
-        state = self._call_state(overrides)
         started = time.perf_counter()
-        with activate_state(state):
+        with self.activate():
             afds = approximate_fds(relation, threshold, max_lhs, attributes)
         runtime = time.perf_counter() - started
         return RunResult._build(
@@ -645,7 +582,6 @@ class Session:
                 "fds": _fd_records(afd.dependency for afd in afds),
             },
             stats={"runtime_seconds": runtime},
-            config=state.config,
             relation_hash=relation.content_hash(),
         )
 
@@ -658,7 +594,6 @@ class Session:
         max_lhs_size: int | None = None,
         use_theorem4: bool = True,
         refine_inferred: bool = True,
-        **overrides,
     ) -> RunResult:
         """Run the InFine pipeline on an SPJ view under this session.
 
@@ -671,13 +606,11 @@ class Session:
             use_theorem4=use_theorem4,
             refine_inferred=refine_inferred,
         )
-        state = self._call_state(overrides)
-        with activate_state(state):
+        with self.activate():
             result = engine.run(view, catalog)
         return RunResult.from_infine(
             result,
             algorithm=engine.base_algorithm.name,
-            config=state.config,
             relation_hash=catalog_content_hash(catalog),
         )
 

@@ -7,8 +7,8 @@ and a stable sort's permutation is unique — so the two paths must produce
 byte-identical ``StrippedPartition``s (same group order, same positions,
 same dense codes) on every input, equal to the pure-python oracle's.  These
 tests pin that across adversarial key-space shapes (forcing the introsort by
-zeroing the constant), confirm the switch point has no environment or
-keyword plumbing, and check the cross-LHS stacked level validation against
+zeroing the constant), confirm that neither the switch point nor the cache
+sizes have environment or keyword plumbing, and check the cross-LHS stacked level validation against
 the scalar checks on both of its internal paths.
 """
 
@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_oracle import LEGS, kernel_leg, plain
 
-from repro.config import ConfigError, EngineConfig
 from repro.relational import backend as backend_module
 from repro.relational.backend import NumpyBackend
 from repro.relational.partition import (
@@ -28,7 +27,7 @@ from repro.relational.partition import (
     validate_level,
 )
 from repro.relational.relation import Relation
-from repro.session import Session
+from repro.session import Session, engine_config
 
 ATTRS = ("a", "b", "c")
 
@@ -111,23 +110,38 @@ def test_knob_is_inert_on_the_python_backend():
     assert results[0] == results[1]
 
 
-def test_env_and_kwarg_plumbing():
-    # The sort path is fixed by COUNTING_SORT_SPACE and there is one kernel:
-    # the variables of retired knobs are ignored, and naming a retired knob
-    # is a configuration error.
+def test_env_and_kwarg_plumbing(monkeypatch):
+    # The sort path is fixed by COUNTING_SORT_SPACE, there is one kernel and
+    # the cache sizes are constants: the variables of retired knobs are
+    # ignored (same recorded engine.config, same artefacts), and naming a
+    # retired knob or passing a configuration is a TypeError.
+    relation = Relation("r", ATTRS, [(i % 6, i % 4, (i * 7) % 6) for i in range(96)])
+    baseline = Session().discover(relation)
     retired = {
         "REPRO_COUNTING_SORT_MAX_CODES": "0",
         "REPRO_PARTITION_BACKEND": "python",
         "REPRO_BACKEND_MIN_NUMPY_ROWS": "500",
+        "REPRO_MARKS_CACHE_BYTES": "0",
+        "REPRO_COMBINED_CODES_CACHE_ENTRIES": "2",
     }
     for name, value in retired.items():
-        assert EngineConfig.from_env({name: value}) == EngineConfig()
+        monkeypatch.setenv(name, value)
+    run = Session().discover(relation)
+    assert run.config == engine_config() == baseline.config
+    assert run.config["marks_cache_bytes"] == 128 * 1024 * 1024
+    assert run.config_fingerprint == baseline.config_fingerprint
+    assert run.provenance == baseline.provenance
+    assert run.artifact_fingerprint() == baseline.artifact_fingerprint()
     for field, value in (
         ("counting_sort_max_codes", 0),
         ("backend", "python"),
         ("backend_min_numpy_rows", 0),
+        ("marks_cache_bytes", 0),
+        ("combined_codes_cache_entries", 2),
+        ("partition_cache_max_positions", 0),
+        ("config", None),
     ):
-        with pytest.raises(ConfigError, match="unknown EngineConfig fields"):
+        with pytest.raises(TypeError, match=field):
             Session(**{field: value})
 
 

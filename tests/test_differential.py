@@ -2,7 +2,8 @@
 
 ``tools/fuzz_differential.py`` is the replayable generator/checker; this
 module drives it from pytest so the conformance grid — {default, min-caches}
-× every registered discovery algorithm, with every kernel call of the
+(the kernel's cache-size constants patched to their minimum) × every
+registered discovery algorithm, with every kernel call of the
 default leg checked against the pure-python oracle — runs on every tier-1
 invocation with
 fixed seeds plus explicit adversarial fixtures the random generator is not
@@ -71,16 +72,13 @@ def test_adversarial_fixtures_conform(case):
 
 
 def test_grid_covers_required_legs():
-    """The grid spans the default config and every cache at its minimum."""
+    """The grid spans the default caches and both cache constants at their minimum."""
     legs = dict(fuzz_differential.conformance_legs())
     assert legs == {
         "default": {},
-        "min-caches": {
-            "marks_cache_bytes": 0,
-            "combined_codes_cache_entries": 2,
-            "partition_cache_max_positions": 0,
-        },
+        "min-caches": {"MARKS_CACHE_BYTES": 0, "COMBINED_CODES_CACHE_ENTRIES": 2},
     }
+    assert all(hasattr(fuzz_differential.backend, name) for name in legs["min-caches"])
 
 
 def test_oracle_divergence_is_reported(monkeypatch):

@@ -16,7 +16,7 @@ from kernel_oracle import LEGS, kernel_leg
 from repro.discovery.fastfds import FastFDs
 from repro.discovery.hyfd import HyFD
 from repro.discovery.base import DiscoveryStats
-from repro.relational.partition import StrippedPartition, make_partition_cache
+from repro.relational.partition import PartitionCache, StrippedPartition
 from repro.relational.relation import Relation
 from repro.session import Session
 
@@ -90,10 +90,10 @@ def test_hyfd_sampling_matches_group_reference(leg, case):
         names = tuple(sorted(ATTRS))
         algorithm = HyFD(window=3)
         observed = algorithm._sample_agree_sets(
-            relation, names, DiscoveryStats(), make_partition_cache(relation)
+            relation, names, DiscoveryStats(), PartitionCache(relation)
         )
         expected = _sample_agree_sets_reference(
-            relation, names, algorithm.window, make_partition_cache(relation)
+            relation, names, algorithm.window, PartitionCache(relation)
         )
         assert observed == expected
 

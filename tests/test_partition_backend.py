@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 from kernel_oracle import ORACLE, cross_checked, plain
 
 from repro import Session
-from repro.config import ConfigError
 from repro.discovery import FUN, TANE, HyFD
 from repro.discovery.tane import ApproximateTANE
 from repro.relational import backend as backend_module
-from repro.relational.backend import KERNEL, KERNEL_COUNTERS, MarkTableCache
+from repro.relational.backend import KERNEL, KERNEL_COUNTERS, MarkTableCache, active_state
 from repro.relational.partition import (
     PartitionCache,
     StrippedPartition,
@@ -180,11 +179,11 @@ def test_validate_level_on_empty_relation_and_empty_batch():
 class TestBackendSelection:
     def test_unknown_choice_rejected(self):
         # One kernel, nothing to select: naming any backend, on a session or
-        # per call, is a configuration error.
+        # per call, is a TypeError (neither takes engine settings).
         for choice in ("fortran", "python", "numpy", "auto"):
-            with pytest.raises(ConfigError, match="unknown EngineConfig fields"):
+            with pytest.raises(TypeError, match="backend"):
                 Session(backend=choice)
-            with pytest.raises(ConfigError, match="unknown EngineConfig fields"):
+            with pytest.raises(TypeError, match="backend"):
                 Session().discover(Relation("r", ATTRS, []), backend=choice)
 
     def test_env_variable_forces_python(self, monkeypatch):
@@ -193,9 +192,8 @@ class TestBackendSelection:
         relation_rows = [(i % 3, i % 2, i % 5, None) for i in range(12)]
         baseline = Session().discover(Relation("r", ATTRS, relation_rows))
         monkeypatch.setenv("REPRO_PARTITION_BACKEND", "python")
-        session = Session()
-        assert session.config == Session().config
-        result = session.discover(Relation("r", ATTRS, relation_rows))
+        result = Session().discover(Relation("r", ATTRS, relation_rows))
+        assert result.config == baseline.config
         assert result.backend == KERNEL.name == "numpy"
         assert result.artifact_fingerprint() == baseline.artifact_fingerprint()
 
@@ -238,25 +236,28 @@ class TestMarkTableCache:
         assert stats.hits >= 2
         assert 0.0 < stats.hit_rate <= 1.0
 
-    def test_byte_budget_evicts_lru_but_keeps_results_exact(self):
+    def test_byte_budget_evicts_lru_but_keeps_results_exact(self, monkeypatch):
         relation = self.relation()
-        relation._mark_cache = MarkTableCache(budget_bytes=8 * len(relation))
-        partitions = [StrippedPartition.from_column(relation, a) for a in ("a", "b", "c")]
-        expected = [
-            flat(left.intersect(right))
-            for left in partitions
-            for right in partitions
-            if left is not right
-        ]
-        assert relation.mark_cache.stats.evictions > 0
-        assert relation.mark_cache.held_bytes <= 8 * len(relation)
-        # Evicted tables are rebuilt on demand: same products, any order.
-        actual = [
-            flat(left.intersect(right))
-            for left in partitions
-            for right in partitions
-            if left is not right
-        ]
+        # The budget is read when a session first builds the relation's cache.
+        monkeypatch.setattr(backend_module, "MARKS_CACHE_BYTES", 8 * len(relation))
+        with Session():
+            partitions = [StrippedPartition.from_column(relation, a) for a in ("a", "b", "c")]
+            expected = [
+                flat(left.intersect(right))
+                for left in partitions
+                for right in partitions
+                if left is not right
+            ]
+            assert relation.mark_cache.budget_bytes == 8 * len(relation)
+            assert relation.mark_cache.stats.evictions > 0
+            assert relation.mark_cache.held_bytes <= 8 * len(relation)
+            # Evicted tables are rebuilt on demand: same products, any order.
+            actual = [
+                flat(left.intersect(right))
+                for left in partitions
+                for right in partitions
+                if left is not right
+            ]
         assert actual == expected
 
     def test_tables_die_with_their_partitions(self):
@@ -285,10 +286,12 @@ class TestMarkTableCache:
         assert len(cache) == 0 and cache.held_bytes == 0
 
     def test_budget_defaults_to_env_override(self, monkeypatch):
-        monkeypatch.setenv(backend_module.MARKS_BUDGET_ENV_VAR, "12345")
+        # The REPRO_MARKS_CACHE_BYTES override is retired: the default budget
+        # is the module constant, read when a cache is built.
+        monkeypatch.setenv("REPRO_MARKS_CACHE_BYTES", "12345")
+        assert MarkTableCache().budget_bytes == backend_module.MARKS_CACHE_BYTES == 128 << 20
+        monkeypatch.setattr(backend_module, "MARKS_CACHE_BYTES", 12345)
         assert MarkTableCache().budget_bytes == 12345
-        monkeypatch.delenv(backend_module.MARKS_BUDGET_ENV_VAR)
-        assert MarkTableCache().budget_bytes == backend_module.DEFAULT_MARKS_BUDGET_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +328,23 @@ class TestCombinedCodesPrefixCache:
 
         for combo in permutations(names, 3):
             relation.combined_column_codes(combo)
-        from repro.relational.relation import _combined_cache_entries
+        cache = active_state().caches_for(relation).combined
+        assert len(cache) <= backend_module.COMBINED_CODES_CACHE_ENTRIES
 
-        assert len(relation._combined_codes_cache) <= _combined_cache_entries()
+    def test_minimum_bound_evicts_but_keeps_codes(self, monkeypatch):
+        from itertools import permutations
+
+        expected = {
+            combo: list(self.relation().combined_column_codes(combo)[0])
+            for combo in permutations(("a", "b", "c", "d"), 3)
+        }
+        monkeypatch.setattr(backend_module, "COMBINED_CODES_CACHE_ENTRIES", 2)
+        with Session() as session:
+            relation = self.relation()
+            for combo, codes in expected.items():
+                assert list(relation.combined_column_codes(combo)[0]) == codes
+            assert len(active_state().caches_for(relation).combined) == 2
+        assert session.kernel_stats()["combined_prefix_evictions"] > 0
 
     def test_exact_hit_returns_cached_codes(self):
         relation = self.relation()

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import EngineConfig, ServeConfig
+from repro.config import ServeConfig, config_fingerprint
 from repro.registry import (
     HASH_HEX_LENGTH,
     IntegrityError,
@@ -36,7 +36,7 @@ from repro.registry import (
 )
 from repro.relational.algebra import project
 from repro.relational.relation import Relation
-from repro.session import RunResult, Session
+from repro.session import RunResult, Session, engine_config
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -516,7 +516,7 @@ class TestProvenance:
             assert block is not None
             assert block["relation_hash"] == relation.content_hash()
             assert block["executor"] == "inline"
-            assert block["config_fingerprint"] == session.config.fingerprint()
+            assert block["config_fingerprint"] == config_fingerprint(engine_config())
 
     def test_infine_stamps_catalog_hash(self):
         from repro.relational import base, join
@@ -551,7 +551,7 @@ class TestProvenance:
         with pytest.raises(ProvenanceError):
             verify_provenance(RunResult(payload))
 
-    #: ``EngineConfig().as_dict()`` of earlier releases and the fingerprints
+    #: The default engine configuration mapping of earlier releases and the fingerprints
     #: results recorded for them: the 10-field config before the engine
     #: dropped its five unmeasured knobs, and the 5-field config before it
     #: dropped runtime backend selection.
@@ -649,6 +649,6 @@ class TestServeConfigRegistryDir:
         assert ServeConfig.from_env({"REPRO_REGISTRY_DIR": "  "}).registry_dir is None
 
     def test_engine_config_untouched(self):
-        # The registry is serve-level state; EngineConfig fingerprints must
-        # not change because a registry directory is configured.
-        assert not any("registry" in key for key in EngineConfig().as_dict())
+        # The registry is serve-level state; the recorded engine configuration
+        # must not change because a registry directory is configured.
+        assert not any("registry" in key for key in engine_config())

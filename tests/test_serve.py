@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import ConfigError, load_tenant_configs, parse_tenant_configs
+import repro.config
 from repro.relational.relation import Relation
 from repro.serve import (
     CANCELLED,
@@ -41,7 +41,7 @@ from repro.serve import (
     relation_to_payload,
 )
 from repro.serve.server import _ServeHandler
-from repro.session import Session
+from repro.session import Session, engine_config
 
 pytestmark = pytest.mark.slow
 
@@ -144,33 +144,37 @@ class TestProtocol:
 
 
 class TestTenantConfigs:
-    def test_parse_with_default_layering(self):
-        configs = parse_tenant_configs(
-            {"*": {"combined_codes_cache_entries": 4}, "acme": {"marks_cache_bytes": 1 << 20}}
-        )
-        assert configs["*"].combined_codes_cache_entries == 4
-        assert configs["acme"].combined_codes_cache_entries == 4
-        assert configs["acme"].marks_cache_bytes == 1 << 20
-
-    def test_unknown_field_names_tenant(self):
-        with pytest.raises(ConfigError, match="acme"):
-            parse_tenant_configs({"acme": {"bogus": 1}})
+    """Per-tenant engine configuration is retired: every form of it is refused."""
 
     def test_non_mapping_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_tenant_configs([("acme", {})])
+        # No mapping (nor anything else) configures tenants any more.
+        for configs in ({"acme": {"marks_cache_bytes": 0}}, [("acme", {})]):
+            with pytest.raises(TypeError, match="tenant_configs"):
+                Server(tenant_configs=configs)
+        assert not hasattr(repro.config, "parse_tenant_configs")
+        assert not hasattr(repro.config, "TENANT_DEFAULT_KEY")
 
-    def test_load_from_file(self, tmp_path):
+    def test_load_from_file(self, tmp_path, capsys):
+        # A well-formed tenant file is refused by the CLI before it is read.
+        from repro.serve.cli import main_serve
+
         path = tmp_path / "tenants.json"
         path.write_text(json.dumps({"acme": {"combined_codes_cache_entries": 4}}))
-        configs = load_tenant_configs(path)
-        assert configs["acme"].combined_codes_cache_entries == 4
+        with pytest.raises(SystemExit) as excinfo:
+            main_serve(["--port", "0", "--tenant-config", str(path)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --tenant-config" in capsys.readouterr().err
+        assert not hasattr(repro.config, "load_tenant_configs")
 
-    def test_load_invalid_json(self, tmp_path):
+    def test_load_invalid_json(self, tmp_path, capsys):
+        from repro.serve.cli import main_serve
+
         path = tmp_path / "tenants.json"
         path.write_text("{nope")
-        with pytest.raises(ConfigError, match="invalid JSON"):
-            load_tenant_configs(path)
+        with pytest.raises(SystemExit) as excinfo:
+            main_serve(["--tenant-config", str(path)])
+        assert excinfo.value.code == 2
+        assert "invalid JSON" not in capsys.readouterr().err  # never parsed
 
 
 class TestSessionPool:
@@ -182,13 +186,15 @@ class TestSessionPool:
         assert pool.stats()["hits"] == 1
 
     def test_per_tenant_config(self):
-        configs = parse_tenant_configs(
-            {"*": {"marks_cache_bytes": 7}, "acme": {"combined_codes_cache_entries": 4}}
-        )
-        pool = SessionPool(configs)
-        assert pool.get("acme").config.combined_codes_cache_entries == 4
-        assert pool.get("acme").config.marks_cache_bytes == 7
-        assert pool.get("other").config.marks_cache_bytes == 7
+        # Tenants get their own sessions but no settings of their own: every
+        # tenant's runs record the same engine configuration.
+        with pytest.raises(TypeError):
+            SessionPool({"acme": {"marks_cache_bytes": 0}})
+        pool = SessionPool()
+        acme, other = pool.get("acme"), pool.get("other")
+        assert acme is not other
+        configs = [session.discover(make_relation()).config for session in (acme, other)]
+        assert configs == [engine_config(), engine_config()]
 
     def test_lru_eviction_caps_sessions(self):
         pool = SessionPool(max_sessions=2)
@@ -513,22 +519,26 @@ class TestServer:
             assert status["result"] == result.payload
             assert status["error"] is None
 
-    def test_overrides_reach_the_engine(self):
-        payload = discover_payload("acme", make_relation())
-        payload["overrides"] = {"marks_cache_bytes": 0}
+    def test_engine_overrides_are_retired(self):
+        # The engine has no settings: an empty or absent ``overrides`` runs
+        # the job, anything else is refused at submission.
+        relation = make_relation()
+        payload = discover_payload("acme", relation)
+        absent = dict(payload)
+        del absent["overrides"]
         with Server(workers=1) as server:
-            result = server.result(server.submit(payload).job_id, timeout=WAIT)
-        assert result.backend == "numpy"
-        assert result.config.marks_cache_bytes == 0
-
-    def test_per_tenant_config_reaches_results(self):
-        configs = parse_tenant_configs({"acme": {"marks_cache_bytes": 0}})
-        with Server(tenant_configs=configs, workers=1) as server:
-            result = server.result(
-                server.submit(discover_payload("acme", make_relation())).job_id,
-                timeout=WAIT,
-            )
-        assert result.config.marks_cache_bytes == 0
+            for overrides in ({"marks_cache_bytes": 0}, {"bogus": 1}, [], None, 0):
+                with pytest.raises(ProtocolError, match="overrides are retired"):
+                    server.submit(dict(payload, overrides=overrides))
+            results = [
+                server.result(server.submit(request).job_id, timeout=WAIT)
+                for request in (payload, absent)
+            ]
+        bare = Session().discover(relation)
+        for result in results:
+            assert result.artifacts == bare.artifacts
+            assert result.config == bare.config
+            assert result.config_fingerprint == bare.config_fingerprint
 
 
 def _http(host, port, method, path, body=None):
@@ -611,7 +621,7 @@ class TestHttpFrontend:
         payload = discover_payload("acme", make_relation(n_rows=4))
         status, body = _http(host, port, "POST", "/jobs", dict(payload, overrides=overrides))
         assert status == 400
-        assert next(iter(overrides)) in body["error"]
+        assert "engine overrides are retired" in body["error"]
         assert frontend.app.queue.stats()["submitted"] == 0
         assert _http(host, port, "POST", "/jobs", payload)[0] == 202
 
@@ -628,14 +638,12 @@ class TestHttpFrontend:
         ],
     )
     def test_retired_engine_fields_are_rejected(self, frontend, field, value):
-        with pytest.raises(ConfigError, match="unknown EngineConfig fields"):
-            parse_tenant_configs({"acme": {field: value}})
         host, port = frontend.address
         payload = discover_payload("acme", make_relation(n_rows=4))
         payload["overrides"] = {field: value}
         status, body = _http(host, port, "POST", "/jobs", payload)
         assert status == 400
-        assert "unknown EngineConfig fields" in body["error"] and field in body["error"]
+        assert "engine overrides are retired" in body["error"]
         del payload["overrides"]
         assert _http(host, port, "POST", "/jobs", payload)[0] == 202  # serving continues
 
@@ -780,8 +788,6 @@ class TestServeCLI:
             "128",
             "--port",
             "0",
-            "--tenant-config",
-            "tenants.json",
             "--timeout",
             "2.5",
             "--executor",
@@ -793,7 +799,6 @@ class TestServeCLI:
         args = build_serve_parser().parse_args(flags)
         assert args.workers == 8
         assert args.max_queue == 128
-        assert args.tenant_config == "tenants.json"
         assert args.timeout == 2.5
         assert args.executor == "process"
         assert args.warmup is False
@@ -828,16 +833,18 @@ class TestServeCLI:
                     server.handle_request()
 
     def test_missing_tenant_config_fails_cleanly(self, capsys):
+        # ``--tenant-config`` is retired (tenants have no engine settings):
+        # it is a usage error, exit status 2, before anything is served.
         from repro.serve.cli import main_serve
 
-        assert main_serve(["--tenant-config", "/nonexistent/tenants.json"]) == 2
-        assert "error:" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main_serve(["--tenant-config", "tenants.json"])
+        assert excinfo.value.code == 2
+        assert "--tenant-config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_python_m_repro_serve_end_to_end(self, tmp_path, executor):
         """`python -m repro serve` boots, serves a job over HTTP, shuts down."""
-        tenant_config = tmp_path / "tenants.json"
-        tenant_config.write_text(json.dumps({"acme": {"marks_cache_bytes": 1 << 20}}))
         argv = [
             sys.executable,
             "-m",
@@ -849,8 +856,6 @@ class TestServeCLI:
             "2",
             "--executor",
             executor,
-            "--tenant-config",
-            str(tenant_config),
         ]
         process = subprocess.Popen(
             argv,

@@ -19,6 +19,7 @@ import pytest
 from repro.registry import IntegrityError, RelationRegistry, verify_provenance
 from repro.registry.objects import decode_object
 from repro.relational.relation import Relation
+from repro.session import Session
 from repro.serve import (
     DONE,
     FAILED,
@@ -228,6 +229,19 @@ class TestServerRegistry:
             assert "IntegrityError" in job.error
             assert not path.exists()
             assert len(list((tmp_path / "quarantine").iterdir())) == 1
+            # The server still caches the relation, but the object is gone:
+            # a re-PUT writes it again and says so, and by-ref jobs recover.
+            ack = server.put_relation(relation)
+            assert ack == {
+                "schema": "repro/relation-ref-v1",
+                "hash": content_hash,
+                "created": True,
+            }
+            assert path.exists()
+            assert server.put_relation(relation)["created"] is False
+            ticket = server.submit(ref_payload("acme", content_hash))
+            result = server.result(ticket.job_id, timeout=WAIT)
+        assert result.artifacts == Session().discover(relation).artifacts
 
     def test_classify_failure_counts_integrity_as_infra(self):
         assert classify_failure(IntegrityError("corrupt")) == FAILURE_INFRA

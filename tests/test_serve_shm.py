@@ -28,6 +28,7 @@ from functools import partial
 import pytest
 
 from repro.config import ServeConfig
+from repro.relational import backend as backend_module
 from repro.serve import (
     DONE,
     FAILED,
@@ -51,23 +52,29 @@ def leaked_segments() -> list[str]:
     return glob.glob("/dev/shm/repro_*") + glob.glob("/dev/shm/psm_*")
 
 
-def ref_payload(tenant: str, ref: str, overrides: dict | None = None) -> dict:
+def ref_payload(tenant: str, ref: str) -> dict:
     return {
         "schema": "repro/job-request-v1",
         "tenant": tenant,
         "kind": "validate",
         "relation_ref": ref,
         "params": {"fds": ["a -> b", "c -> d"]},
-        "overrides": overrides or {},
+        "overrides": {},
     }
 
 
 class TestByteParity:
+    # ``overrides`` are kernel cache sizes, set on the constants of
+    # repro.relational.backend in this process: the thread and bare-session
+    # legs run with them, spawned process workers with the defaults, so the
+    # comparison also crosses cache sizes.  Job payloads carry no overrides.
     @pytest.mark.parametrize(
         "overrides",
         [{}, {"marks_cache_bytes": 0, "combined_codes_cache_entries": 2}],
     )
-    def test_shm_thread_and_bare_session_agree(self, tmp_path, overrides):
+    def test_shm_thread_and_bare_session_agree(self, tmp_path, overrides, monkeypatch):
+        for name, value in overrides.items():
+            monkeypatch.setattr(backend_module, name.upper(), value)
         relation = make_relation(n_rows=90)
         registry = str(tmp_path / "registry")
         fingerprints = {}
@@ -75,7 +82,7 @@ class TestByteParity:
         for executor in ("process", "thread"):
             with Server(workers=2, executor=executor, registry=registry) as server:
                 ref = server.put_relation(relation)["hash"]
-                payload = ref_payload("acme", ref, overrides)
+                payload = ref_payload("acme", ref)
                 ticket = server.submit(payload)
                 result = server.result(ticket.job_id, timeout=WAIT)
                 fingerprints[executor] = result.artifact_fingerprint()

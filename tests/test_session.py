@@ -1,4 +1,4 @@
-"""Tests for the `repro.Session` engine API, `EngineConfig` and `RunResult`.
+"""Tests for the `repro.Session` engine API and `RunResult`.
 
 Covers the acceptance criteria of the session redesign:
 
@@ -6,16 +6,16 @@ Covers the acceptance criteria of the session redesign:
   :class:`RunResult` objects whose ``save``/``load`` round-trips are
   byte-identical;
 * artefacts stay byte-identical with every kernel call checked against the
-  pure-python oracle, and across env-var vs ``EngineConfig`` configuration
-  of the same settings;
-* configuration precedence: env var < ``EngineConfig``/constructor kwarg <
-  per-call override;
+  pure-python oracle, and with the kernel's cache-size constants at their
+  minimum;
+* the retired configuration surface: the cache variables are ignored, the
+  former fields are not keywords, and every run records the same
+  ``engine.config`` mapping as before;
 * two concurrent sessions share neither kernel caches nor counters;
 * ``--kernel-stats`` is scoped to the CLI invocation's session (no
   double-counting across repeated commands in one process).
 """
 
-import dataclasses
 import threading
 from pathlib import Path
 
@@ -23,13 +23,10 @@ import pytest
 from kernel_oracle import LEGS, kernel_leg
 
 import repro
-from repro import EngineConfig, Relation, RunResult, Session, TANE, base, join
+from repro import Relation, RunResult, Session, TANE, base, join
 from repro.cli import main
-from repro.config import (
-    ENV_COMBINED_CACHE_ENTRIES,
-    ENV_MARKS_CACHE_BYTES,
-    ConfigError,
-)
+from repro.config import config_fingerprint
+from repro.relational import backend as backend_module
 from repro.relational.backend import KERNEL_COUNTERS
 from repro.relational.partition import (
     StrippedPartition,
@@ -38,7 +35,7 @@ from repro.relational.partition import (
     validate_level,
     validate_level_errors,
 )
-from repro.session import default_session
+from repro.session import default_session, engine_config
 
 
 def small_relation(name: str = "r") -> Relation:
@@ -71,82 +68,112 @@ def tiny_catalog() -> dict[str, Relation]:
 
 
 # ---------------------------------------------------------------------------
-# EngineConfig: env parsing, validation, precedence, fingerprints.
+# The retired EngineConfig: cache sizes are constants, recorded by every run.
 # ---------------------------------------------------------------------------
+
+#: The ``engine.config`` mapping of a default run.  These are the field values
+#: of the retired configuration object's defaults, so every result saved by
+#: older code keeps its fingerprint.
+DEFAULT_ENGINE_CONFIG = {
+    "marks_cache_bytes": 128 * 1024 * 1024,
+    "combined_codes_cache_entries": 16,
+    "partition_cache_max_positions": None,
+}
+
+RETIRED_FIELDS = (
+    "marks_cache_bytes",
+    "combined_codes_cache_entries",
+    "partition_cache_max_positions",
+)
 
 
 class TestEngineConfig:
     def test_pristine_env_yields_defaults(self):
-        assert EngineConfig.from_env(env={}) == EngineConfig()
+        run = Session().discover(small_relation())
+        assert run.config == engine_config() == DEFAULT_ENGINE_CONFIG
+        assert run.config_fingerprint == config_fingerprint(DEFAULT_ENGINE_CONFIG)
+        assert run.config_fingerprint == "7bb7e62453c10097"
 
-    def test_env_variables_are_defaults(self):
-        config = EngineConfig.from_env(
-            env={
-                ENV_MARKS_CACHE_BYTES: "4096",
-                ENV_COMBINED_CACHE_ENTRIES: "5",
-            }
-        )
-        assert config.marks_cache_bytes == 4096
-        assert config.combined_codes_cache_entries == 5
+    def test_env_variables_are_defaults(self, monkeypatch):
+        # Retired: the two cache variables no longer provide defaults; a run
+        # records the constants whatever they say.
+        monkeypatch.setenv("REPRO_MARKS_CACHE_BYTES", "4096")
+        monkeypatch.setenv("REPRO_COMBINED_CODES_CACHE_ENTRIES", "5")
+        assert Session().discover(small_relation()).config == DEFAULT_ENGINE_CONFIG
 
-    def test_malformed_env_values_fall_back(self):
-        config = EngineConfig.from_env(env={ENV_MARKS_CACHE_BYTES: "not-a-number"})
-        assert config.marks_cache_bytes == EngineConfig().marks_cache_bytes
+    def test_malformed_env_values_fall_back(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MARKS_CACHE_BYTES", "not-a-number")
+        assert Session().discover(small_relation()).config == DEFAULT_ENGINE_CONFIG
 
     def test_invalid_backend_rejected(self):
-        # There is one kernel: every backend choice is an unknown field.
-        assert [field.name for field in dataclasses.fields(EngineConfig)] == [
-            "marks_cache_bytes",
-            "combined_codes_cache_entries",
-            "partition_cache_max_positions",
-        ]
-        for choice in ("fortran", "python", "numpy", "auto"):
-            with pytest.raises(ConfigError, match="unknown EngineConfig fields"):
-                EngineConfig.from_dict({"backend": choice})
+        # No configuration object is left to name a backend in.
+        assert not hasattr(repro, "EngineConfig")
+        for choice in ("python", "numpy", "auto"):
+            with pytest.raises(TypeError, match="backend"):
+                Session(backend=choice)
 
-    def test_replace_ignores_none_and_rejects_unknown(self):
-        config = EngineConfig(marks_cache_bytes=4096)
-        assert config.replace(marks_cache_bytes=None) is config
-        assert config.replace(marks_cache_bytes=0).marks_cache_bytes == 0
-        with pytest.raises(ConfigError):
-            config.replace(warp_drive=True)
-
-    @pytest.mark.parametrize(
-        "field",
-        [
-            "marks_cache_bytes",
-            "combined_codes_cache_entries",
-            "partition_cache_max_positions",
-        ],
-    )
+    @pytest.mark.parametrize("field", RETIRED_FIELDS)
     @pytest.mark.parametrize("value", ["x", 1.5, True])
     def test_integer_fields_reject_non_integers(self, field, value):
-        with pytest.raises(ConfigError, match=field):
-            EngineConfig(**{field: value})
-        with pytest.raises(ConfigError, match=field):
-            EngineConfig.from_dict({field: value})
+        # The former fields are keywords of neither a session nor a verb.
+        with pytest.raises(TypeError, match=field):
+            Session(**{field: value})
+        with pytest.raises(TypeError, match=field):
+            Session().discover(small_relation(), **{field: value})
 
     def test_integer_fields_accept_integers_and_unbounded_cache(self):
-        unbounded = EngineConfig(partition_cache_max_positions=None)
-        assert unbounded.partition_cache_max_positions is None
-        config = EngineConfig(marks_cache_bytes=0, partition_cache_max_positions=7)
-        assert (config.marks_cache_bytes, config.partition_cache_max_positions) == (0, 7)
-        with pytest.raises(ConfigError, match="marks_cache_bytes"):
-            EngineConfig(marks_cache_bytes=None)
-        with pytest.raises(ConfigError, match="combined_codes_cache_entries"):
-            EngineConfig(combined_codes_cache_entries=1)
+        # Integers are refused too (``Session(marks_cache_bytes=0)``); what is
+        # left of the fields is the recorded mapping: integer cache sizes and
+        # an unbounded partition cache.
+        with pytest.raises(TypeError, match="marks_cache_bytes"):
+            Session(marks_cache_bytes=0)
+        with pytest.raises(TypeError, match="config"):
+            Session(config=DEFAULT_ENGINE_CONFIG)
+        config = Session().validate(small_relation(), ["a -> b"]).config
+        assert isinstance(config["marks_cache_bytes"], int)
+        assert isinstance(config["combined_codes_cache_entries"], int)
+        assert config["partition_cache_max_positions"] is None
 
     def test_fingerprint_tracks_content(self):
-        assert EngineConfig().fingerprint() == EngineConfig().fingerprint()
-        assert EngineConfig().fingerprint() != EngineConfig(marks_cache_bytes=0).fingerprint()
-
-    def test_env_vs_explicit_config_are_the_same_settings(self):
-        explicit = EngineConfig(marks_cache_bytes=4096, combined_codes_cache_entries=5)
-        from_env = EngineConfig.from_env(
-            env={ENV_MARKS_CACHE_BYTES: "4096", ENV_COMBINED_CACHE_ENTRIES: "5"}
+        assert config_fingerprint(engine_config()) == config_fingerprint(DEFAULT_ENGINE_CONFIG)
+        assert config_fingerprint(engine_config()) != config_fingerprint(
+            {**DEFAULT_ENGINE_CONFIG, "marks_cache_bytes": 0}
         )
-        assert explicit == from_env
-        assert explicit.fingerprint() == from_env.fingerprint()
+
+
+class TestKernelCacheConstants:
+    """The cache sizes are module constants, read at the point of use."""
+
+    def test_minimum_cache_sizes_keep_artifacts(self, monkeypatch):
+        relation = small_relation()
+        view = join(base("customers"), base("orders"), on="cid")
+
+        def fingerprints(session):
+            with session.activate():
+                # Two 4-attribute folds hold more prefixes than the minimum LRU.
+                partitions = [
+                    StrippedPartition.from_columns(relation, order).flat_lists()
+                    for order in ("abcd", "dcba", "abcd")
+                ]
+            return partitions + [
+                session.discover(relation).artifact_fingerprint(),
+                session.validate(relation, ["a -> b", "a,d -> c"]).artifact_fingerprint(),
+                session.profile(relation, threshold=0.5).artifact_fingerprint(),
+                session.infine(view, tiny_catalog()).artifact_fingerprint(),
+            ]
+
+        default = fingerprints(Session())
+        monkeypatch.setattr(backend_module, "MARKS_CACHE_BYTES", 0)
+        monkeypatch.setattr(backend_module, "COMBINED_CODES_CACHE_ENTRIES", 2)
+        session = Session()
+        assert fingerprints(session) == default
+        # The eviction paths really ran, and the run records the sizes used.
+        stats = session.kernel_stats()
+        assert stats["mark_evictions"] > 0
+        assert stats["combined_prefix_evictions"] > 0
+        config = session.discover(relation).config
+        assert config["marks_cache_bytes"] == 0
+        assert config["combined_codes_cache_entries"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +208,7 @@ class TestRunResultRoundTrip:
         session = Session()
         for result in self.run_all_verbs(session).values():
             assert result.backend == "numpy"
-            assert result.config_fingerprint == session.config.fingerprint()
+            assert result.config_fingerprint == config_fingerprint(engine_config())
             assert "fds" in result.artifacts
             assert result.stats  # non-empty volatile section
 
@@ -246,26 +273,22 @@ class TestArtifactsAcrossConfigurations:
             ]
 
     def test_env_var_and_engine_config_produce_identical_artifacts(self, monkeypatch):
+        # The retired variables are ignored and the constants set the caches:
+        # neither changes the artefacts.
         relation_rows = list(small_relation())
-        monkeypatch.setenv(ENV_COMBINED_CACHE_ENTRIES, "3")
-        monkeypatch.setenv(ENV_MARKS_CACHE_BYTES, "8192")
-        via_env = Session()  # EngineConfig.from_env()
-        monkeypatch.delenv(ENV_COMBINED_CACHE_ENTRIES)
-        monkeypatch.delenv(ENV_MARKS_CACHE_BYTES)
-        explicit = Session(
-            config=EngineConfig(combined_codes_cache_entries=3, marks_cache_bytes=8192)
-        )
-        assert via_env.config == explicit.config
-        first = via_env.discover(Relation("r", ("a", "b", "c", "d"), relation_rows))
-        second = explicit.discover(Relation("r", ("a", "b", "c", "d"), relation_rows))
-        # Same artefacts AND the very same engine provenance (config +
-        # fingerprint + kernel name); only runtimes may differ.
+        monkeypatch.setenv("REPRO_COMBINED_CODES_CACHE_ENTRIES", "3")
+        monkeypatch.setenv("REPRO_MARKS_CACHE_BYTES", "8192")
+        first = Session().discover(Relation("r", ("a", "b", "c", "d"), relation_rows))
+        assert first.config == DEFAULT_ENGINE_CONFIG
+        monkeypatch.setattr(backend_module, "COMBINED_CODES_CACHE_ENTRIES", 3)
+        monkeypatch.setattr(backend_module, "MARKS_CACHE_BYTES", 8192)
+        second = Session().discover(Relation("r", ("a", "b", "c", "d"), relation_rows))
         assert first.artifact_fingerprint() == second.artifact_fingerprint()
-        assert first.payload["engine"] == second.payload["engine"]
+        assert second.config["marks_cache_bytes"] == 8192
 
 
 # ---------------------------------------------------------------------------
-# Configuration precedence: env var < EngineConfig kwarg < per-call override.
+# Retired environment variables of earlier engine settings.
 # ---------------------------------------------------------------------------
 
 
@@ -274,58 +297,9 @@ class TestBackendMinNumpyRows:
         # REPRO_BACKEND_MIN_NUMPY_ROWS is retired: it no longer provides a
         # default for any field, and small relations run on the one kernel.
         monkeypatch.setenv("REPRO_BACKEND_MIN_NUMPY_ROWS", "64")
-        session = Session()
-        assert session.config == EngineConfig()
-        assert not hasattr(session.config, "backend_min_numpy_rows")
-        assert session.discover(small_relation()).backend == "numpy"
-
-
-class TestConfigPrecedence:
-    def test_constructor_kwarg_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(ENV_MARKS_CACHE_BYTES, "4096")
-        assert Session().config.marks_cache_bytes == 4096  # env provides the default
-        session = Session(marks_cache_bytes=8192)  # explicit kwarg wins
-        assert session.config.marks_cache_bytes == 8192
-        assert session.discover(small_relation()).config.marks_cache_bytes == 8192
-
-    def test_explicit_config_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(ENV_MARKS_CACHE_BYTES, "8192")
-        session = Session(config=EngineConfig(marks_cache_bytes=4096))
-        assert session.discover(small_relation()).config.marks_cache_bytes == 4096
-
-    def test_per_call_override_beats_session_config(self):
-        session = Session(marks_cache_bytes=8192)
-        pinned = session.discover(small_relation(), marks_cache_bytes=0)
-        assert pinned.config.marks_cache_bytes == 0
-        assert pinned.config_fingerprint == EngineConfig(marks_cache_bytes=0).fingerprint()
-        # The session itself is untouched by per-call overrides.
-        assert session.config.marks_cache_bytes == 8192
-        assert session.discover(small_relation()).config.marks_cache_bytes == 8192
-
-    def test_per_call_override_artifacts_identical(self):
-        session = Session(marks_cache_bytes=8192)
-        relation = small_relation()
-        assert (
-            session.discover(relation, marks_cache_bytes=0).artifact_fingerprint()
-            == session.discover(relation).artifact_fingerprint()
-        )
-
-    def test_per_call_override_still_counts_into_the_session(self):
-        session = Session(marks_cache_bytes=8192)
-        session.discover(small_relation(), marks_cache_bytes=0)
-        snapshot = session.kernel_stats()
-        assert snapshot["partition_misses"] + snapshot["mark_misses"] > 0
-
-    def test_repeated_per_call_overrides_reuse_one_derived_state(self):
-        session = Session(marks_cache_bytes=8192)
-        # The derived state (and with it the relation-scoped caches) is
-        # memoised per overridden configuration instead of being rebuilt on
-        # every call; no-op overrides resolve to the session state itself.
-        first = session._call_state({"marks_cache_bytes": 0})
-        assert first is session._call_state({"marks_cache_bytes": 0})
-        assert first is not session.state
-        assert first.counters is session.counters
-        assert session._call_state({"marks_cache_bytes": 8192}) is session.state
+        run = Session().discover(small_relation())
+        assert run.config == DEFAULT_ENGINE_CONFIG
+        assert run.backend == "numpy"
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ discovery algorithm is executed on both engine legs of the conformance grid
 
     {default, min-caches}
 
-(``min-caches`` sets every cache to its minimum: ``marks_cache_bytes=0``,
-``combined_codes_cache_entries=2``, ``partition_cache_max_positions=0``),
-asserting, per seed:
+(``min-caches`` sets both kernel cache sizes to their minimum by patching the
+constants of ``repro.relational.backend``: ``MARKS_CACHE_BYTES = 0`` and
+``COMBINED_CODES_CACHE_ENTRIES = 2``), asserting, per seed:
 
 * the canonical FD set of every algorithm is identical across legs;
 * the full ``RunResult`` artefacts block is **byte**-identical (serialised
@@ -40,6 +40,7 @@ import random
 import sys
 from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 _ROOT = Path(__file__).resolve().parent.parent
 for _path in (_ROOT / "src", _ROOT / "tests"):
@@ -49,6 +50,7 @@ for _path in (_ROOT / "src", _ROOT / "tests"):
 from kernel_oracle import cross_checked  # noqa: E402
 
 from repro.discovery.registry import available_algorithms  # noqa: E402
+from repro.relational import backend  # noqa: E402
 from repro.relational.partition import StrippedPartition  # noqa: E402
 from repro.relational.relation import Relation  # noqa: E402
 from repro.session import Session  # noqa: E402
@@ -98,32 +100,34 @@ def generate_case(seed: int) -> tuple[tuple[str, ...], list[tuple], list[str]]:
     return names, rows, shapes
 
 
-#: Every cache of ``EngineConfig`` at its smallest legal setting.
+#: Both kernel cache-size constants at their smallest legal value.
 MIN_CACHES = {
-    "marks_cache_bytes": 0,
-    "combined_codes_cache_entries": 2,
-    "partition_cache_max_positions": 0,
+    "MARKS_CACHE_BYTES": 0,
+    "COMBINED_CODES_CACHE_ENTRIES": 2,
 }
 
 
 def conformance_legs() -> list[tuple[str, dict]]:
-    """The engine legs of the grid, as ``(label, Session overrides)`` pairs."""
+    """The engine legs of the grid, as ``(label, backend constants)`` pairs."""
     return [("default", {}), ("min-caches", dict(MIN_CACHES))]
 
 
 def _observe_leg(
     names: tuple[str, ...],
     rows: list[tuple],
-    overrides: dict,
+    constants: dict,
     algorithms: list[str],
     oracle: bool = False,
 ) -> dict:
     """Everything one leg produces, in a directly comparable form.
 
-    With ``oracle``, every kernel primitive call is also replayed on the
-    pure-python oracle; a divergence raises ``AssertionError``.
+    ``constants`` patch the cache sizes of ``repro.relational.backend`` for
+    the leg.  With ``oracle``, every kernel primitive call is also replayed
+    on the pure-python oracle; a divergence raises ``AssertionError``.
     """
-    with Session(**overrides) as session, cross_checked() if oracle else nullcontext():
+    patched = mock.patch.multiple(backend, **constants) if constants else nullcontext()
+    checked = cross_checked() if oracle else nullcontext()
+    with patched, Session() as session, checked:
         relation = Relation("fuzz", names, rows)
         partitions = {}
         for attribute in names:
@@ -146,9 +150,9 @@ def check_case(label: str, names: tuple[str, ...], rows: list[tuple]) -> list[st
     mismatches: list[str] = []
     reference_leg: str | None = None
     reference: dict | None = None
-    for leg, overrides in conformance_legs():
+    for leg, constants in conformance_legs():
         try:
-            observed = _observe_leg(names, rows, overrides, algorithms, oracle=reference is None)
+            observed = _observe_leg(names, rows, constants, algorithms, oracle=reference is None)
         except AssertionError as exc:
             return [f"{label}: {exc} on leg {leg}"]
         if reference is None:
