@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 from ..fd.closure import transitive_fds_through
 from ..fd.fd import FD
 from ..relational.algebra import JoinKind, JoinMatch, project
-from ..relational.partition import PartitionCache, fd_holds_fast
 from ..relational.relation import Relation
+from .joinfd import RowLabels
 from .provenance import FDType, ProvenanceTriple
 
 
@@ -181,7 +181,7 @@ def _refine(dependency: FD, partial: Relation | None, outcome: InferenceOutcome)
     if partial is None:
         return [dependency]
 
-    cache = PartitionCache(partial)
+    labels = RowLabels(partial)
     available = set(partial.attribute_names)
     lhs_attributes = sorted(dependency.lhs & available)
     if dependency.rhs not in available or len(lhs_attributes) != len(dependency.lhs):
@@ -193,9 +193,9 @@ def _refine(dependency: FD, partial: Relation | None, outcome: InferenceOutcome)
             if any(found.lhs <= frozenset(subset) for found in minimal):
                 continue
             outcome.candidates_checked += 1
-            # Probe the subset partition against the cached RHS column codes
-            # instead of materialising the subset ∪ {rhs} partition.
-            if fd_holds_fast(partial, cache.get(subset), dependency.rhs):
+            # Check the subset's row labels against the RHS column codes;
+            # the labels of a subset are memoised for its supersets.
+            if labels.holds(subset, dependency.rhs):
                 minimal.append(FD(subset, dependency.rhs))
     return minimal if minimal else [dependency]
 

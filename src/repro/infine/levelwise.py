@@ -13,8 +13,8 @@ to certify from the unreduced input's negative border that none did:
   usable attributes form a hypergraph.  The complements of its minimal
   transversals (a Berge dualisation over bitsets) are the maximal sets
   ``M`` containing no known LHS of ``a``: the maximal non-FDs ``M -> a``;
-* **check** — every ``M -> a`` is validated on the reduced instance, on one
-  partition cache, with ``fd_holds_fast``;
+* **check** — every ``M -> a`` is validated on the reduced instance's dense
+  row labels (:class:`~repro.infine.joinfd.RowLabels`, one memo per call);
 * **certificate** — if none holds, there is no new FD.  The LHS ``Y`` of a
   new FD ``Y -> a`` contains no known LHS of ``a`` (the known FDs would
   imply it otherwise), so ``Y ⊆ M`` for some border set, and ``M -> a``
@@ -36,8 +36,8 @@ from typing import Iterable, NamedTuple, Sequence
 from ..discovery.tane import TANE
 from ..fd.closure import FDIndex
 from ..fd.fd import FD
-from ..relational.partition import PartitionCache, fd_holds_fast
 from ..relational.relation import Relation
+from .joinfd import RowLabels
 
 #: Maximal non-FDs ``(M, a)``: no known LHS of ``a`` lies inside ``M``.
 Border = list[tuple[frozenset[str], str]]
@@ -87,10 +87,10 @@ def mine_new_fds(
     if len(reduced):
         border = _negative_border(usable, known, _tane_checks(len(usable), max_lhs_size))
         if border is not None:
-            cache = PartitionCache(reduced)
+            labels = RowLabels(reduced)
             for lhs, rhs in border:
                 border_checks += 1
-                if fd_holds_fast(reduced, cache.get(lhs), rhs):
+                if labels.holds(lhs, rhs):
                     break
             else:
                 # No maximal non-FD started to hold: certified, nothing new.

@@ -24,6 +24,7 @@ GET    ``/stats``          queue + pool + executor + registry counters
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -47,6 +48,11 @@ from .protocol import (
     relation_from_payload,
     relation_to_payload,
 )
+
+#: The :class:`~repro.config.ServeConfig` fields: a :class:`Server` takes each
+#: as a parameter of the same name (``registry`` for ``registry_dir``) and
+#: resolves the ones left as ``None`` from the environment.
+_SERVE_FIELDS = tuple(field.name for field in dataclasses.fields(ServeConfig))
 
 
 class Server:
@@ -117,41 +123,20 @@ class Server:
         processes: int | None = None,
         max_jobs_per_worker: int | None = None,
     ) -> None:
-        explicit = {
-            "workers": workers,
-            "executor": executor,
-            "warmup": warmup,
-            "start_method": start_method,
-            "max_attempts": max_attempts,
-            "restart_budget": restart_budget,
-            "restart_window": restart_window,
-            "degraded_fallback": degraded_fallback,
-            "drain_deadline": drain_deadline,
-            "faults": faults,
-            "registry_dir": registry if isinstance(registry, (str, type(None))) else "",
-            "processes": processes,
-            "max_jobs_per_worker": max_jobs_per_worker,
-        }
-        missing = [name for name, value in explicit.items() if value is None]
+        arguments = locals()
+        settings = {name: arguments.get(name) for name in _SERVE_FIELDS}
+        # ``registry`` is the one parameter not named after its field; a
+        # ready registry object is explicit and stands for no directory.
+        settings["registry_dir"] = registry if isinstance(registry, (str, type(None))) else ""
+        missing = [name for name, value in settings.items() if value is None]
         if missing:
             # Only consult the environment for parameters actually left to
             # default: a fully explicit Server must not fail on (or vary
             # with) unrelated REPRO_SERVE_* values.
-            resolved = ServeConfig.from_env_fields(missing)
-            workers = resolved.get("workers", workers)
-            executor = resolved.get("executor", executor)
-            warmup = resolved.get("warmup", warmup)
-            start_method = resolved.get("start_method", start_method)
-            max_attempts = resolved.get("max_attempts", max_attempts)
-            restart_budget = resolved.get("restart_budget", restart_budget)
-            restart_window = resolved.get("restart_window", restart_window)
-            degraded_fallback = resolved.get("degraded_fallback", degraded_fallback)
-            drain_deadline = resolved.get("drain_deadline", drain_deadline)
-            faults = resolved.get("faults", faults)
-            if registry is None:
-                registry = resolved.get("registry_dir")
-            processes = resolved.get("processes", processes)
-            max_jobs_per_worker = resolved.get("max_jobs_per_worker", max_jobs_per_worker)
+            settings.update(ServeConfig.from_env_fields(missing))
+        if registry is None:
+            registry = settings["registry_dir"]
+        faults = settings["faults"]
         # One shared plan: executor sites, queue sites and registry sites
         # count arrivals on the same seeded counters, so a storm spec
         # replays identically.
@@ -165,29 +150,30 @@ class Server:
         elif registry.faults is None:
             registry.faults = plan
         self.registry = registry
-        self.drain_deadline = drain_deadline
+        self.drain_deadline = settings["drain_deadline"]
         self.pool = SessionPool(max_sessions=max_sessions)
+        executor = settings["executor"]
         if isinstance(executor, str):
             executor = make_executor(
                 executor,
-                start_method=start_method,
-                warmup=warmup,
-                restart_budget=restart_budget,
-                restart_window=restart_window,
-                fallback=bool(degraded_fallback),
+                start_method=settings["start_method"],
+                warmup=settings["warmup"],
+                restart_budget=settings["restart_budget"],
+                restart_window=settings["restart_window"],
+                fallback=bool(settings["degraded_fallback"]),
                 faults=plan,
                 registry=registry,
-                processes=processes or 0,
-                max_jobs_per_worker=max_jobs_per_worker or 0,
+                processes=settings["processes"] or 0,
+                max_jobs_per_worker=settings["max_jobs_per_worker"] or 0,
             )
         self.executor = executor
         self.queue = JobQueue(
-            workers=workers,
+            workers=settings["workers"],
             max_queue=max_queue,
             max_inflight_per_tenant=max_inflight_per_tenant,
             default_timeout=default_timeout,
             executor=executor,
-            max_attempts=max_attempts,
+            max_attempts=settings["max_attempts"],
             faults=plan,
         )
 

@@ -17,6 +17,10 @@ Three more compare a view's default run with a variant of it, on the 16
 views at ``tiny``: the artefact bytes stay equal with both kernel cache
 sizes at their minimum and with ``use_theorem4=False``, and the FD set stays
 equal with ``refine_inferred=False``.
+
+InFine's own data checks (the ``upstageFDs`` border, the ``refine`` step of
+``inferFDs`` and ``mineFDs``) run on dense row labels: over the 16 views it
+makes no partition-cache request, and its per-view check counters are pinned.
 """
 
 from __future__ import annotations
@@ -271,3 +275,41 @@ def test_minimum_cache_sizes_drive_the_eviction_paths(catalogs, monkeypatch):
     for case in VIEWS:
         session.infine(case.spec, catalogs[case.database])
     assert session.kernel_stats()["mark_evictions"] > 0
+
+
+#: ``(upstage_border_checks, upstage_fallbacks, infer_candidates_checked)`` per
+#: view at ``tiny``: the label checks make the same walk, verdict for verdict,
+#: as the partition checks they replaced.
+CHECK_COUNTS = {
+    "pte/atm_drug": (6, 0, 0),
+    "pte/active_drug": (1, 0, 0),
+    "pte/bond_drug_active": (14, 0, 0),
+    "pte/atm_bond_atm_drug": (16, 0, 96),
+    "ptc/atom_molecule": (6, 0, 0),
+    "ptc/connected_bond": (7, 0, 0),
+    "ptc/connected_bond_molecule": (16, 0, 0),
+    "ptc/connected_atom_molecule": (14, 0, 0),
+    "mimic3/patients_admissions": (11, 1, 0),
+    "mimic3/diagnoses_patients": (8, 1, 0),
+    "mimic3/dicd_diagnoses": (6, 0, 4),
+    "mimic3/diagnoses_patients_dicd": (18, 1, 8),
+    "tpch/q2": (6, 0, 0),
+    "tpch/q3": (13, 0, 0),
+    "tpch/q9": (8, 0, 82),
+    "tpch/q11": (8, 0, 118),
+}
+
+
+def test_infine_checks_make_no_partition_cache_requests(catalogs):
+    session = Session()
+    counts = {}
+    for case in VIEWS:
+        stats = session.infine(case.spec, catalogs[case.database]).stats
+        counts[case.key] = (
+            stats["upstage_border_checks"],
+            stats["upstage_fallbacks"],
+            stats["infer_candidates_checked"],
+        )
+    kernel = session.kernel_stats()
+    assert (kernel["partition_hits"], kernel["partition_misses"]) == (0, 0)
+    assert counts == CHECK_COUNTS

@@ -688,6 +688,48 @@ class TestConfigSurface:
         values = ServeConfig.from_env_fields(["max_attempts", "drain_deadline"], env)
         assert values == {"max_attempts": 4, "drain_deadline": 10.0}
 
+    def test_fully_explicit_server_ignores_bogus_env(self, monkeypatch):
+        """With all 13 ``ServeConfig`` fields given, no variable is read."""
+        from repro import config
+        from repro.config import ConfigError
+        from repro.registry import RelationRegistry
+
+        variables = [
+            value
+            for name, value in vars(config).items()
+            if name.startswith("ENV_SERVE_") or name == "ENV_REGISTRY_DIR"
+        ]
+        assert len(variables) == 13
+        for variable in variables:
+            monkeypatch.setenv(variable, "bogus")
+        explicit = dict(
+            workers=2,
+            executor="thread",
+            warmup=False,
+            start_method="fork",
+            max_attempts=4,
+            restart_budget=7,
+            restart_window=12.5,
+            degraded_fallback=True,
+            drain_deadline=3.5,
+            faults="",
+            registry=RelationRegistry(),
+            processes=1,
+            max_jobs_per_worker=9,
+        )
+        server = Server(**explicit)
+        try:
+            assert server.queue.workers == 2
+            assert server.queue.max_attempts == 4
+            assert server.drain_deadline == 3.5
+            assert server.registry is explicit["registry"]
+            assert not server.registry.persistent
+        finally:
+            server.close()
+        # Leaving one field to the environment reads its bogus variable.
+        with pytest.raises(ConfigError, match="bogus"):
+            Server(**{**explicit, "executor": None})
+
     def test_cli_parser_exposes_fault_tolerance_flags(self):
         from repro.serve.cli import build_serve_parser
 
