@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--kernel-stats", action="store_true",
         help="print partition-kernel diagnostics after the command: the "
-             "mark-table / partition / combined-codes cache hit, miss and "
+             "mark-table / partition cache hit, miss and "
              "eviction counters of this invocation's session (scoped per "
              "invocation, so repeated commands in one process never "
              "double-count; off by default so table output stays "

@@ -36,15 +36,17 @@ an equal LHS is left to dominate.  An ``FD`` (with its ``frozenset`` LHS)
 is built only for an emitted triple.
 
 An LHS's partition of the partial join is a dense class label per row plus
-the class count.  Each LHS validated at a level gets its labels once, shared
-by every dependent that needs it: the product
-(:meth:`~repro.relational.backend.NumpyBackend.product_labels`) of the
-parent from level ``k - 1`` with the smallest key space and the codes of the
-one missing column, or a fold of the single columns when no parent was
-validated.  Only two levels of labels are ever alive.  ``fd_holds_fast``
-then rejects an LHS with fewer classes than the RHS has values, and
-otherwise checks the RHS codes against the labels in one O(rows) pass
+the class count, held by one :class:`RowLabels` memo over the same bitmask
+universe, built when the partial join is first needed.  An LHS gets its
+labels once, shared by every dependent that needs it: the product
+(:meth:`~repro.relational.backend.NumpyBackend.product_labels`) of its
+memoised one-smaller subset with the smallest key space and the codes of the
+one missing column.  ``fd_holds_fast`` then rejects an LHS with fewer
+classes than the RHS has values, and otherwise checks the RHS codes against
+the labels in one O(rows) pass
 (:meth:`~repro.relational.backend.NumpyBackend.labels_determine`).
+``upstageFDs`` and the ``refine`` step of ``inferFDs`` check their FDs with
+a memo of their own relation, by attribute name.
 
 Deferring a level's validations until all of its prunings ran cannot change
 the result: a candidate the combined closure would have accepted after a
@@ -103,52 +105,70 @@ def fd_holds_fast(labels, n_classes: int, codes, n_codes: int) -> bool:
 class RowLabels:
     """Memoised dense row labels of attribute sets of one relation.
 
-    :meth:`get` returns ``(labels, n_classes)``: one label in
-    ``0..n_classes-1`` per row, equal on exactly the rows that agree on the
-    attributes.  The empty set is one class (none on an empty relation) and
-    a single attribute is its column codes.  A larger set is the product of
-    its memoised one-smaller subset with the fewest classes and the missing
-    column; when none is memoised, of the set without its first attribute
-    (built the same way, so every prefix is memoised for its siblings) and
-    that attribute.  :meth:`holds` checks an FD on these labels with
-    :func:`fd_holds_fast`.
+    Attribute sets are int bitmasks over ``names`` (the relation's own
+    attributes by default; mining passes its wider attribute universe): the
+    name at position ``i`` gets bit ``len(names) - 1 - i``.  :meth:`get`
+    returns ``(labels, n_classes)``: one label in ``0..n_classes-1`` per
+    row, equal on exactly the rows that agree on the set.  The empty set is
+    one class (none on an empty relation) and a single attribute is its
+    column codes.  A larger set is the product
+    (:meth:`~repro.relational.backend.NumpyBackend.product_labels`) of its
+    memoised one-smaller subset with the smallest key space (its class count
+    times the missing column's code count) and the missing column; when
+    none is memoised, of the set without its lowest bit (built the same way,
+    so every prefix is memoised for its siblings) and that bit's column.
+    :meth:`holds` checks an FD on these labels with :func:`fd_holds_fast`.
     """
 
-    __slots__ = ("relation", "_labels")
+    __slots__ = ("relation", "_bit_of", "_names", "_labels")
 
-    def __init__(self, relation: Relation) -> None:
+    def __init__(self, relation: Relation, names: Sequence[str] | None = None) -> None:
         self.relation = relation
-        self._labels: dict[frozenset[str], tuple] = {}
+        self._names = list(relation.attribute_names if names is None else names)
+        self._bit_of = {name: 1 << (len(self._names) - 1 - i) for i, name in enumerate(self._names)}
+        self._labels: dict[int, tuple] = {}
 
-    def get(self, attributes: Iterable[str]) -> tuple:
-        """The ``(labels, n_classes)`` of ``attributes``, computed once."""
-        key = frozenset(attributes)
-        entry = self._labels.get(key)
+    def mask(self, names: Iterable[str]) -> int:
+        """The bitmask of ``names``."""
+        mask = 0
+        for name in names:
+            mask |= self._bit_of[name]
+        return mask
+
+    def get(self, mask: int) -> tuple:
+        """The ``(labels, n_classes)`` of the set ``mask``, computed once."""
+        entry = self._labels.get(mask)
         if entry is None:
-            entry = self._labels[key] = self._compute(key)
+            entry = self._labels[mask] = self._compute(mask)
         return entry
 
     def holds(self, lhs: Iterable[str], rhs: str) -> bool:
         """Whether ``lhs -> rhs`` holds on the relation (:func:`fd_holds_fast`)."""
-        return fd_holds_fast(*self.get(lhs), *self.get((rhs,)))
+        return fd_holds_fast(*self.get(self.mask(lhs)), *self.get(self._bit_of[rhs]))
 
-    def _compute(self, key: frozenset[str]) -> tuple:
-        if not key:
+    def _compute(self, mask: int) -> tuple:
+        if not mask:
             n_rows = len(self.relation)
             return KERNEL.as_codes([0] * n_rows), min(n_rows, 1)
-        if len(key) == 1:
-            codes, n_codes = self.relation.column_codes(next(iter(key)))
+        lowest = mask & -mask
+        if mask == lowest:
+            name = self._names[len(self._names) - mask.bit_length()]
+            codes, n_codes = self.relation.column_codes(name)
             return KERNEL.as_codes(codes), n_codes
-        ordered = sorted(key)
-        base = missing = None
-        for attribute in ordered:
-            subset = self._labels.get(key - {attribute})
-            if subset is not None and (base is None or subset[1] < base[1]):
-                base, missing = subset, attribute
+        base = None
+        space = missing = 0
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            subset = self._labels.get(mask ^ bit)
+            if subset is not None:
+                subset_space = subset[1] * self.get(bit)[1]
+                if base is None or subset_space < space:
+                    base, space, missing = subset, subset_space, bit
         if base is None:
-            missing = ordered[0]
-            base = self.get(key - {missing})
-        return KERNEL.product_labels(*base, *self.get((missing,)))
+            base, missing = self.get(mask ^ lowest), lowest
+        return KERNEL.product_labels(*base, *self.get(missing))
 
 
 class _Closure(dict):
@@ -269,7 +289,6 @@ def mine_join_fds(
         universe.add(dependency.rhs)
     names = sorted(universe)
     bit_of = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
-    name_of = {bit: name for name, bit in bit_of.items()}
 
     def mask_of(attrs: Iterable[str]) -> int:
         mask = 0
@@ -327,49 +346,8 @@ def mine_join_fds(
             )
         )
 
-    joined: Relation | None = None
-    # Codes of the partial join's columns, by attribute bit.
-    columns: dict[int, tuple] = {}
-    # Labels of the LHSs validated at the previous and the current level.
-    previous: dict[int, tuple] = {}
-    current: dict[int, tuple] = {}
-
-    def column(bit: int) -> tuple:
-        entry = columns.get(bit)
-        if entry is None:
-            codes, n_codes = joined.column_codes(name_of[bit])
-            entry = columns[bit] = (KERNEL.as_codes(codes), n_codes)
-        return entry
-
-    def level_labels(lhs: int) -> tuple:
-        entry = current.get(lhs)
-        if entry is not None:
-            return entry
-        parent = None
-        best_space = missing = 0
-        rest = lhs
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            candidate = previous.get(lhs ^ bit)
-            if candidate is not None:
-                space = candidate[1] * column(bit)[1]
-                if parent is None or space < best_space:
-                    parent, best_space, missing = candidate, space, bit
-        if parent is None:
-            # A single attribute, or an LHS none of whose parents needed
-            # validation: fold its columns.
-            bit = lhs & -lhs
-            entry = column(bit)
-            rest = lhs ^ bit
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                entry = KERNEL.product_labels(*entry, *column(bit))
-        else:
-            entry = KERNEL.product_labels(*parent, *column(missing))
-        current[lhs] = entry
-        return entry
+    # The partial join's labels, materialised for the first validation.
+    labels: RowLabels | None = None
 
     size = 1
     while size <= max_size and any(walk.alive for walk in walks):
@@ -450,21 +428,21 @@ def mine_join_fds(
                 entries.append(ProvenanceTriple(fd_of(lhs, walk.rhs), fd_type, subquery))
             level.append((walk, entries, expandable))
 
-        # Pass 2: validate the survivors on the level's shared labels.
-        previous, current = current, {}
+        # Pass 2: validate the survivors on the partial join's labels.
         for walk, entries, expandable in level:
             for entry in entries:
                 if isinstance(entry, ProvenanceTriple):
                     walk.triples.append(entry)
                     continue
-                if joined is None:
+                if labels is None:
                     if match is None:
                         match = JoinMatch(left_instance, right_instance, left_on, right_on, kind)
                     joined = match.relation(name=f"partial({subquery})")
                     outcome.join_materialised = True
                     outcome.partial_join_rows = len(joined)
+                    labels = RowLabels(joined, names)
                 outcome.candidates_validated += 1
-                if fd_holds_fast(*level_labels(entry), *column(walk.bit)):
+                if fd_holds_fast(*labels.get(entry), *labels.get(walk.bit)):
                     combined_closure.add(entry, walk.bit)
                     walk.dominating.add(entry)
                     walk.triples.append(

@@ -11,9 +11,10 @@ The discovery/validation hot path is columnar:
   each column into dense ``int`` codes held in an int64 array
   (:meth:`Relation.column_codes`).  Encodings are cached on the (immutable)
   relation and shared by all partition and FD primitives, so equality tests
-  on the hot path compare machine integers instead of hashing raw values;
-  combinations fold per-column codes with a re-densified mixed-radix product
-  (:meth:`Relation.combined_column_codes`).
+  on the hot path compare machine integers instead of hashing raw values.
+  An attribute combination is the dense row labels of its columns' codes,
+  folded column by column with
+  :meth:`~repro.relational.backend.NumpyBackend.product_labels`.
 * **Flat-array partitions** — a :class:`StrippedPartition` stores one flat
   ``positions`` array plus a group-``offsets`` array instead of
   tuples-of-tuples.  ``intersect`` and ``refines`` are single-pass probe
@@ -32,13 +33,12 @@ The discovery/validation hot path is columnar:
   checks with one vectorized pass per shared LHS partition; TANE, FUN,
   ApproximateTANE and the AFD profiler feed their levels through it.
 * **Partition caching** — :class:`PartitionCache` memoises partitions per
-  attribute set with hit/miss/eviction statistics, pins the single-attribute
-  basis, composes new combinations from the cached subset with the fewest
-  groups, and (optionally) evicts multi-attribute entries LRU-first under a
-  ``stripped_size`` memory budget.
+  attribute set with hit/miss statistics for its lifetime and composes a new
+  combination from the cached one-smaller subset with the fewest groups.
 
-TANE, FUN, FastFDs, HyFD, the naive oracle, the g3/AFD measures and InFine's
-join-FD validation all inherit this kernel; ``benchmarks/
+TANE, FUN, FastFDs, HyFD, the naive oracle and the g3/AFD measures run on
+these partitions; InFine's data checks run on the kernel's row labels
+(:class:`repro.infine.joinfd.RowLabels`); ``benchmarks/
 bench_partition_kernel.py`` tracks its performance trajectory.
 """
 

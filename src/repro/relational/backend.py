@@ -8,20 +8,20 @@ them on :class:`NumpyBackend`, built on ``np.argsort``/factorize-style
 grouping and boolean-mask probes; call sites use its one instance,
 :data:`KERNEL`.
 
-Every primitive is deterministic down to the order of its output: group order
-is first-value-appearance, positions ascend inside a group, and dense codes
-are assigned in first-appearance order.  Discovered FD sets, CLI tables and
-provenance triples therefore depend only on the input.  The test suite keeps
+Every primitive is deterministic down to the order of its output: groups
+come in ascending code order (first-value-appearance for a column),
+positions ascend inside a group, and a column's dense codes are assigned in
+first-appearance order.  Discovered FD sets, CLI tables and provenance
+triples therefore depend only on the input.  The test suite keeps
 a pure-python reference implementation of every primitive and compares the
 two on the same inputs.
 
 Kernel caches and counters live on an *engine state* (:class:`EngineState`).
 The *active* state is a context variable installed by
 :meth:`repro.session.Session.activate`; when no session is active, a lazy
-module-level default is used.  The caches are sized by two constants,
-:data:`MARKS_CACHE_BYTES` and :data:`COMBINED_CODES_CACHE_ENTRIES`, read at
-the point of use.  No cache size changes what is computed, only how often
-it is recomputed.
+module-level default is used.  The mark-table caches are sized by the
+constant :data:`MARKS_CACHE_BYTES`, read at the point of use.  No cache size
+changes what is computed, only how often it is recomputed.
 
 The module also hosts the relation-scoped, byte-budgeted
 :class:`MarkTableCache` (the reusable row -> group-id scratch tables of the
@@ -52,9 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 #: tables at 8 bytes per row.
 MARKS_CACHE_BYTES = 128 * 1024 * 1024
 
-#: Entries of each relation-scoped combined-codes prefix LRU (at least 2).
-COMBINED_CODES_CACHE_ENTRIES = 16
-
 
 # ---------------------------------------------------------------------------
 # State-scoped kernel counters (snapshotted into DiscoveryStats.extra).
@@ -67,10 +64,10 @@ class KernelCounters:
 
     Each :class:`EngineState` (and therefore each
     :class:`~repro.session.Session`) owns one instance, incremented by all
-    :class:`MarkTableCache` and ``PartitionCache`` instances and by the
-    per-relation combined-codes prefix caches running under that state, so a
-    snapshot/delta pair brackets exactly the kernel work of one discovery
-    run and two concurrent sessions never pollute each other's numbers.
+    :class:`MarkTableCache` and ``PartitionCache`` instances running under
+    that state, so a snapshot/delta pair brackets exactly the kernel work of
+    one discovery run and two concurrent sessions never pollute each other's
+    numbers.
     :data:`KERNEL_COUNTERS` is the default state's instance.
     """
 
@@ -83,9 +80,6 @@ class KernelCounters:
     #: Never incremented (a partition cache keeps every partition for its
     #: lifetime); kept because the e2e benchmark reads it.
     partition_evictions: int = 0
-    combined_prefix_hits: int = 0
-    combined_prefix_misses: int = 0
-    combined_prefix_evictions: int = 0
     batched_levels: int = 0
     batched_candidates: int = 0
     counting_sorts: int = 0
@@ -122,9 +116,9 @@ class NumpyBackend:
     per-row integer encodings (``array('q')``, ``list`` or ``np.ndarray``);
     ``marks`` map row position -> group id (``-1`` for stripped singletons).
     Inputs may be any of those sequences; outputs are ``np.int64`` arrays.
-    Grouping keeps first-appearance group order via a stable
-    first-occurrence factorisation, and the partition product emits buckets
-    in (probe group, first appearance of mark) order.
+    Grouping emits groups in ascending code order via a stable sort, and the
+    partition product emits buckets in (probe group, first appearance of
+    mark) order.
     """
 
     #: The kernel name recorded in run results and kernel statistics.
@@ -181,31 +175,6 @@ class NumpyBackend:
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
         return np.flatnonzero(boundary)
 
-    @classmethod
-    def _factorize_first_appearance(cls, keys, bound: int):
-        """Dense codes of ``keys`` assigned in first-appearance order.
-
-        Matches a dict-``setdefault`` fold bit for bit: the first
-        occurrence of a key (scanning left to right) fixes its code.
-        """
-        n = keys.shape[0]
-        if n == 0:
-            return keys.copy(), 0
-        perm = cls._stable_order(keys, bound)
-        starts = cls._run_starts(keys[perm])
-        # Stable order ⇒ the first element of each run carries the smallest
-        # original index, i.e. the key's first appearance.  First-occurrence
-        # indices are distinct, so a plain introsort ranks them.
-        order = perm[starts].argsort()
-        rank = np.empty(starts.shape[0], dtype=np.int64)
-        rank[order] = np.arange(starts.shape[0], dtype=np.int64)
-        run_of_element = np.zeros(n, dtype=np.int64)
-        run_of_element[starts[1:]] = 1
-        run_of_element = np.cumsum(run_of_element)
-        codes = np.empty(n, dtype=np.int64)
-        codes[perm] = rank[run_of_element]
-        return codes, int(starts.shape[0])
-
     # -- construction ---------------------------------------------------------
     def as_codes(self, codes):
         """View ``codes`` (``array('q')``/``list``/ndarray) as an int64 array."""
@@ -218,22 +187,12 @@ class NumpyBackend:
             np.asarray(offsets, dtype=np.int64),
         )
 
-    def combine_codes(self, combined, width, nxt, radix):
-        """One densifying mixed-radix fold step.
-
-        Returns ``(codes, width)`` where equal ``(combined, nxt)`` pairs
-        receive equal dense codes assigned in first-appearance order.  Never
-        mutates ``combined`` (results are shared through the prefix cache).
-        """
-        keys = self._as_array(combined) * np.int64(radix) + self._as_array(nxt)
-        return self._factorize_first_appearance(keys, max(width, 1) * max(radix, 1))
-
     def group_by_codes(self, codes, n_codes, counts=None):
         """Counting-sort ``codes`` into flat ``(positions, offsets)``.
 
-        Groups appear in ascending code order (== first-appearance order of
-        the encodings); positions within a group ascend; singleton codes are
-        stripped.  ``counts`` (per-code occurrence counts) is an optional
+        Groups appear in ascending code order (first-appearance order for a
+        column's encoding); positions within a group ascend; singleton codes
+        are stripped.  ``counts`` (per-code occurrence counts) is an optional
         precomputed hint.
         """
         codes = self._as_array(codes)
@@ -727,19 +686,17 @@ class _RelationKernelCaches:
     """The kernel caches one engine state holds for one relation.
 
     Owned by the state (not the relation), so two concurrent sessions
-    working on the same relation never share mark tables, prefix folds or
-    cache counters.  Entries are dropped automatically when the relation is
+    working on the same relation never share mark tables or cache
+    counters.  Entries are dropped automatically when the relation is
     garbage collected.
     """
 
-    __slots__ = ("relation_ref", "marks", "combined", "partitions", "__weakref__")
+    __slots__ = ("relation_ref", "marks", "partitions", "__weakref__")
 
     def __init__(self, relation: "Relation") -> None:
         self.relation_ref = weakref.ref(relation)
         #: Byte-budgeted row -> group-id mark tables of the relation.
         self.marks = MarkTableCache()
-        #: Bounded LRU of hot combined-codes prefixes: ``(codes, width)``.
-        self.combined: "OrderedDict[tuple[str, ...], tuple[object, int]]" = OrderedDict()
         #: Lazily attached ``PartitionCache`` (set by ``Session.partition_cache``;
         #: lives here so its lifecycle matches the other relation caches).
         self.partitions = None
@@ -1006,12 +963,6 @@ def render_kernel_stats(state: EngineState | None = None) -> str:
         "[kernel] partition cache: "
         f"hits={summary['partition_hits']} misses={summary['partition_misses']} "
         f"evictions={summary['partition_evictions']}"
-    )
-    lines.append(
-        "[kernel] combined-codes prefixes: "
-        f"hits={summary['combined_prefix_hits']} "
-        f"misses={summary['combined_prefix_misses']} "
-        f"evictions={summary['combined_prefix_evictions']}"
     )
     lines.append(
         "[kernel] batched validation: "

@@ -147,7 +147,12 @@ class StrippedPartition:
 
     @classmethod
     def from_columns(cls, relation: Relation, attributes: Sequence[str]) -> "StrippedPartition":
-        """Build the stripped partition of an attribute combination directly."""
+        """Build the stripped partition of an attribute combination directly.
+
+        Two or more attributes fold their column codes into dense row labels
+        with :meth:`~repro.relational.backend.NumpyBackend.product_labels`;
+        the groups come in ascending order of the code tuples.
+        """
         if not attributes:
             # The empty attribute set puts every row in one class.
             partition = cls([range(len(relation))], len(relation))
@@ -155,8 +160,12 @@ class StrippedPartition:
             return partition
         if len(attributes) == 1:
             return cls.from_column(relation, attributes[0])
-        codes, n_codes = relation.combined_column_codes(attributes)
-        positions, offsets = KERNEL.group_by_codes(codes, n_codes)
+        labels, n_labels = relation.column_codes(attributes[0])
+        for attribute in attributes[1:]:
+            labels, n_labels = KERNEL.product_labels(
+                labels, n_labels, *relation.column_codes(attribute)
+            )
+        positions, offsets = KERNEL.group_by_codes(labels, n_labels)
         return cls._from_flat(positions, offsets, len(relation), relation.mark_cache)
 
     # -- views ----------------------------------------------------------------

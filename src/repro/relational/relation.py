@@ -29,7 +29,6 @@ from collections import Counter, defaultdict
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from . import backend
 from .backend import KERNEL, MarkTableCache, active_state
 from .schema import Attribute, RelationSchema, SchemaError
 
@@ -362,65 +361,6 @@ class Relation:
     def column_code_count(self, attribute: str) -> int:
         """Number of distinct values of ``attribute`` (via the cached encoding)."""
         return self._column_entry(attribute)[1]
-
-    def combined_column_codes(self, attributes: Sequence[str]) -> tuple[Sequence[int], int]:
-        """Dense integer codes of the value *combinations* over ``attributes``.
-
-        Folds the per-column encodings with a mixed-radix product,
-        re-densifying after every column (in first-appearance order) so
-        intermediate keys stay bounded by ``n_rows * n_codes``.  Returns
-        ``(codes, n_codes)`` like :meth:`column_codes`.
-
-        Hot prefixes (``attributes[:k]`` for ``k >= 2``) are memoised in a
-        small per-relation LRU owned by the active engine state
-        (:data:`~repro.relational.backend.COMBINED_CODES_CACHE_ENTRIES`
-        entries), so repeated partition builds
-        over overlapping attribute sequences stop recomputing the shared
-        fold steps.  The returned sequence may be such a cached object:
-        treat it as read-only.
-        """
-        if not attributes:
-            raise RelationError("combined_column_codes needs at least one attribute")
-        state = active_state()
-        if len(attributes) == 1:
-            codes, width = self.column_codes(attributes[0])
-            return KERNEL.as_codes(codes), width
-
-        counters = state.counters
-        key = tuple(attributes)
-        cache = state.caches_for(self).combined
-        entry = cache.get(key)
-        if entry is not None:
-            cache.move_to_end(key)
-            counters.combined_prefix_hits += 1
-            return entry
-        counters.combined_prefix_misses += 1
-
-        # Resume from the longest cached prefix.
-        combined = None
-        width = 0
-        start = 1
-        for length in range(len(key) - 1, 1, -1):
-            prefix = cache.get(key[:length])
-            if prefix is not None:
-                cache.move_to_end(key[:length])
-                counters.combined_prefix_hits += 1
-                combined, width = prefix
-                start = length
-                break
-        if combined is None:
-            first_codes, width = self.column_codes(key[0])
-            combined = KERNEL.as_codes(first_codes)
-        max_entries = backend.COMBINED_CODES_CACHE_ENTRIES
-        for index in range(start, len(key)):
-            nxt, radix = self.column_codes(key[index])
-            combined, width = KERNEL.combine_codes(combined, width, nxt, radix)
-            cache[key[: index + 1]] = (combined, width)
-            cache.move_to_end(key[: index + 1])
-            while len(cache) > max_entries:
-                cache.popitem(last=False)
-                counters.combined_prefix_evictions += 1
-        return combined, width
 
     @property
     def mark_cache(self) -> MarkTableCache:

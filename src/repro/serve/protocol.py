@@ -39,8 +39,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
 from ..registry.hashing import is_relation_hash
+from ..registry.objects import _SCALAR_TYPES
 from ..registry.store import IntegrityError
 from ..relational.relation import Relation, RelationError
+from ..relational.schema import SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..registry.store import RelationRegistry
@@ -99,9 +101,18 @@ def relation_from_payload(payload: Mapping[str, Any]) -> Relation:
         raise ProtocolError("relation.attributes must be a list of strings")
     if not isinstance(rows, (list, tuple)):
         raise ProtocolError("relation.rows must be a list of rows")
+    for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise ProtocolError("relation.rows must be a list of rows")
+        for attribute, cell in zip(attributes, row):
+            if not isinstance(cell, _SCALAR_TYPES):
+                raise ProtocolError(
+                    f"relation column {attribute!r} holds a {type(cell).__name__}; "
+                    "cells must be JSON strings, numbers, booleans or null"
+                )
     try:
         return Relation(name, tuple(attributes), rows)
-    except (RelationError, TypeError) as exc:
+    except (RelationError, SchemaError, TypeError) as exc:
         raise ProtocolError(f"invalid relation payload: {exc}") from exc
 
 

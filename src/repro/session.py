@@ -70,15 +70,19 @@ RUN_RESULT_SCHEMA = "repro/run-result-v1"
 def engine_config() -> dict[str, Any]:
     """The ``engine.config`` mapping every :class:`RunResult` records.
 
-    The kernel's two cache sizes, read from the constants of
-    :mod:`repro.relational.backend` at call time, plus the partition-cache
-    budget, which is always unbounded (``None``).  The keys are those of
-    the configuration object of earlier versions, so a default run's
-    ``config_fingerprint`` is unchanged.
+    The mark-table cache size, read from the constant of
+    :mod:`repro.relational.backend` at call time, plus two fixed values of
+    retired settings.  The keys are those of the configuration object of
+    earlier versions, so a default run's ``config_fingerprint`` is
+    unchanged.
     """
     return {
         "marks_cache_bytes": backend.MARKS_CACHE_BYTES,
-        "combined_codes_cache_entries": backend.COMBINED_CODES_CACHE_ENTRIES,
+        # The size of the retired combined-codes prefix cache, recorded so
+        # that the default config_fingerprint and every saved result keep
+        # their bytes.
+        "combined_codes_cache_entries": 16,
+        # The retired partition-cache budget: the cache is unbounded.
         "partition_cache_max_positions": None,
     }
 

@@ -27,7 +27,6 @@ from repro.relational.backend import NumpyBackend
 
 #: The kernel primitives the oracle implements, compared call by call.
 PRIMITIVES = (
-    "combine_codes",
     "group_by_codes",
     "build_marks",
     "intersect_marks",
@@ -52,14 +51,6 @@ class PythonBackend:
     """The pure-python loops of every kernel primitive (reference semantics)."""
 
     name = "python"
-
-    def combine_codes(self, combined, width, nxt, radix):
-        remap: dict[int, int] = {}
-        assign = remap.setdefault
-        out = [0] * len(combined)
-        for i, code in enumerate(combined):
-            out[i] = assign(code * radix + nxt[i], len(remap))
-        return out, len(remap)
 
     def group_by_codes(self, codes, n_codes, counts=None):
         if counts is None:

@@ -122,7 +122,6 @@ def test_env_and_kwarg_plumbing(monkeypatch):
         "REPRO_PARTITION_BACKEND": "python",
         "REPRO_BACKEND_MIN_NUMPY_ROWS": "500",
         "REPRO_MARKS_CACHE_BYTES": "0",
-        "REPRO_COMBINED_CODES_CACHE_ENTRIES": "2",
     }
     for name, value in retired.items():
         monkeypatch.setenv(name, value)

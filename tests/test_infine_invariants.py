@@ -14,8 +14,8 @@ any lattice walk, and are checked on the paper's 16 views at scale
 Each invariant is also run on a hand-made run that breaks it.
 
 Three more compare a view's default run with a variant of it, on the 16
-views at ``tiny``: the artefact bytes stay equal with both kernel cache
-sizes at their minimum and with ``use_theorem4=False``, and the FD set stays
+views at ``tiny``: the artefact bytes stay equal with the mark-table cache
+at its minimum size and with ``use_theorem4=False``, and the FD set stays
 equal with ``refine_inferred=False``.
 
 InFine's own data checks (the ``upstageFDs`` border, the ``refine`` step of
@@ -241,7 +241,6 @@ def artefact_bytes(result) -> str:
 @pytest.mark.parametrize("case", VIEWS, ids=lambda case: case.key)
 def test_minimum_cache_sizes_keep_infine_bytes(case, catalogs, default_runs, monkeypatch):
     monkeypatch.setattr(backend, "MARKS_CACHE_BYTES", 0)
-    monkeypatch.setattr(backend, "COMBINED_CODES_CACHE_ENTRIES", 2)
     run = Session().infine(case.spec, catalogs[case.database])
     assert artefact_bytes(run) == artefact_bytes(default_runs[case.key])
 
@@ -265,12 +264,9 @@ def test_refine_inferred_off_keeps_the_fd_set(case, catalogs, default_runs):
 
 
 def test_minimum_cache_sizes_drive_the_eviction_paths(catalogs, monkeypatch):
-    # The byte-equality above means something only if the minimum sizes
-    # really evict.  Mark tables do; InFine folds no combined-code prefixes
-    # on these views, so the prefix LRU's size cannot reach its artefacts
-    # (its eviction path is driven in tests/test_partition_backend.py).
+    # The byte-equality above means something only if the minimum size
+    # really evicts mark tables.
     monkeypatch.setattr(backend, "MARKS_CACHE_BYTES", 0)
-    monkeypatch.setattr(backend, "COMBINED_CODES_CACHE_ENTRIES", 2)
     session = Session()
     for case in VIEWS:
         session.infine(case.spec, catalogs[case.database])

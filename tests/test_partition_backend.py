@@ -6,7 +6,7 @@ order), identical dense code assignment, identical verdicts from the batched
 validation entry points.  Property-style tests call each primitive and the
 oracle directly on the same inputs, built from randomised relations (with
 NULLs and duplicated rows); further tests cover the relation-scoped
-byte-budgeted mark-table cache and the combined-codes prefix cache.
+byte-budgeted mark-table cache.
 """
 
 import pytest
@@ -18,7 +18,7 @@ from repro import Session
 from repro.discovery import FUN, TANE, HyFD
 from repro.discovery.tane import ApproximateTANE
 from repro.relational import backend as backend_module
-from repro.relational.backend import KERNEL, KERNEL_COUNTERS, MarkTableCache, active_state
+from repro.relational.backend import KERNEL, MarkTableCache
 from repro.relational.partition import (
     PartitionCache,
     StrippedPartition,
@@ -63,8 +63,14 @@ def test_grouping_is_bit_identical(rows):
         assert kernel == oracle
         assert both("group_by_codes", codes, n_codes) == (oracle, oracle)
     for attributes in (("a", "b"), ("d", "b", "c"), ATTRS):
-        codes, n_codes = relation.combined_column_codes(attributes)
-        kernel, oracle = both("group_by_codes", codes, n_codes)
+        # The oracle's fold of the column codes into row labels, step by step.
+        labels, n_labels = relation.column_codes(attributes[0])
+        for attribute in attributes[1:]:
+            codes, n_codes = relation.column_codes(attribute)
+            kernel, oracle = both("product_labels", labels, n_labels, codes, n_codes)
+            assert kernel == oracle
+            labels, n_labels = oracle
+        kernel, oracle = both("group_by_codes", labels, n_labels)
         assert kernel == oracle
         assert flat(StrippedPartition.from_columns(relation, attributes)) == oracle
 
@@ -92,25 +98,6 @@ def test_intersect_and_refines_are_bit_identical(rows):
                 assert flat(probe.intersect(build)) == oracle
             kernel, oracle = both("refines_marks", probe.positions, probe.offsets, oracle_marks)
             assert kernel == oracle == probe.refines(build)
-
-
-@settings(max_examples=50, deadline=None)
-@given(rows=rows_strategy)
-def test_combined_codes_are_bit_identical(rows):
-    relation = Relation("r", ATTRS, rows)
-    for attributes in (("a", "b"), ("c", "a", "d"), ATTRS):
-        codes, width = relation.combined_column_codes(attributes)
-        # A second call exercises the prefix cache (exact hit).
-        again, width_again = relation.combined_column_codes(attributes)
-        assert list(again) == list(codes) and width_again == width
-        # The oracle's fold from the first column on, step by step.
-        expected, expected_width = relation.column_codes(attributes[0])
-        for attribute in attributes[1:]:
-            nxt, radix = relation.column_codes(attribute)
-            kernel, oracle = both("combine_codes", expected, expected_width, nxt, radix)
-            assert kernel == oracle
-            expected, expected_width = oracle
-        assert (plain(codes), width) == (expected, expected_width)
 
 
 @settings(max_examples=50, deadline=None)
@@ -292,65 +279,6 @@ class TestMarkTableCache:
         assert MarkTableCache().budget_bytes == backend_module.MARKS_CACHE_BYTES == 128 << 20
         monkeypatch.setattr(backend_module, "MARKS_CACHE_BYTES", 12345)
         assert MarkTableCache().budget_bytes == 12345
-
-
-# ---------------------------------------------------------------------------
-# Combined-codes prefix cache.
-# ---------------------------------------------------------------------------
-
-
-class TestCombinedCodesPrefixCache:
-    def relation(self):
-        return Relation(
-            "r",
-            ("a", "b", "c", "d"),
-            [(i % 3, i % 2, i % 4, i % 5) for i in range(30)],
-        )
-
-    def test_prefix_reuse_is_counted_and_correct(self):
-        relation = self.relation()
-        before = KERNEL_COUNTERS.snapshot()
-        full, full_width = relation.combined_column_codes(("a", "b", "c"))
-        fresh = self.relation()
-        expected, expected_width = fresh.combined_column_codes(("a", "b", "c"))
-        # Extending a cached prefix reuses the (a, b) fold.
-        extended, _ = relation.combined_column_codes(("a", "b", "d"))
-        fresh_extended, _ = fresh.combined_column_codes(("a", "b", "d"))
-        delta = KERNEL_COUNTERS.delta(before)
-        assert (list(full), full_width) == (list(expected), expected_width)
-        assert list(extended) == list(fresh_extended)
-        assert delta["combined_prefix_hits"] >= 1
-
-    def test_cache_is_bounded(self):
-        relation = self.relation()
-        names = relation.attribute_names
-        from itertools import permutations
-
-        for combo in permutations(names, 3):
-            relation.combined_column_codes(combo)
-        cache = active_state().caches_for(relation).combined
-        assert len(cache) <= backend_module.COMBINED_CODES_CACHE_ENTRIES
-
-    def test_minimum_bound_evicts_but_keeps_codes(self, monkeypatch):
-        from itertools import permutations
-
-        expected = {
-            combo: list(self.relation().combined_column_codes(combo)[0])
-            for combo in permutations(("a", "b", "c", "d"), 3)
-        }
-        monkeypatch.setattr(backend_module, "COMBINED_CODES_CACHE_ENTRIES", 2)
-        with Session() as session:
-            relation = self.relation()
-            for combo, codes in expected.items():
-                assert list(relation.combined_column_codes(combo)[0]) == codes
-            assert len(active_state().caches_for(relation).combined) == 2
-        assert session.kernel_stats()["combined_prefix_evictions"] > 0
-
-    def test_exact_hit_returns_cached_codes(self):
-        relation = self.relation()
-        first, _ = relation.combined_column_codes(("a", "b"))
-        second, _ = relation.combined_column_codes(("a", "b"))
-        assert list(first) == list(second)
 
 
 # ---------------------------------------------------------------------------

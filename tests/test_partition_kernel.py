@@ -205,11 +205,10 @@ class TestColumnCodes:
         relation = Relation(
             "r", ("a", "b"), [(1, "x"), (1, "y"), (2, "x"), (1, "x"), (2, "x")]
         )
-        codes, n_codes = relation.combined_column_codes(("a", "b"))
-        assert n_codes == 3
-        assert codes[0] == codes[3]
-        assert codes[2] == codes[4]
-        assert len({codes[0], codes[1], codes[2]}) == 3
+        partition = StrippedPartition.from_columns(relation, ("a", "b"))
+        # (1, y) is a singleton; the groups come in ascending code-tuple order.
+        assert partition.groups == ((0, 3), (2, 4))
+        assert partition.n_rows == 5
 
 
 # ---------------------------------------------------------------------------

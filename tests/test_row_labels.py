@@ -1,15 +1,17 @@
 """``RowLabels`` — InFine's label FD check — against stripped partitions.
 
-``upstageFDs`` and the ``refine`` step of ``inferFDs`` validate FDs on a
-memo of dense row labels.  For every ``(lhs, rhs)`` of a relation, the
-memo's verdict must equal ``relational.partition.fd_holds_fast`` on the LHS
-partition of a ``PartitionCache``.  Random small relations (NULLs
-included) cover the general case.  The edge cases are the empty LHS, a
-one-row and a zero-row relation, constant columns, a key column and
-semi-join and selection reduced instances, whose gathered columns are
-re-densified subsets of their parent's codes.  Each relation is walked
-twice: level by level (every set folds a memoised subset) and in shuffled
-order (sets fold their prefixes recursively).
+``mineFDs``, ``upstageFDs`` and the ``refine`` step of ``inferFDs`` validate
+FDs on a memo of dense row labels keyed by attribute bitmask.  For every
+``(lhs, rhs)`` of a relation, the memo's verdict must equal
+``relational.partition.fd_holds_fast`` on the LHS partition of a
+``PartitionCache``.  Random small relations (NULLs included) cover the
+general case.  The edge cases are the empty LHS, a one-row and a zero-row
+relation, constant columns, a key column, semi-join and selection reduced
+instances, whose gathered columns are re-densified subsets of their
+parent's codes, and a bit universe wider than the relation, as ``mineFDs``
+passes.  Each relation is walked twice: level by level (every set folds a
+memoised subset) and in shuffled order (sets fold their prefixes
+recursively).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from itertools import combinations
 import pytest
 
 from repro.infine.joinfd import RowLabels
+from repro.infine.joinfd import fd_holds_fast as labels_hold
 from repro.relational.algebra import JoinKind, JoinMatch, select
 from repro.relational.partition import PartitionCache, fd_holds_fast
 from repro.relational.predicates import Comparison
@@ -47,8 +50,16 @@ def every_lhs(relation: Relation) -> list[tuple[str, ...]]:
     return [lhs for size in range(len(names) + 1) for lhs in combinations(names, size)]
 
 
-def assert_labels_agree(relation: Relation, order_seed: int = 0) -> int:
-    """Compare every ``(lhs, rhs)`` verdict; returns the number of checks."""
+def assert_labels_agree(
+    relation: Relation,
+    order_seed: int = 0,
+    names: list[str] | None = None,
+) -> int:
+    """Compare every ``(lhs, rhs)`` verdict; returns the number of checks.
+
+    ``names`` is the memo's bit universe (the relation's attributes when
+    ``None``); both the name and the mask entry points are compared.
+    """
     cache = PartitionCache(relation)
     expected = {
         (lhs, rhs): fd_holds_fast(relation, cache.get(lhs), rhs)
@@ -58,10 +69,12 @@ def assert_labels_agree(relation: Relation, order_seed: int = 0) -> int:
     shuffled = list(expected)
     random.Random(order_seed).shuffle(shuffled)
     for order in (list(expected), shuffled):
-        labels = RowLabels(relation)
+        labels = RowLabels(relation, names)
         for lhs, rhs in order:
             assert labels.holds(lhs, rhs) == expected[lhs, rhs], (lhs, rhs)
-            codes, n_classes = labels.get(lhs)
+            codes, n_classes = labels.get(labels.mask(lhs))
+            verdict = labels_hold(codes, n_classes, *labels.get(labels.mask((rhs,))))
+            assert verdict == expected[lhs, rhs], (lhs, rhs)
             assert len(codes) == len(relation)
             # Dense labels: as many classes as distinct LHS combinations.
             assert n_classes == relation.distinct_count(lhs)
@@ -87,10 +100,11 @@ def test_tiny_relations_agree(n_rows):
 def test_empty_lhs_is_one_class():
     relation = Relation("r", ("k", "c"), [(1, "x"), (2, "x"), (3, "x")])
     labels = RowLabels(relation)
-    assert labels.get(())[1] == 1
+    assert labels.mask(()) == 0
+    assert labels.get(0)[1] == 1
     assert labels.holds((), "c")
     assert not labels.holds((), "k")
-    assert RowLabels(relation.take([])).get(())[1] == 0
+    assert RowLabels(relation.take([])).get(0)[1] == 0
 
 
 def test_constant_and_key_columns_agree():
@@ -126,3 +140,21 @@ def test_selection_reduced_instances_agree(seed):
     rng = random.Random(seed)
     relation = random_relation(rng, rng.randint(5, 40))
     assert_labels_agree(select(relation, Comparison("e", ">=", 25)), seed)
+
+
+def test_bits_follow_the_order_of_names():
+    relation = Relation("r", ("a", "b", "c"), [(1, 2, 3)])
+    assert [RowLabels(relation).mask((name,)) for name in "abc"] == [4, 2, 1]
+    labels = RowLabels(relation, ["z", "c", "b", "a"])
+    assert [labels.mask((name,)) for name in "abc"] == [1, 2, 4]
+    assert labels.mask(("a", "c")) == 5
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_universe_wider_than_the_relation_agrees(seed):
+    # ``mineFDs`` numbers the bits over every attribute of the join node and
+    # its FDs, in sorted order; the partial join holds only some of them.
+    rng = random.Random(seed)
+    relation = random_relation(rng, rng.randint(2, 40))
+    universe = sorted({*relation.attribute_names, "aa", "bb", "f", "zz"})
+    assert assert_labels_agree(relation, seed, universe) == 32 * 5

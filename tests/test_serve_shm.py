@@ -70,7 +70,7 @@ class TestByteParity:
     # comparison also crosses cache sizes.  Job payloads carry no overrides.
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"marks_cache_bytes": 0, "combined_codes_cache_entries": 2}],
+        [{}, {"marks_cache_bytes": 0}],
     )
     def test_shm_thread_and_bare_session_agree(self, tmp_path, overrides, monkeypatch):
         for name, value in overrides.items():

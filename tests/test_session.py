@@ -95,10 +95,9 @@ class TestEngineConfig:
         assert run.config_fingerprint == "7bb7e62453c10097"
 
     def test_env_variables_are_defaults(self, monkeypatch):
-        # Retired: the two cache variables no longer provide defaults; a run
-        # records the constants whatever they say.
+        # Retired: the cache variable no longer provides a default; a run
+        # records the constants whatever it says.
         monkeypatch.setenv("REPRO_MARKS_CACHE_BYTES", "4096")
-        monkeypatch.setenv("REPRO_COMBINED_CODES_CACHE_ENTRIES", "5")
         assert Session().discover(small_relation()).config == DEFAULT_ENGINE_CONFIG
 
     def test_malformed_env_values_fall_back(self, monkeypatch):
@@ -150,7 +149,6 @@ class TestKernelCacheConstants:
 
         def fingerprints(session):
             with session.activate():
-                # Two 4-attribute folds hold more prefixes than the minimum LRU.
                 partitions = [
                     StrippedPartition.from_columns(relation, order).flat_lists()
                     for order in ("abcd", "dcba", "abcd")
@@ -164,16 +162,13 @@ class TestKernelCacheConstants:
 
         default = fingerprints(Session())
         monkeypatch.setattr(backend_module, "MARKS_CACHE_BYTES", 0)
-        monkeypatch.setattr(backend_module, "COMBINED_CODES_CACHE_ENTRIES", 2)
         session = Session()
         assert fingerprints(session) == default
-        # The eviction paths really ran, and the run records the sizes used.
-        stats = session.kernel_stats()
-        assert stats["mark_evictions"] > 0
-        assert stats["combined_prefix_evictions"] > 0
+        # The eviction path really ran, and the run records the size used.
+        assert session.kernel_stats()["mark_evictions"] > 0
         config = session.discover(relation).config
         assert config["marks_cache_bytes"] == 0
-        assert config["combined_codes_cache_entries"] == 2
+        assert config["combined_codes_cache_entries"] == 16
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +271,9 @@ class TestArtifactsAcrossConfigurations:
         # The retired variables are ignored and the constants set the caches:
         # neither changes the artefacts.
         relation_rows = list(small_relation())
-        monkeypatch.setenv("REPRO_COMBINED_CODES_CACHE_ENTRIES", "3")
         monkeypatch.setenv("REPRO_MARKS_CACHE_BYTES", "8192")
         first = Session().discover(Relation("r", ("a", "b", "c", "d"), relation_rows))
         assert first.config == DEFAULT_ENGINE_CONFIG
-        monkeypatch.setattr(backend_module, "COMBINED_CODES_CACHE_ENTRIES", 3)
         monkeypatch.setattr(backend_module, "MARKS_CACHE_BYTES", 8192)
         second = Session().discover(Relation("r", ("a", "b", "c", "d"), relation_rows))
         assert first.artifact_fingerprint() == second.artifact_fingerprint()
@@ -323,7 +316,6 @@ class TestSessionIsolation:
         second_caches = second.state.caches_for(relation)
         assert first_caches is not second_caches
         assert first_caches.marks is not second_caches.marks
-        assert first_caches.combined is not second_caches.combined
 
     def test_explicit_sessions_do_not_pollute_the_default_session(self):
         before = KERNEL_COUNTERS.snapshot()

@@ -10,9 +10,9 @@ discovery algorithm is executed on both engine legs of the conformance grid
 
     {default, min-caches}
 
-(``min-caches`` sets both kernel cache sizes to their minimum by patching the
-constants of ``repro.relational.backend``: ``MARKS_CACHE_BYTES = 0`` and
-``COMBINED_CODES_CACHE_ENTRIES = 2``), asserting, per seed:
+(``min-caches`` sets the kernel's cache size to its minimum by patching the
+constant ``MARKS_CACHE_BYTES = 0`` of ``repro.relational.backend``),
+asserting, per seed:
 
 * the canonical FD set of every algorithm is identical across legs;
 * the full ``RunResult`` artefacts block is **byte**-identical (serialised
@@ -100,11 +100,8 @@ def generate_case(seed: int) -> tuple[tuple[str, ...], list[tuple], list[str]]:
     return names, rows, shapes
 
 
-#: Both kernel cache-size constants at their smallest legal value.
-MIN_CACHES = {
-    "MARKS_CACHE_BYTES": 0,
-    "COMBINED_CODES_CACHE_ENTRIES": 2,
-}
+#: The kernel cache-size constant at its smallest legal value.
+MIN_CACHES = {"MARKS_CACHE_BYTES": 0}
 
 
 def conformance_legs() -> list[tuple[str, dict]]:
