@@ -7,11 +7,8 @@ runtime per method, number of FDs, and the fraction of FDs each InFine step
 retrieved.
 
 The whole workload executes under one explicit :class:`repro.Session`, so
-the engine state (cache budgets) is pinned once and the kernel counters
-printed at the end cover exactly this run — the `--kernel-stats` accounting
-of the CLI, programmatically.  Pass cache budgets to ``Session(...)`` (e.g.
-``marks_cache_bytes=0``) to measure them: the tables stay byte-identical,
-only the runtimes move.
+the kernel counters printed at the end cover exactly this run — the
+`--kernel-stats` accounting of the CLI, programmatically.
 """
 
 from repro import Session

@@ -73,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--kernel-stats", action="store_true",
         help="print partition-kernel diagnostics after the command: the "
-             "mark-table / partition cache hit, miss and "
-             "eviction counters of this invocation's session (scoped per "
+             "partition cache, batched validation and sort-path "
+             "counters of this invocation's session (scoped per "
              "invocation, so repeated commands in one process never "
              "double-count; off by default so table output stays "
              "byte-identical across runs)",

@@ -26,8 +26,8 @@ class DiscoveryStats:
 
     ``extra`` carries kernel-level diagnostics: every run records the
     ``partition_backend`` name of the kernel and a ``kernel`` delta of
-    the active engine state's cache counters (mark-table and partition
-    caches, batched validation) bracketing the run —
+    the active engine state's counters (partition cache, batched
+    validation, sort paths) bracketing the run —
     session-scoped, so concurrent sessions never pollute each other's
     deltas; algorithms owning a ``PartitionCache`` add their per-run
     ``partition_cache`` breakdown.

@@ -102,6 +102,23 @@ def fd_holds_fast(labels, n_classes: int, codes, n_codes: int) -> bool:
     return n_classes >= n_codes and KERNEL.labels_determine(labels, n_classes, codes)
 
 
+def bit_numbering(names: Sequence[str]) -> dict[str, int]:
+    """The bit of each name of an attribute universe, for int bitmask sets.
+
+    The name at position ``i`` of ``N`` gets bit ``N - 1 - i``, so on sorted
+    names a larger mask of one size is an earlier set in name order.
+    """
+    return {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
+
+
+def mask_of(bit_of: dict[str, int], names: Iterable[str]) -> int:
+    """The bitmask of ``names`` under the numbering ``bit_of``."""
+    mask = 0
+    for name in names:
+        mask |= bit_of[name]
+    return mask
+
+
 class RowLabels:
     """Memoised dense row labels of attribute sets of one relation.
 
@@ -125,15 +142,12 @@ class RowLabels:
     def __init__(self, relation: Relation, names: Sequence[str] | None = None) -> None:
         self.relation = relation
         self._names = list(relation.attribute_names if names is None else names)
-        self._bit_of = {name: 1 << (len(self._names) - 1 - i) for i, name in enumerate(self._names)}
+        self._bit_of = bit_numbering(self._names)
         self._labels: dict[int, tuple] = {}
 
     def mask(self, names: Iterable[str]) -> int:
         """The bitmask of ``names``."""
-        mask = 0
-        for name in names:
-            mask |= self._bit_of[name]
-        return mask
+        return mask_of(self._bit_of, names)
 
     def get(self, mask: int) -> tuple:
         """The ``(labels, n_classes)`` of the set ``mask``, computed once."""
@@ -288,16 +302,10 @@ def mine_join_fds(
         universe |= dependency.lhs
         universe.add(dependency.rhs)
     names = sorted(universe)
-    bit_of = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
-
-    def mask_of(attrs: Iterable[str]) -> int:
-        mask = 0
-        for name in attrs:
-            mask |= bit_of[name]
-        return mask
+    bit_of = bit_numbering(names)
 
     def pairs(fds: list[FD]) -> list[tuple[int, int]]:
-        return [(mask_of(dependency.lhs), bit_of[dependency.rhs]) for dependency in fds]
+        return [(mask_of(bit_of, dependency.lhs), bit_of[dependency.rhs]) for dependency in fds]
 
     def fd_of(lhs: int, rhs: str) -> FD:
         return FD((name for name in names if bit_of[name] & lhs), rhs)
@@ -305,10 +313,10 @@ def mine_join_fds(
     known_pairs = pairs(known)
     left_pairs = pairs(left_cover)
     right_pairs = pairs(right_cover)
-    left_side = mask_of(left_names)
-    right_side = mask_of(right_names)
-    left_join = mask_of(left_on)
-    right_join = mask_of(right_on)
+    left_side = mask_of(bit_of, left_names)
+    right_side = mask_of(bit_of, right_names)
+    left_join = mask_of(bit_of, left_on)
+    right_join = mask_of(bit_of, right_on)
     left_closure = _Closure(left_pairs)
     right_closure = _Closure(right_pairs)
     known_closure = _Closure(known_pairs)

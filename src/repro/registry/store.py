@@ -29,9 +29,9 @@ of a write in flight.
 
 The disk backend keeps the in-memory LRU in front of it, and a cache hit
 returns the *same* :class:`Relation` object every time — which is what lets
-the session layer's identity-keyed kernel caches (partitions, mark tables,
-combined-code prefixes) stay warm across jobs and tenants that address the
-same data by hash.
+the session layer's identity-keyed kernel caches (partitions and the column
+codes they probe against) stay warm across jobs and tenants that address
+the same data by hash.
 
 Fault injection: when a :class:`~repro.serve.faults.FaultPlan` (or anything
 with a compatible ``fire(site, on_kill=...)``) is attached, disk reads pass

@@ -18,10 +18,9 @@ The discovery/validation hot path is columnar:
 * **Flat-array partitions** — a :class:`StrippedPartition` stores one flat
   ``positions`` array plus a group-``offsets`` array instead of
   tuples-of-tuples.  ``intersect`` and ``refines`` are single-pass probe
-  algorithms: the side with the smaller ``||π||`` is probed against a
-  reusable row -> group-id mark table of the other side (TANE's linear
-  partition product); mark tables are amortised across calls by the
-  relation-scoped byte-budgeted :class:`~repro.relational.backend.MarkTableCache`.
+  algorithms: one side is probed against a row -> class map of the other
+  (TANE's linear partition product).  A single-column partition's map is
+  its column's cached codes, so products with a column build no map.
   ``fd_holds_fast`` / ``fd_violation_fraction`` scan LHS groups against the
   cached RHS column codes with an early reject.
 * **One vectorized kernel** — every probe loop is a numpy primitive of
@@ -54,7 +53,6 @@ from .algebra import (
 )
 from .backend import (
     EngineState,
-    MarkTableCache,
     KERNEL,
     NumpyBackend,
     activate_state,
@@ -144,7 +142,6 @@ __all__ = [
     "PartitionCacheStats",
     "KERNEL",
     "NumpyBackend",
-    "MarkTableCache",
     "EngineState",
     "active_state",
     "activate_state",

@@ -16,17 +16,12 @@ triples therefore depend only on the input.  The test suite keeps
 a pure-python reference implementation of every primitive and compares the
 two on the same inputs.
 
-Kernel caches and counters live on an *engine state* (:class:`EngineState`).
-The *active* state is a context variable installed by
-:meth:`repro.session.Session.activate`; when no session is active, a lazy
-module-level default is used.  The mark-table caches are sized by the
-constant :data:`MARKS_CACHE_BYTES`, read at the point of use.  No cache size
-changes what is computed, only how often it is recomputed.
+Kernel counters and the per-relation partition caches live on an *engine
+state* (:class:`EngineState`).  The *active* state is a context variable
+installed by :meth:`repro.session.Session.activate`; when no session is
+active, a lazy module-level default is used.
 
-The module also hosts the relation-scoped, byte-budgeted
-:class:`MarkTableCache` (the reusable row -> group-id scratch tables of the
-probe algorithms) and the :class:`KernelCounters` incremented by every
-kernel-level cache.  Counters are **state-scoped**: each
+Counters (:class:`KernelCounters`) are **state-scoped**: each
 :class:`~repro.session.Session` owns its own instance, so concurrent
 sessions never double-count each other's work; the module-level
 :data:`KERNEL_COUNTERS` is the default state's instance.
@@ -37,20 +32,15 @@ from __future__ import annotations
 import threading
 import weakref
 from array import array
-from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from .relation import Relation
-
-#: Byte budget of each relation-scoped mark-table cache: sixteen ~1M-row
-#: tables at 8 bytes per row.
-MARKS_CACHE_BYTES = 128 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -60,21 +50,20 @@ MARKS_CACHE_BYTES = 128 * 1024 * 1024
 
 @dataclass
 class KernelCounters:
-    """Aggregate hit/miss/eviction counters of every kernel-level cache.
+    """Aggregate counters of the kernel's caches, batches and sort paths.
 
     Each :class:`EngineState` (and therefore each
-    :class:`~repro.session.Session`) owns one instance, incremented by all
-    :class:`MarkTableCache` and ``PartitionCache`` instances running under
-    that state, so a snapshot/delta pair brackets exactly the kernel work of
-    one discovery run and two concurrent sessions never pollute each other's
-    numbers.
+    :class:`~repro.session.Session`) owns one instance, incremented by the
+    kernel and every ``PartitionCache`` running under that state, so a
+    snapshot/delta pair brackets exactly the kernel work of one discovery
+    run and two concurrent sessions never pollute each other's numbers.
     :data:`KERNEL_COUNTERS` is the default state's instance.
     """
 
+    #: Never incremented (no mark table is cached: a product probes against
+    #: a column's codes); kept because the e2e benchmark reads them.
     mark_hits: int = 0
     mark_misses: int = 0
-    mark_evictions: int = 0
-    mark_evicted_bytes: int = 0
     partition_hits: int = 0
     partition_misses: int = 0
     #: Never incremented (a partition cache keeps every partition for its
@@ -114,7 +103,8 @@ class NumpyBackend:
     ``positions``/``offsets`` use the flat stripped-partition layout: group
     ``i`` is ``positions[offsets[i]:offsets[i + 1]]``.  ``codes`` are dense
     per-row integer encodings (``array('q')``, ``list`` or ``np.ndarray``);
-    ``marks`` map row position -> group id (``-1`` for stripped singletons).
+    ``marks`` map row position -> class id: a partition's group ids
+    (``-1`` for stripped singletons), or a column's codes.
     Inputs may be any of those sequences; outputs are ``np.int64`` arrays.
     Grouping emits groups in ascending code order via a stable sort, and the
     partition product emits buckets in (probe group, first appearance of
@@ -686,19 +676,16 @@ class _RelationKernelCaches:
     """The kernel caches one engine state holds for one relation.
 
     Owned by the state (not the relation), so two concurrent sessions
-    working on the same relation never share mark tables or cache
-    counters.  Entries are dropped automatically when the relation is
-    garbage collected.
+    working on the same relation never share partitions or cache counters.
+    Entries are dropped automatically when the relation is garbage
+    collected.
     """
 
-    __slots__ = ("relation_ref", "marks", "partitions", "__weakref__")
+    __slots__ = ("relation_ref", "partitions", "__weakref__")
 
     def __init__(self, relation: "Relation") -> None:
         self.relation_ref = weakref.ref(relation)
-        #: Byte-budgeted row -> group-id mark tables of the relation.
-        self.marks = MarkTableCache()
-        #: Lazily attached ``PartitionCache`` (set by ``Session.partition_cache``;
-        #: lives here so its lifecycle matches the other relation caches).
+        #: Lazily attached ``PartitionCache`` (set by ``Session.partition_cache``).
         self.partitions = None
 
 
@@ -799,143 +786,6 @@ def kernel_counters() -> KernelCounters:
     return active_state().counters
 
 
-# ---------------------------------------------------------------------------
-# Relation-scoped, byte-budgeted mark-table cache.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MarkCacheStats:
-    """Hit/miss/eviction counters of one :class:`MarkTableCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    evicted_bytes: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        requests = self.hits + self.misses
-        return self.hits / requests if requests else 0.0
-
-    def as_dict(self) -> dict[str, int | float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "evicted_bytes": self.evicted_bytes,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-
-class MarkTableCache:
-    """LRU cache of row -> group-id mark tables, bounded by a byte budget.
-
-    ``intersect``/``refines`` probe one partition against the marks of
-    another; level-wise exploration reuses the same partitions as the mark
-    side over and over (TANE intersects every candidate with
-    single-attribute partitions; refinement checks sweep one RHS partition
-    across many LHSs), so cached mark tables amortise the ``O(n_rows)``
-    marking pass to near zero.
-
-    Each relation owns one instance (see ``Relation.mark_cache``), so caches
-    are *relation-scoped*: a large relation cannot thrash the tables of
-    another, and the cache dies with the relation.  A mark table is
-    accounted at ``8 * n_rows`` bytes (one int64 per row); least-recently-used
-    tables are evicted once the held total exceeds ``budget_bytes`` (default
-    :data:`MARKS_CACHE_BYTES`, 128 MiB ≈ sixteen 1M-row relations).  The
-    most recent table is never evicted, so a single over-budget relation
-    still amortises its own probes.
-
-    Entries are keyed by ``id(partition)`` and hold their partition weakly:
-    a hit needs the caller to pass that very object, so a table whose
-    partition is garbage can never hit again, and it is dropped (and its
-    bytes released) the moment the partition dies.  A lock keeps the table
-    and ``held_bytes`` consistent, because a partition may die on any thread.
-    """
-
-    __slots__ = ("budget_bytes", "stats", "_entries", "_held_bytes", "_lock", "__weakref__")
-
-    def __init__(self) -> None:
-        #: Byte budget of the held mark tables, read when the cache is built.
-        self.budget_bytes = MARKS_CACHE_BYTES
-        self.stats = MarkCacheStats()
-        self._entries: "OrderedDict[int, tuple[weakref.ref, object, int]]" = OrderedDict()
-        self._held_bytes = 0
-        # Re-entrant: a collection inside ``get`` may run ``_expire`` on the
-        # same thread.
-        self._lock = threading.RLock()
-
-    @staticmethod
-    def _table_bytes(n_rows: int) -> int:
-        return 8 * n_rows
-
-    def get(self, partition) -> Sequence[int]:
-        """The mark table of ``partition`` (built on miss, LRU-refreshed on hit)."""
-        counters = kernel_counters()
-        key = id(partition)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0]() is partition:
-                self.stats.hits += 1
-                self._entries.move_to_end(key)
-                counters.mark_hits += 1
-                return entry[1]
-            self.stats.misses += 1
-        counters.mark_misses += 1
-        marks = KERNEL.build_marks(
-            partition.positions, partition.offsets, partition.n_rows
-        )
-        table_bytes = self._table_bytes(partition.n_rows)
-        cache_ref = weakref.ref(self)
-
-        def expire(ref: weakref.ref, key: int = key) -> None:
-            cache = cache_ref()
-            if cache is not None:
-                cache._expire(key, ref)
-
-        ref = weakref.ref(partition, expire)
-        with self._lock:
-            replaced = self._entries.pop(key, None)
-            if replaced is not None:
-                self._held_bytes -= replaced[2]
-            self._entries[key] = (ref, marks, table_bytes)
-            self._held_bytes += table_bytes
-            while self._held_bytes > self.budget_bytes and len(self._entries) > 1:
-                _, (_, _, evicted_bytes) = self._entries.popitem(last=False)
-                self._held_bytes -= evicted_bytes
-                self.stats.evictions += 1
-                self.stats.evicted_bytes += evicted_bytes
-                counters.mark_evictions += 1
-                counters.mark_evicted_bytes += evicted_bytes
-        return marks
-
-    def _expire(self, key: int, ref: weakref.ref) -> None:
-        """Drop the entry whose partition (weakly held by ``ref``) just died."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] is ref:
-                del self._entries[key]
-                self._held_bytes -= entry[2]
-
-    @property
-    def held_bytes(self) -> int:
-        """Accounted bytes of the currently held mark tables."""
-        return self._held_bytes
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-#: Fallback cache for partitions built without a relation context
-#: (direct ``StrippedPartition(groups, n_rows)`` constructions).
-DEFAULT_MARK_CACHE = MarkTableCache()
-
-
 def kernel_stats_summary(state: EngineState | None = None) -> dict[str, object]:
     """Kernel statistics of ``state`` (default: the active engine state).
 
@@ -953,12 +803,6 @@ def render_kernel_stats(state: EngineState | None = None) -> str:
     """Human-readable one-block rendering of :func:`kernel_stats_summary`."""
     summary = kernel_stats_summary(state)
     lines = [f"[kernel] backend={summary.pop('backend')}"]
-    lines.append(
-        "[kernel] mark cache: "
-        f"hits={summary['mark_hits']} misses={summary['mark_misses']} "
-        f"evictions={summary['mark_evictions']} "
-        f"evicted_bytes={summary['mark_evicted_bytes']}"
-    )
     lines.append(
         "[kernel] partition cache: "
         f"hits={summary['partition_hits']} misses={summary['partition_misses']} "

@@ -27,14 +27,13 @@ Construction goes through the relation's cached per-column integer encodings
 sort, so building, intersecting and refining partitions never hash raw row
 values — only dense machine integers.  All probe loops run on the
 vectorized kernel of :mod:`~repro.relational.backend`; ``intersect`` and
-``refines`` are single-pass probe-table algorithms over reusable
-``n_rows``-sized scratch tables (row -> group-id mark arrays, held in the
-relation-scoped byte-budgeted
-:class:`~repro.relational.backend.MarkTableCache`); the side with the smaller
-``||π||`` is probed into the marks of the larger one, as in TANE's linear
-partition product.  :func:`validate_level` hands a whole lattice level's
-candidates to the kernel in one call, stacked across LHS partitions.  The
-tuple-of-tuples view remains available through the backward-compatible
+``refines`` are single-pass probes of one partition's groups against a
+row -> class map of the other, TANE's linear partition product.  A
+single-column partition's map is its column's cached codes, so no map is
+ever built for it; any other partition's map is built for the one call.
+:func:`validate_level` hands a whole lattice level's candidates to the
+kernel in one call, stacked across LHS partitions.  The tuple-of-tuples
+view remains available through the backward-compatible
 :attr:`StrippedPartition.groups` property.
 """
 
@@ -45,26 +44,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .backend import (
-    DEFAULT_MARK_CACHE,
-    KERNEL,
-    MarkTableCache,
-    kernel_counters,
-)
+from .backend import KERNEL, kernel_counters
 from .relation import Relation
-
-
-def _marks_of(partition: "StrippedPartition") -> Sequence[int]:
-    """Row position -> group id (or -1 for stripped singletons) of ``partition``.
-
-    Served from the partition's relation-scoped mark cache (falling back to
-    the process-wide default for partitions built without a relation, or
-    whose weakly-bound cache died with its session).
-    """
-    cache = partition._mark_cache
-    if cache is None:
-        cache = DEFAULT_MARK_CACHE
-    return cache.get(partition)
 
 
 class StrippedPartition:
@@ -79,14 +60,7 @@ class StrippedPartition:
         the number of singleton classes and compute errors).
     """
 
-    __slots__ = (
-        "positions",
-        "offsets",
-        "n_rows",
-        "_groups_cache",
-        "_mark_cache_ref",
-        "__weakref__",
-    )
+    __slots__ = ("positions", "offsets", "n_rows", "_groups_cache", "_column")
 
     def __init__(self, groups: Iterable[Sequence[int]], n_rows: int) -> None:
         positions: list[int] = []
@@ -99,26 +73,7 @@ class StrippedPartition:
         self.positions, self.offsets = KERNEL.adopt_flat(positions, offsets)
         self.n_rows = n_rows
         self._groups_cache: tuple[tuple[int, ...], ...] | None = None
-        self._mark_cache_ref: "weakref.ref[MarkTableCache] | None" = None
-
-    @property
-    def _mark_cache(self) -> MarkTableCache | None:
-        """The weakly-bound mark cache this partition was built under.
-
-        The bound cache belongs to an engine state (one session's caches for
-        one relation); holding it weakly means a partition that outlives its
-        session never pins the dead session's tables in memory — once the
-        owning state is collected, probes fall back to
-        :data:`~repro.relational.backend.DEFAULT_MARK_CACHE`.
-        """
-        ref = self._mark_cache_ref
-        if ref is None:
-            return None
-        return ref()
-
-    @_mark_cache.setter
-    def _mark_cache(self, cache: MarkTableCache | None) -> None:
-        self._mark_cache_ref = None if cache is None else weakref.ref(cache)
+        self._column: tuple[Sequence[int], int] | None = None
 
     @classmethod
     def _from_flat(
@@ -126,15 +81,19 @@ class StrippedPartition:
         positions: Sequence[int],
         offsets: Sequence[int],
         n_rows: int,
-        mark_cache: MarkTableCache | None = None,
+        column: tuple[Sequence[int], int] | None = None,
     ) -> "StrippedPartition":
-        """Internal fast path: adopt already-built flat arrays (no copying)."""
+        """Internal fast path: adopt already-built flat arrays (no copying).
+
+        ``column`` is the ``(codes, n_codes)`` encoding of the single column
+        the partition groups, when it groups one.
+        """
         partition = object.__new__(cls)
         partition.positions = positions
         partition.offsets = offsets
         partition.n_rows = n_rows
         partition._groups_cache = None
-        partition._mark_cache = mark_cache  # weakly bound (see the property)
+        partition._column = column
         return partition
 
     # -- construction ---------------------------------------------------------
@@ -143,7 +102,9 @@ class StrippedPartition:
         """Build the stripped partition of a single attribute."""
         codes, n_codes, counts = relation._encode_column(attribute)
         positions, offsets = KERNEL.group_by_codes(codes, n_codes, counts)
-        return cls._from_flat(positions, offsets, len(relation), relation.mark_cache)
+        # The relation's cached encoding, not a copy: it is the partition's
+        # row -> class map in products and refinement checks.
+        return cls._from_flat(positions, offsets, len(relation), (codes, n_codes))
 
     @classmethod
     def from_columns(cls, relation: Relation, attributes: Sequence[str]) -> "StrippedPartition":
@@ -155,9 +116,7 @@ class StrippedPartition:
         """
         if not attributes:
             # The empty attribute set puts every row in one class.
-            partition = cls([range(len(relation))], len(relation))
-            partition._mark_cache = relation.mark_cache
-            return partition
+            return cls([range(len(relation))], len(relation))
         if len(attributes) == 1:
             return cls.from_column(relation, attributes[0])
         labels, n_labels = relation.column_codes(attributes[0])
@@ -166,7 +125,7 @@ class StrippedPartition:
                 labels, n_labels, *relation.column_codes(attribute)
             )
         positions, offsets = KERNEL.group_by_codes(labels, n_labels)
-        return cls._from_flat(positions, offsets, len(relation), relation.mark_cache)
+        return cls._from_flat(positions, offsets, len(relation))
 
     # -- views ----------------------------------------------------------------
     @property
@@ -241,32 +200,42 @@ class StrippedPartition:
         return self.error / self.n_rows
 
     # -- operations -----------------------------------------------------------
+    def _class_map(self) -> tuple[Sequence[int], int]:
+        """Row -> class map of the partition and the bound of its values.
+
+        A single-column partition's map is its column's codes.  A value that
+        occurs once in the column is a class of one row, and products and
+        refinement checks never keep such a class, so the codes serve as they
+        are.  Any other partition's map is built for the call: group ids,
+        ``-1`` for the stripped singletons.
+        """
+        if self._column is not None:
+            return self._column
+        return KERNEL.build_marks(self.positions, self.offsets, self.n_rows), self.n_groups
+
     def intersect(self, other: "StrippedPartition") -> "StrippedPartition":
         """Partition product ``π(X) * π(Y) = π(XY)`` (linear-time algorithm).
 
-        The side with the smaller ``||π||`` is probed, group by group, against
-        the row -> group-id mark table of the larger side — TANE's linear
-        product, with the mark tables amortised across calls by the
-        relation-scoped byte-budgeted cache.
+        One side is probed, group by group, against the row -> class map of
+        the other (the build side) — TANE's linear product.  A single-column
+        side is the build side, so its map is its column's codes; otherwise
+        the side with the larger ``||π||`` is.
         """
         if self.n_rows != other.n_rows:
             raise ValueError("cannot intersect partitions over different relations")
-        mark_cache = self._mark_cache if self._mark_cache is not None else other._mark_cache
         if len(self.positions) == 0 or len(other.positions) == 0:
             # A key on either side leaves only singletons in the product.
             empty_positions, empty_offsets = KERNEL.adopt_flat([], [0])
-            return StrippedPartition._from_flat(
-                empty_positions, empty_offsets, self.n_rows, mark_cache
-            )
-        if len(self.positions) <= len(other.positions):
-            probe, build = self, other
+            return StrippedPartition._from_flat(empty_positions, empty_offsets, self.n_rows)
+        if (self._column is None) != (other._column is None):
+            build_self = self._column is not None
         else:
-            probe, build = other, self
-        marks = _marks_of(build)
+            build_self = len(self.positions) > len(other.positions)
+        probe, build = (other, self) if build_self else (self, other)
         positions, offsets = KERNEL.intersect_marks(
-            probe.positions, probe.offsets, marks, build.n_groups
+            probe.positions, probe.offsets, *build._class_map()
         )
-        return StrippedPartition._from_flat(positions, offsets, self.n_rows, mark_cache)
+        return StrippedPartition._from_flat(positions, offsets, self.n_rows)
 
     def refines(self, other: "StrippedPartition") -> bool:
         """Whether every class of ``self`` is contained in a class of ``other``.
@@ -277,7 +246,7 @@ class StrippedPartition:
             raise ValueError("cannot compare partitions over different relations")
         if len(self.positions) == 0:
             return True
-        marks = _marks_of(other)
+        marks, _ = other._class_map()
         return KERNEL.refines_marks(self.positions, self.offsets, marks)
 
     def __eq__(self, other: object) -> bool:

@@ -29,7 +29,7 @@ from collections import Counter, defaultdict
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .backend import KERNEL, MarkTableCache, active_state
+from .backend import KERNEL
 from .schema import Attribute, RelationSchema, SchemaError
 
 #: The NULL marker used throughout the substrate.
@@ -361,15 +361,6 @@ class Relation:
     def column_code_count(self, attribute: str) -> int:
         """Number of distinct values of ``attribute`` (via the cached encoding)."""
         return self._column_entry(attribute)[1]
-
-    @property
-    def mark_cache(self) -> MarkTableCache:
-        """The relation-scoped byte-budgeted mark-table cache.
-
-        Owned by the active engine state: each session has its own budgeted
-        instance per relation.
-        """
-        return active_state().caches_for(self).marks
 
     # -- derivations ----------------------------------------------------------
     def _share(

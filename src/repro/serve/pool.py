@@ -8,7 +8,7 @@ one pool still share *nothing* of the engine state.
 
 Eviction is always safe: :meth:`Session.close` only drops caches (every
 cache is semantics-preserving and rebuilt on demand), and partitions hold
-their mark caches weakly, so an evicted tenant's in-flight work finishes
+no session state, so an evicted tenant's in-flight work finishes
 correctly — it merely recomputes what the dropped caches held.
 """
 

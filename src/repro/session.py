@@ -16,9 +16,8 @@ context object:
   provenance and the configuration fingerprint, and round-trips through
   :meth:`RunResult.save`/:meth:`RunResult.load` byte-identically.
 
-A session has no settings: the kernel's cache sizes are constants of
-:mod:`repro.relational.backend`, recorded in every result by
-:func:`engine_config`.
+A session has no settings: every result records the fixed values of
+retired settings, :func:`engine_config`.
 
 A lazy module-level :func:`default_session` preserves the old one-liner
 ergonomics: the classic entry points keep working unchanged (they now run
@@ -46,7 +45,6 @@ from .fd.approximate import approximate_fds
 from .fd.fd import FD
 from .fd.fdset import FDSet
 from .infine.engine import InFine, InFineResult
-from .relational import backend
 from .relational.backend import (
     KERNEL,
     EngineState,
@@ -70,14 +68,13 @@ RUN_RESULT_SCHEMA = "repro/run-result-v1"
 def engine_config() -> dict[str, Any]:
     """The ``engine.config`` mapping every :class:`RunResult` records.
 
-    The mark-table cache size, read from the constant of
-    :mod:`repro.relational.backend` at call time, plus two fixed values of
-    retired settings.  The keys are those of the configuration object of
-    earlier versions, so a default run's ``config_fingerprint`` is
-    unchanged.
+    Three fixed values of retired settings.  The keys and values are those
+    of the configuration object of earlier versions, so a default run's
+    ``config_fingerprint`` is unchanged.
     """
     return {
-        "marks_cache_bytes": backend.MARKS_CACHE_BYTES,
+        # The byte budget of the retired mark-table cache.
+        "marks_cache_bytes": 134217728,
         # The size of the retired combined-codes prefix cache, recorded so
         # that the default config_fingerprint and every saved result keep
         # their bytes.

@@ -1,11 +1,9 @@
 """Differential conformance suite: pins the fuzz tool's grid as tier-1 tests.
 
 ``tools/fuzz_differential.py`` is the replayable generator/checker; this
-module drives it from pytest so the conformance grid — {default, min-caches}
-(the kernel's cache-size constant patched to its minimum) × every
-registered discovery algorithm, with every kernel call of the
-default leg checked against the pure-python oracle — runs on every tier-1
-invocation with
+module drives it from pytest so the conformance grid — the default engine
+leg × every registered discovery algorithm, with every kernel call checked
+against the pure-python oracle — runs on every tier-1 invocation with
 fixed seeds plus explicit adversarial fixtures the random generator is not
 guaranteed to hit (empty relation, single row, three rows, pure constants,
 all-distinct, heavy skew, nulls).
@@ -72,10 +70,9 @@ def test_adversarial_fixtures_conform(case):
 
 
 def test_grid_covers_required_legs():
-    """The grid spans the default caches and the cache constant at its minimum."""
+    """The grid is the default leg: the engine has no cache size to vary."""
     legs = dict(fuzz_differential.conformance_legs())
-    assert legs == {"default": {}, "min-caches": {"MARKS_CACHE_BYTES": 0}}
-    assert all(hasattr(fuzz_differential.backend, name) for name in legs["min-caches"])
+    assert legs == {"default": {}}
 
 
 def test_oracle_divergence_is_reported(monkeypatch):

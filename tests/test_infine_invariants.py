@@ -14,9 +14,9 @@ any lattice walk, and are checked on the paper's 16 views at scale
 Each invariant is also run on a hand-made run that breaks it.
 
 Three more compare a view's default run with a variant of it, on the 16
-views at ``tiny``: the artefact bytes stay equal with the mark-table cache
-at its minimum size and with ``use_theorem4=False``, and the FD set stays
-equal with ``refine_inferred=False``.
+views at ``tiny``: the artefact bytes stay equal with the row-label memo at
+its minimum size (it keeps nothing) and with ``use_theorem4=False``, and
+the FD set stays equal with ``refine_inferred=False``.
 
 InFine's own data checks (the ``upstageFDs`` border, the ``refine`` step of
 ``inferFDs`` and ``mineFDs``) run on dense row labels: over the 16 views it
@@ -38,7 +38,8 @@ from repro import Session
 from repro.datasets import load_all, paper_views
 from repro.fd.fd import FD
 from repro.infine.provenance import FDType, ProvenanceTriple
-from repro.relational import backend
+from repro.infine.joinfd import RowLabels
+from repro.relational.backend import NumpyBackend
 from repro.relational.partition import fd_holds
 from repro.relational.relation import Relation
 
@@ -238,9 +239,18 @@ def artefact_bytes(result) -> str:
     return json.dumps(result.artifacts, sort_keys=True)
 
 
+def keep_no_labels(monkeypatch) -> None:
+    """Set the row-label memo to its minimum size: it keeps nothing.
+
+    Every lookup then recomputes its set from the single columns up, through
+    the prefix products, instead of from a memoised subset.
+    """
+    monkeypatch.setattr(RowLabels, "get", lambda labels, mask: labels._compute(mask))
+
+
 @pytest.mark.parametrize("case", VIEWS, ids=lambda case: case.key)
 def test_minimum_cache_sizes_keep_infine_bytes(case, catalogs, default_runs, monkeypatch):
-    monkeypatch.setattr(backend, "MARKS_CACHE_BYTES", 0)
+    keep_no_labels(monkeypatch)
     run = Session().infine(case.spec, catalogs[case.database])
     assert artefact_bytes(run) == artefact_bytes(default_runs[case.key])
 
@@ -264,13 +274,26 @@ def test_refine_inferred_off_keeps_the_fd_set(case, catalogs, default_runs):
 
 
 def test_minimum_cache_sizes_drive_the_eviction_paths(catalogs, monkeypatch):
-    # The byte-equality above means something only if the minimum size
-    # really evicts mark tables.
-    monkeypatch.setattr(backend, "MARKS_CACHE_BYTES", 0)
-    session = Session()
-    for case in VIEWS:
-        session.infine(case.spec, catalogs[case.database])
-    assert session.kernel_stats()["mark_evictions"] > 0
+    # The byte-equality above means something only if the memo at its
+    # minimum size really recomputes label products it would have reused.
+    products = [0]
+    real = NumpyBackend.product_labels
+
+    def counted(kernel, *args):
+        products[0] += 1
+        return real(kernel, *args)
+
+    def count_products() -> int:
+        products[0] = 0
+        session = Session()
+        for case in VIEWS:
+            session.infine(case.spec, catalogs[case.database])
+        return products[0]
+
+    monkeypatch.setattr(NumpyBackend, "product_labels", counted)
+    memoised = count_products()
+    keep_no_labels(monkeypatch)
+    assert count_products() > memoised > 0
 
 
 #: ``(upstage_border_checks, upstage_fallbacks, infer_candidates_checked)`` per

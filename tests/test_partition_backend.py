@@ -1,12 +1,11 @@
-"""The partition kernel against its pure-python oracle, and the kernel caches.
+"""The partition kernel against its pure-python oracle.
 
 Every numpy primitive must be *bit-compatible* with the reference loops of
 ``tests/kernel_oracle.py``: identical flat arrays (group order, positions
 order), identical dense code assignment, identical verdicts from the batched
 validation entry points.  Property-style tests call each primitive and the
 oracle directly on the same inputs, built from randomised relations (with
-NULLs and duplicated rows); further tests cover the relation-scoped
-byte-budgeted mark-table cache.
+NULLs and duplicated rows).
 """
 
 import pytest
@@ -17,8 +16,7 @@ from kernel_oracle import ORACLE, cross_checked, plain
 from repro import Session
 from repro.discovery import FUN, TANE, HyFD
 from repro.discovery.tane import ApproximateTANE
-from repro.relational import backend as backend_module
-from repro.relational.backend import KERNEL, MarkTableCache
+from repro.relational.backend import KERNEL
 from repro.relational.partition import (
     PartitionCache,
     StrippedPartition,
@@ -183,102 +181,6 @@ class TestBackendSelection:
         assert result.config == baseline.config
         assert result.backend == KERNEL.name == "numpy"
         assert result.artifact_fingerprint() == baseline.artifact_fingerprint()
-
-
-# ---------------------------------------------------------------------------
-# Relation-scoped, byte-budgeted mark-table cache.
-# ---------------------------------------------------------------------------
-
-
-class TestMarkTableCache:
-    def relation(self):
-        return Relation(
-            "r",
-            ("a", "b", "c"),
-            [(1, "x", 10), (1, "x", 10), (2, "y", 10), (2, "y", 20), (3, "x", 30)],
-        )
-
-    def test_caches_are_relation_scoped(self):
-        first, second = self.relation(), self.relation()
-        assert first.mark_cache is first.mark_cache
-        assert first.mark_cache is not second.mark_cache
-        partition = StrippedPartition.from_column(first, "a")
-        partition.intersect(StrippedPartition.from_column(first, "b"))
-        assert first.mark_cache.stats.requests > 0
-        assert second.mark_cache.stats.requests == 0
-
-    def test_intersect_products_inherit_the_relation_cache(self):
-        relation = self.relation()
-        first = StrippedPartition.from_column(relation, "a")
-        second = StrippedPartition.from_column(relation, "b")
-        assert first.intersect(second)._mark_cache is relation.mark_cache
-
-    def test_hits_after_repeated_probes(self):
-        relation = self.relation()
-        build_side = StrippedPartition.from_column(relation, "c")
-        probe = StrippedPartition.from_column(relation, "a")
-        for _ in range(3):
-            probe.refines(build_side)
-        stats = relation.mark_cache.stats
-        assert stats.hits >= 2
-        assert 0.0 < stats.hit_rate <= 1.0
-
-    def test_byte_budget_evicts_lru_but_keeps_results_exact(self, monkeypatch):
-        relation = self.relation()
-        # The budget is read when a session first builds the relation's cache.
-        monkeypatch.setattr(backend_module, "MARKS_CACHE_BYTES", 8 * len(relation))
-        with Session():
-            partitions = [StrippedPartition.from_column(relation, a) for a in ("a", "b", "c")]
-            expected = [
-                flat(left.intersect(right))
-                for left in partitions
-                for right in partitions
-                if left is not right
-            ]
-            assert relation.mark_cache.budget_bytes == 8 * len(relation)
-            assert relation.mark_cache.stats.evictions > 0
-            assert relation.mark_cache.held_bytes <= 8 * len(relation)
-            # Evicted tables are rebuilt on demand: same products, any order.
-            actual = [
-                flat(left.intersect(right))
-                for left in partitions
-                for right in partitions
-                if left is not right
-            ]
-        assert actual == expected
-
-    def test_tables_die_with_their_partitions(self):
-        """An entry whose partition is garbage can never hit again; it goes
-        (bytes included) with the partition, not at the byte budget."""
-        import gc
-
-        relation = self.relation()
-        table_bytes = 8 * len(relation)
-        cache = MarkTableCache()
-        live = [StrippedPartition.from_column(relation, a) for a in ("a", "b")]
-        dead = [StrippedPartition.from_column(relation, a) for a in ("a", "b", "c")]
-        for partition in live + dead:
-            assert cache.get(partition) is cache.get(partition)
-        assert (cache.stats.hits, cache.stats.misses) == (5, 5)
-        assert len(cache) == 5 and cache.held_bytes == 5 * table_bytes
-        del dead, partition
-        gc.collect()
-        assert len(cache) == 2 and cache.held_bytes == 2 * table_bytes
-        for partition in live:
-            cache.get(partition)
-        assert (cache.stats.hits, cache.stats.misses) == (7, 5)
-        assert cache.stats.evictions == 0
-        del live, partition
-        gc.collect()
-        assert len(cache) == 0 and cache.held_bytes == 0
-
-    def test_budget_defaults_to_env_override(self, monkeypatch):
-        # The REPRO_MARKS_CACHE_BYTES override is retired: the default budget
-        # is the module constant, read when a cache is built.
-        monkeypatch.setenv("REPRO_MARKS_CACHE_BYTES", "12345")
-        assert MarkTableCache().budget_bytes == backend_module.MARKS_CACHE_BYTES == 128 << 20
-        monkeypatch.setattr(backend_module, "MARKS_CACHE_BYTES", 12345)
-        assert MarkTableCache().budget_bytes == 12345
 
 
 # ---------------------------------------------------------------------------

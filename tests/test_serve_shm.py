@@ -64,13 +64,14 @@ def ref_payload(tenant: str, ref: str) -> dict:
 
 
 class TestByteParity:
-    # ``overrides`` are kernel cache sizes, set on the constants of
-    # repro.relational.backend in this process: the thread and bare-session
-    # legs run with them, spawned process workers with the defaults, so the
-    # comparison also crosses cache sizes.  Job payloads carry no overrides.
+    # ``overrides`` set constants of repro.relational.backend in this
+    # process: the thread and bare-session legs run with them, spawned
+    # process workers with the defaults, so the comparison also crosses
+    # kernel paths (a zero counting-sort space sends every grouping through
+    # the introsort).  Job payloads carry no overrides.
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"marks_cache_bytes": 0}],
+        [{}, {"counting_sort_space": 0}],
     )
     def test_shm_thread_and_bare_session_agree(self, tmp_path, overrides, monkeypatch):
         for name, value in overrides.items():

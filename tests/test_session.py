@@ -26,7 +26,6 @@ import repro
 from repro import Relation, RunResult, Session, TANE, base, join
 from repro.cli import main
 from repro.config import config_fingerprint
-from repro.relational import backend as backend_module
 from repro.relational.backend import KERNEL_COUNTERS
 from repro.relational.partition import (
     StrippedPartition,
@@ -140,37 +139,6 @@ class TestEngineConfig:
         )
 
 
-class TestKernelCacheConstants:
-    """The cache sizes are module constants, read at the point of use."""
-
-    def test_minimum_cache_sizes_keep_artifacts(self, monkeypatch):
-        relation = small_relation()
-        view = join(base("customers"), base("orders"), on="cid")
-
-        def fingerprints(session):
-            with session.activate():
-                partitions = [
-                    StrippedPartition.from_columns(relation, order).flat_lists()
-                    for order in ("abcd", "dcba", "abcd")
-                ]
-            return partitions + [
-                session.discover(relation).artifact_fingerprint(),
-                session.validate(relation, ["a -> b", "a,d -> c"]).artifact_fingerprint(),
-                session.profile(relation, threshold=0.5).artifact_fingerprint(),
-                session.infine(view, tiny_catalog()).artifact_fingerprint(),
-            ]
-
-        default = fingerprints(Session())
-        monkeypatch.setattr(backend_module, "MARKS_CACHE_BYTES", 0)
-        session = Session()
-        assert fingerprints(session) == default
-        # The eviction path really ran, and the run records the size used.
-        assert session.kernel_stats()["mark_evictions"] > 0
-        config = session.discover(relation).config
-        assert config["marks_cache_bytes"] == 0
-        assert config["combined_codes_cache_entries"] == 16
-
-
 # ---------------------------------------------------------------------------
 # RunResult: unified payload, byte-identical save/load round-trips.
 # ---------------------------------------------------------------------------
@@ -268,16 +236,16 @@ class TestArtifactsAcrossConfigurations:
             ]
 
     def test_env_var_and_engine_config_produce_identical_artifacts(self, monkeypatch):
-        # The retired variables are ignored and the constants set the caches:
-        # neither changes the artefacts.
+        # The retired variable is ignored: the artefacts and the recorded
+        # engine.config are those of a run without it.
         relation_rows = list(small_relation())
         monkeypatch.setenv("REPRO_MARKS_CACHE_BYTES", "8192")
         first = Session().discover(Relation("r", ("a", "b", "c", "d"), relation_rows))
         assert first.config == DEFAULT_ENGINE_CONFIG
-        monkeypatch.setattr(backend_module, "MARKS_CACHE_BYTES", 8192)
+        monkeypatch.delenv("REPRO_MARKS_CACHE_BYTES")
         second = Session().discover(Relation("r", ("a", "b", "c", "d"), relation_rows))
         assert first.artifact_fingerprint() == second.artifact_fingerprint()
-        assert second.config["marks_cache_bytes"] == 8192
+        assert second.config == DEFAULT_ENGINE_CONFIG
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +273,9 @@ class TestSessionIsolation:
         relation = small_relation()
         first, second = Session(), Session()
         first.discover(relation)
-        assert first.counters.mark_misses > 0
-        assert second.counters.mark_misses == 0
-        assert second.counters.mark_hits == 0
+        assert first.counters.counting_sorts > 0
+        assert second.counters.counting_sorts == 0
+        assert second.counters.batched_levels == 0
 
     def test_sessions_do_not_share_relation_caches(self):
         relation = small_relation()
@@ -315,7 +283,7 @@ class TestSessionIsolation:
         first_caches = first.state.caches_for(relation)
         second_caches = second.state.caches_for(relation)
         assert first_caches is not second_caches
-        assert first_caches.marks is not second_caches.marks
+        assert first.partition_cache(relation) is not second.partition_cache(relation)
 
     def test_explicit_sessions_do_not_pollute_the_default_session(self):
         before = KERNEL_COUNTERS.snapshot()
@@ -353,7 +321,7 @@ class TestSessionIsolation:
             results["one"].artifacts["fds"] == results["two"].artifacts["fds"]
         )
         for session in sessions.values():
-            assert session.counters.mark_misses > 0
+            assert session.counters.counting_sorts > 0
 
     def test_validate_reuses_the_session_partition_cache(self):
         session = Session()
@@ -374,7 +342,7 @@ class TestSessionIsolation:
             with session:
                 session.discover(small_relation())
             session.discover(small_relation())
-        assert session.counters.mark_misses > 0
+        assert session.counters.counting_sorts > 0
 
     def test_max_lhs_size_with_algorithm_instance_rejected(self):
         with pytest.raises(ValueError):
@@ -427,9 +395,9 @@ class TestSessionIsolation:
             False,
         )
 
-    def test_partitions_bind_their_mark_cache_weakly(self):
-        """ROADMAP regression: a collected session's mark cache is released
-        even while partitions built under it live on."""
+    def test_partitions_do_not_pin_their_session(self):
+        """A collected session's state is released even while partitions
+        built under it live on, and those partitions still probe correctly."""
         import gc
         import weakref
 
@@ -440,15 +408,11 @@ class TestSessionIsolation:
         with session.activate():
             lhs = StrippedPartition.from_column(relation, "a")
             rhs = StrippedPartition.from_column(relation, "b")
-            product = lhs.intersect(rhs)  # populates the mark cache
-            cache_ref = weakref.ref(relation.mark_cache)
-            assert lhs._mark_cache is cache_ref()
+            product = lhs.intersect(rhs)
+        state_ref = weakref.ref(session.state)
         del session
         gc.collect()
-        # The partition no longer pins the dead session's cache ...
-        assert cache_ref() is None
-        assert lhs._mark_cache is None
-        # ... and still probes correctly via the fallback cache.
+        assert state_ref() is None
         assert lhs.intersect(rhs).error == product.error
         assert isinstance(lhs.refines(rhs), bool)
 
@@ -490,9 +454,9 @@ class TestKernelStatsScoping:
         second = self.kernel_block(capsys.readouterr().out)
         assert first  # the block is present
         assert first == second  # scoped to the invocation: no accumulation
+        # ... and it reports real work: the sort paths of the grouping kernel.
         assert any(
-            "misses=" in line and "misses=0" not in line.replace(" ", "")
-            for line in first
+            "counting=" in line and "counting=0 " not in line + " " for line in first
         )
 
     def test_cli_backend_flag(self, capsys):

@@ -6,22 +6,18 @@ reference (``tests/kernel_oracle.py``) computes.  This tool makes both
 *fuzzed* invariants instead of per-PR claims: a seed-replayable generator
 produces adversarial relations (skew, constants, all-distinct runs, nulls,
 long equal blocks, empty and single-row instances) and every registered
-discovery algorithm is executed on both engine legs of the conformance grid
+discovery algorithm is executed on every engine leg of the conformance grid.
+The engine has no setting left to vary, so the grid is the one ``default``
+leg; a leg patches constants of ``repro.relational.backend``.  Per seed:
 
-    {default, min-caches}
-
-(``min-caches`` sets the kernel's cache size to its minimum by patching the
-constant ``MARKS_CACHE_BYTES = 0`` of ``repro.relational.backend``),
-asserting, per seed:
-
-* the canonical FD set of every algorithm is identical across legs;
-* the full ``RunResult`` artefacts block is **byte**-identical (serialised
-  with sorted keys) and the configuration-invariant
-  ``artifact_fingerprint()`` agrees;
-* the stripped partitions themselves (flat positions/offsets of every
-  single attribute and of the full attribute combination) are identical;
-* on the ``default`` leg, every kernel primitive call returns what the
-  oracle returns on the same inputs.
+* on the first leg, every kernel primitive call returns what the oracle
+  returns on the same inputs;
+* across legs, the canonical FD set of every algorithm is identical, the
+  full ``RunResult`` artefacts block is **byte**-identical (serialised with
+  sorted keys), the configuration-invariant ``artifact_fingerprint()``
+  agrees, and so do the stripped partitions themselves (flat
+  positions/offsets of every single attribute and of the full attribute
+  combination).
 
 Usage::
 
@@ -100,13 +96,9 @@ def generate_case(seed: int) -> tuple[tuple[str, ...], list[tuple], list[str]]:
     return names, rows, shapes
 
 
-#: The kernel cache-size constant at its smallest legal value.
-MIN_CACHES = {"MARKS_CACHE_BYTES": 0}
-
-
 def conformance_legs() -> list[tuple[str, dict]]:
     """The engine legs of the grid, as ``(label, backend constants)`` pairs."""
-    return [("default", {}), ("min-caches", dict(MIN_CACHES))]
+    return [("default", {})]
 
 
 def _observe_leg(
@@ -118,8 +110,8 @@ def _observe_leg(
 ) -> dict:
     """Everything one leg produces, in a directly comparable form.
 
-    ``constants`` patch the cache sizes of ``repro.relational.backend`` for
-    the leg.  With ``oracle``, every kernel primitive call is also replayed
+    ``constants`` patch constants of ``repro.relational.backend`` for the
+    leg.  With ``oracle``, every kernel primitive call is also replayed
     on the pure-python oracle; a divergence raises ``AssertionError``.
     """
     patched = mock.patch.multiple(backend, **constants) if constants else nullcontext()
