@@ -10,8 +10,7 @@ primitives timed here:
 * **g3** — the violation-fraction measure of approximate FDs;
 * **validate_level** — the batched per-level candidate validation entry
   point (one kernel call per lattice level, stacking candidates across LHS
-  partitions when the level is dispatch-bound), timed
-  against the equivalent scalar ``fd_holds_fast`` loop (``validate_scalar``).
+  partitions when the level is dispatch-bound).
 
 The benchmark is a plain script (no pytest dependency) so it can run on any
 checkout and emit comparable numbers::
@@ -51,7 +50,6 @@ from repro.session import Session, engine_config  # noqa: E402
 from repro.relational.partition import (  # noqa: E402
     PartitionCache,
     StrippedPartition,
-    fd_holds_fast,
     fd_violation_fraction,
     validate_level,
 )
@@ -154,10 +152,6 @@ def run_bench(n_rows: int, repeats: int = 3) -> dict:
         if rhs not in (names[i], names[j])
     ]
     validate_batch_s = _best_of(repeats, lambda: validate_level(relation, level))
-    validate_scalar_s = _best_of(
-        repeats,
-        lambda: [fd_holds_fast(relation, partition, rhs) for partition, rhs in level],
-    )
 
     return {
         "n_rows": n_rows,
@@ -171,7 +165,6 @@ def run_bench(n_rows: int, repeats: int = 3) -> dict:
             "refines": round(refines_s, 6),
             "g3": round(g3_s, 6),
             "validate_level": round(validate_batch_s, 6),
-            "validate_scalar": round(validate_scalar_s, 6),
         },
         "headline_intersect_refines": round(intersect_s + refines_s, 6),
     }

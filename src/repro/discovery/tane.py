@@ -12,12 +12,7 @@ is decided by comparing stripped-partition errors.
 from __future__ import annotations
 
 from ..fd.fd import FD
-from ..relational.partition import (
-    StrippedPartition,
-    fd_violation_fraction_from_partition,
-    validate_level,
-    validate_level_errors,
-)
+from ..relational.partition import StrippedPartition, validate_level, validate_level_errors
 from ..relational.relation import Relation
 from .base import DiscoveryStats, FDDiscoveryAlgorithm
 
@@ -44,9 +39,6 @@ class TANE(FDDiscoveryAlgorithm):
 
         universe: AttributeSet = frozenset(attributes)
         n_rows = len(relation)
-        # Kept for subclasses whose validity test needs row access
-        # (e.g. the g3 measure of ApproximateTANE).
-        self._current_relation = relation
 
         # Partitions per candidate set; level 0 and 1 computed directly.
         partitions: dict[AttributeSet, StrippedPartition] = {
@@ -66,7 +58,9 @@ class TANE(FDDiscoveryAlgorithm):
 
         while level and current_size <= max_level:
             stats.levels = current_size
-            self._compute_dependencies(level, cplus, partitions, universe, results, stats)
+            self._compute_dependencies(
+                relation, level, cplus, partitions, universe, results, stats
+            )
             level = self._prune(level, cplus, partitions, universe, results, stats)
             if current_size == max_level:
                 break
@@ -89,6 +83,7 @@ class TANE(FDDiscoveryAlgorithm):
     # -- TANE procedures ------------------------------------------------------
     def _compute_dependencies(
         self,
+        relation: Relation,
         level: list[AttributeSet],
         cplus: dict[AttributeSet, AttributeSet],
         partitions: dict[AttributeSet, StrippedPartition],
@@ -106,14 +101,13 @@ class TANE(FDDiscoveryAlgorithm):
         # The RHS iteration sets are snapshotted per candidate before any
         # validation, and a validation verdict only ever updates the C+ set
         # of its *own* candidate — so the whole level can be validated as one
-        # batch (a single kernel call per level, which stacks candidates
-        # across LHS partitions when the level is dispatch-bound)
-        # and the verdicts applied afterwards in the original order.
+        # batch (ApproximateTANE grades it in one kernel pass) and the
+        # verdicts applied afterwards in the original order.
         checks: list[LevelCheck] = []
         for candidate in level:
             for attribute in sorted(candidate & cplus[candidate]):
                 checks.append((candidate, attribute, candidate - {attribute}))
-        verdicts = self._validate_level(checks, partitions)
+        verdicts = self._validate_level(relation, checks, partitions)
         for (candidate, attribute, lhs), valid in zip(checks, verdicts):
             stats.candidates_checked += 1
             stats.validations += 1
@@ -126,51 +120,22 @@ class TANE(FDDiscoveryAlgorithm):
 
     def _validate_level(
         self,
+        relation: Relation,
         checks: list[LevelCheck],
         partitions: dict[AttributeSet, StrippedPartition],
     ) -> list[bool]:
         """Validity verdicts for one lattice level's candidates (input order).
 
-        TANE's own walk materialises ``π(candidate)`` for every level member
-        (they seed the next level's products), so exact validity is the O(1)
-        partition-error equality; only checks whose candidate partition is
-        absent (external callers driving the hook directly) fall through to
-        the kernel's batched :func:`validate_level`.  Subclasses customising
-        the scalar :meth:`_dependency_is_valid` hook (without overriding this
-        method) are honoured by per-candidate calls.
+        ``relation`` is the instance the partitions were built from; the
+        walk holds ``π(candidate)`` for every level member (level 1 comes
+        from the columns, and each later member's product is stored when the
+        level is generated), so ``lhs -> attribute`` holds exactly when the
+        two partitions have equal errors.
         """
-        if type(self)._dependency_is_valid is not TANE._dependency_is_valid:
-            return [
-                self._dependency_is_valid(lhs, candidate, attribute, partitions)
-                for candidate, attribute, lhs in checks
-            ]
-        verdicts: list[bool] = [False] * len(checks)
-        deferred: list[int] = []
-        for index, (candidate, attribute, lhs) in enumerate(checks):
-            candidate_partition = partitions.get(candidate)
-            if candidate_partition is not None:
-                verdicts[index] = partitions[lhs].error == candidate_partition.error
-            else:
-                deferred.append(index)
-        if deferred:
-            batch = [
-                (partitions[checks[index][2]], checks[index][1]) for index in deferred
-            ]
-            for index, verdict in zip(
-                deferred, validate_level(self._current_relation, batch)
-            ):
-                verdicts[index] = verdict
-        return verdicts
-
-    def _dependency_is_valid(
-        self,
-        lhs: AttributeSet,
-        candidate: AttributeSet,
-        attribute: str,
-        partitions: dict[AttributeSet, StrippedPartition],
-    ) -> bool:
-        """Exact validity test: the LHS partition does not refine further with the RHS."""
-        return partitions[lhs].error == partitions[candidate].error
+        return [
+            partitions[lhs].error == partitions[candidate].error
+            for candidate, _, lhs in checks
+        ]
 
     def _prune(
         self,
@@ -251,41 +216,16 @@ class ApproximateTANE(TANE):
             raise ValueError("threshold must be non-negative")
         self.threshold = threshold
 
-    def _validate_level(self, checks, partitions):
+    def _validate_level(self, relation, checks, partitions):
         """Batched g3 validation: exact pass first, then grade the failures.
 
         The whole level's exact checks run as one batched pass; only the
-        failing candidates pay the (heavier) batched g3 counting, mirroring
-        the scalar fast path of :meth:`_dependency_is_valid`.  A subclass
-        customising the scalar hook keeps driving the validation through it.
+        failing candidates pay the (heavier) batched g3 counting.
         """
-        if type(self)._dependency_is_valid is not ApproximateTANE._dependency_is_valid:
-            return [
-                self._dependency_is_valid(lhs, candidate, attribute, partitions)
-                for candidate, attribute, lhs in checks
-            ]
         batch = [(partitions[lhs], attribute) for _, attribute, lhs in checks]
-        verdicts = validate_level(self._current_relation, batch)
+        verdicts = validate_level(relation, batch)
         failing = [index for index, exact in enumerate(verdicts) if not exact]
-        errors = validate_level_errors(
-            self._current_relation, [batch[index] for index in failing]
-        )
+        errors = validate_level_errors(relation, [batch[index] for index in failing])
         for index, error in zip(failing, errors):
             verdicts[index] = error <= self.threshold
         return verdicts
-
-    def _dependency_is_valid(self, lhs, candidate, attribute, partitions):
-        """Accept the dependency when its exact g3 error is within the threshold.
-
-        Reuses the LHS partition already held by the lattice walk and the
-        relation's cached column codes instead of rebuilding a partition
-        cache per check.  (Scalar twin of the batched :meth:`_validate_level`.)
-        """
-        if partitions[lhs].error == partitions[candidate].error:
-            return True
-        return (
-            fd_violation_fraction_from_partition(
-                self._current_relation, partitions[lhs], attribute
-            )
-            <= self.threshold
-        )

@@ -19,6 +19,9 @@ discovery of the straightforward approach by combining four prunings:
 * **Theorem 4** — a candidate ``A A' -> b`` with ``b`` from the side whose
   join attributes are ``Y`` can only hold if ``Y A' -> b`` holds on that
   side, which is decided from the side's FD cover without touching the join.
+  Under an LHS cap the cover holds only minimal FDs up to the cap, so a
+  ``Y A'`` larger than the cap (a join on two or more attributes) is not
+  pruned.
 
 The candidate lattice is walked once for all dependents, level by level as
 in TANE (Huhtala et al., 1999).  At level ``k`` every dependent first runs
@@ -333,7 +336,7 @@ def mine_join_fds(
         in_left = bool(bit & left_side)
         in_right = bool(bit & right_side)
         if use_theorem4 and not _rhs_is_plausible(
-            bit, in_left, in_right, left_join, right_join, left_pairs, right_pairs
+            bit, in_left, in_right, left_join, right_join, left_pairs, right_pairs, max_lhs_size
         ):
             # No minimal FD of the side owning ``rhs`` involves that side's
             # join attributes in its determinant, so by Theorem 4 no
@@ -422,6 +425,7 @@ def mine_join_fds(
                     right_join,
                     left_closure,
                     right_closure,
+                    max_lhs_size,
                 ):
                     # The candidate cannot hold on the join (Theorem 4);
                     # supersets adding same-side attributes may still hold.
@@ -474,6 +478,7 @@ def _rhs_is_plausible(
     right_join: int,
     left_pairs: list[tuple[int, int]],
     right_pairs: list[tuple[int, int]],
+    cover_bound: int | None,
 ) -> bool:
     """Whether any cross-side FD with dependent ``rhs`` can exist at all.
 
@@ -486,8 +491,17 @@ def _rhs_is_plausible(
     with this dependent is either impossible or dominated, and the dependent
     can be skipped outright.  Attribute sets are masks and ``rhs`` a bit;
     the covers are ``(lhs mask, rhs bit)`` pairs.
+
+    That FD has at most ``|Y| + |A'|`` attributes, and ``|A'|`` is at most
+    one less than the LHS cap.  With a cap (``cover_bound``) and a join on
+    two or more attributes it may lie past the covers' bound, so the
+    dependent is kept.
     """
     if rhs & (left_join | right_join):
+        return True
+    if cover_bound is not None and (
+        (in_right and _size(right_join) > 1) or (in_left and _size(left_join) > 1)
+    ):
         return True
     if in_right and any(dependent == rhs and lhs & right_join for lhs, dependent in right_pairs):
         return True
@@ -507,21 +521,36 @@ def _theorem4_admits(
     right_join: int,
     left_closure: _Closure,
     right_closure: _Closure,
+    cover_bound: int | None,
 ) -> bool:
     """Whether Theorem 4 allows the candidate ``lhs -> rhs`` to hold at all.
 
     For a dependent attribute from side ``J`` with join attributes ``Y``, the
     candidate can hold only if ``Y ∪ (lhs ∩ atts(J)) -> rhs`` holds on the
     (reduced) instance of ``J``, which is decided against that side's
-    complete FD cover (closures memoised once per join node).  A dependent
-    shared by both sides (a join attribute) admits the candidate whenever
-    either side does.  Attribute sets are masks and ``rhs`` a bit.
+    complete FD cover (closures memoised once per join node).  A cover
+    capped at ``cover_bound`` attributes decides only sets that small; a
+    larger set admits the candidate.  A dependent shared by both sides (a
+    join attribute) admits the candidate whenever either side does.
+    Attribute sets are masks and ``rhs`` a bit.
     """
-    if in_right and (right_closure[right_join | (lhs & right_side)] | right_join) & rhs:
+    if in_right and _side_admits(right_closure, right_join | (lhs & right_side), rhs, cover_bound):
         return True
     if in_left:
-        return bool((left_closure[left_join | (lhs & left_side)] | left_join) & rhs)
+        return _side_admits(left_closure, left_join | (lhs & left_side), rhs, cover_bound)
     return False
+
+
+def _side_admits(closure: _Closure, attrs: int, rhs: int, cover_bound: int | None) -> bool:
+    """Whether ``attrs -> rhs`` may hold on a side with the cover of ``closure``."""
+    if cover_bound is not None and _size(attrs) > cover_bound:
+        return True
+    return bool((closure[attrs] | attrs) & rhs)
+
+
+def _size(mask: int) -> int:
+    """The number of attributes in ``mask``."""
+    return bin(mask).count("1")
 
 
 def _next_level(expandable: list[int]) -> list[int]:

@@ -21,16 +21,18 @@ The discovery/validation hot path is columnar:
   algorithms: one side is probed against a row -> class map of the other
   (TANE's linear partition product).  A single-column partition's map is
   its column's cached codes, so products with a column build no map.
-  ``fd_holds_fast`` / ``fd_violation_fraction`` scan LHS groups against the
-  cached RHS column codes with an early reject.
 * **One vectorized kernel** — every probe loop is a numpy primitive of
   :data:`~repro.relational.backend.KERNEL` (numpy is a required
   dependency).  The test suite pins each primitive against a pure-python
   reference implementation on the same inputs.
-* **Batched validation** — :func:`validate_level` /
-  :func:`validate_level_errors` answer a whole lattice level's candidate
-  checks with one vectorized pass per shared LHS partition; TANE, FUN,
-  ApproximateTANE and the AFD profiler feed their levels through it.
+* **Validation** — :func:`fd_holds` compares partition errors,
+  ``e(X) == e(X ∪ {a})``, as TANE's walk does.  :func:`validate_level`
+  (exact) and :func:`validate_level_errors` (g3) are the only checks that
+  scan LHS groups against the cached RHS column codes: each answers a whole
+  lattice level's candidates in one kernel call.  FUN, ApproximateTANE,
+  the session's ``validate``/``profile`` and the AFD measures
+  (:func:`fd_violation_fraction`, a level of one) feed their checks
+  through them.
 * **Partition caching** — :class:`PartitionCache` memoises partitions per
   attribute set with hit/miss statistics for its lifetime and composes a new
   combination from the cached one-smaller subset with the fewest groups.
@@ -65,9 +67,7 @@ from .partition import (
     PartitionCacheStats,
     StrippedPartition,
     fd_holds,
-    fd_holds_fast,
     fd_violation_fraction,
-    fd_violation_fraction_from_partition,
     validate_level,
     validate_level_errors,
 )
@@ -147,9 +147,7 @@ __all__ = [
     "activate_state",
     "kernel_counters",
     "fd_holds",
-    "fd_holds_fast",
     "fd_violation_fraction",
-    "fd_violation_fraction_from_partition",
     "validate_level",
     "validate_level_errors",
     "ViewSpec",

@@ -277,47 +277,14 @@ class NumpyBackend:
         sizes = np.diff(offsets)
         return bool((group_marks == np.repeat(firsts, sizes)).all())
 
-    def constant_within_groups(self, positions, offsets, codes):
-        """Whether ``codes`` is constant inside every group (FD validity)."""
-        positions = self._as_array(positions)
-        offsets = self._as_array(offsets)
-        codes = self._as_array(codes)
-        starts = offsets[:-1]
-        return self._constant_prepared(
-            positions, offsets, codes,
-            positions[starts], positions[starts + 1],
-        )
-
-    @staticmethod
-    def _constant_prepared(positions, offsets, codes, first_rows, second_rows):
-        """Constancy check with a cheap vectorized early reject.
-
-        A violated candidate almost always differs already between the first
-        two members of some group, so an ``O(n_groups)`` comparison rejects
-        it without touching the full ``O(||π||)`` expansion — the vectorized
-        analogue of an early-exit scan.
-        """
-        firsts = codes[first_rows]
-        if bool((firsts != codes[second_rows]).any()):
-            return False
-        sizes = offsets[1:] - offsets[:-1]
-        return bool((codes[positions] == np.repeat(firsts, sizes)).all())
-
-    def g3_removals(self, positions, offsets, codes):
-        """Rows to delete so ``codes`` becomes constant within every group."""
-        positions = self._as_array(positions)
-        offsets = self._as_array(offsets)
-        return self._g3_removals_prepared(
-            positions, offsets, self._as_array(codes), self._group_ids(offsets)
-        )
-
     @staticmethod
     def _group_ids(offsets):
         sizes = np.diff(offsets)
         return np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
 
     @staticmethod
-    def _g3_removals_prepared(positions, offsets, codes, group_ids):
+    def _g3_removals(positions, codes, group_ids):
+        """Rows to delete so ``codes`` becomes constant within every group."""
         if positions.size == 0:
             return 0
         group_codes = codes[positions]
@@ -330,28 +297,6 @@ class NumpyBackend:
         )
         best = np.maximum.reduceat(counts, starts)
         return int(positions.size - best.sum())
-
-    # -- batched probes -------------------------------------------------------
-    def batch_constant_within_groups(self, positions, offsets, codes_list):
-        """:meth:`constant_within_groups` of several RHS columns, one partition."""
-        if not codes_list:
-            return []
-        positions = self._as_array(positions)
-        offsets = self._as_array(offsets)
-        if positions.size == 0:
-            return [True] * len(codes_list)
-        # The per-group gather indices are shared by every RHS of the batch:
-        # compute them once, then each candidate pays only its own (cheap)
-        # prescreen plus — for the surviving candidates — one full compare.
-        starts = offsets[:-1]
-        first_rows = positions[starts]
-        second_rows = positions[starts + 1]
-        return [
-            self._constant_prepared(
-                positions, offsets, self._as_array(codes), first_rows, second_rows
-            )
-            for codes in codes_list
-        ]
 
     # -- level-batched probes -------------------------------------------------
 
@@ -383,12 +328,15 @@ class NumpyBackend:
            yields every candidate's "any first-vs-second mismatch" verdict.
            A violated candidate almost always differs already here.
         2. **full verify** — the rare prescreen survivors get the exact
-           per-group expansion of :meth:`constant_within_groups`.
+           per-group expansion: every member's code against its group's
+           first.
 
         Levels whose groups are large (volume-bound, where the stacked
-        pass's column × group waste outweighs the saved dispatches) fall
-        back to the shared-prep per-LHS loop.  Both strategies produce
-        bit-identical verdicts; the switch only moves time around.
+        pass's column × group waste outweighs the saved dispatches) take
+        the per-LHS loop instead: the same prescreen and full verify, one
+        candidate at a time, with the first/second member rows gathered
+        once per LHS.  Both strategies produce identical verdicts; the
+        switch only moves time around.
         """
         prepped = []
         results: list[list[bool]] = []
@@ -413,7 +361,18 @@ class NumpyBackend:
             for (positions, offsets, codes_list), verdicts in zip(prepped, results):
                 if positions.size == 0 or not codes_list:
                     continue
-                verdicts[:] = self.batch_constant_within_groups(positions, offsets, codes_list)
+                starts = offsets[:-1]
+                first_rows = positions[starts]
+                second_rows = positions[starts + 1]
+                sizes = offsets[1:] - offsets[:-1]
+                for ci, codes in enumerate(codes_list):
+                    column = self._as_array(codes)
+                    firsts = column[first_rows]
+                    if bool((firsts != column[second_rows]).any()):
+                        verdicts[ci] = False
+                    else:
+                        expected = np.repeat(firsts, sizes)
+                        verdicts[ci] = bool((column[positions] == expected).all())
             return results
         # Stacked prescreen: one concatenated first/second gather per
         # distinct RHS column, shared by every LHS partition of the level.
@@ -478,9 +437,7 @@ class NumpyBackend:
             group_ids = self._group_ids(offsets)
             out.append(
                 [
-                    self._g3_removals_prepared(
-                        positions, offsets, self._as_array(codes), group_ids
-                    )
+                    self._g3_removals(positions, self._as_array(codes), group_ids)
                     for codes in codes_list
                 ]
             )

@@ -31,10 +31,16 @@ vectorized kernel of :mod:`~repro.relational.backend`; ``intersect`` and
 row -> class map of the other, TANE's linear partition product.  A
 single-column partition's map is its column's cached codes, so no map is
 ever built for it; any other partition's map is built for the one call.
-:func:`validate_level` hands a whole lattice level's candidates to the
-kernel in one call, stacked across LHS partitions.  The tuple-of-tuples
-view remains available through the backward-compatible
-:attr:`StrippedPartition.groups` property.
+
+FD checks on stripped partitions come in two forms.  Where both partitions
+are at hand, ``X -> a`` holds iff ``e(X) == e(X ∪ {a})`` (:func:`fd_holds`;
+TANE's walk decides this way).  Otherwise the kernel's two level passes
+decide from the LHS partition and the RHS column's codes:
+:func:`validate_level` (exact) and :func:`validate_level_errors` (g3) hand a
+whole lattice level's candidates to the kernel in one call, stacked across
+LHS partitions; :func:`fd_violation_fraction` grades one candidate through
+the g3 pass.  The tuple-of-tuples view remains available through the
+backward-compatible :attr:`StrippedPartition.groups` property.
 """
 
 from __future__ import annotations
@@ -187,17 +193,6 @@ class StrippedPartition:
     def is_key(self) -> bool:
         """Whether the attribute set is a (super)key: every class is a singleton."""
         return len(self.positions) == 0
-
-    def g3_error(self) -> float:
-        """The g3 measure used for approximate FDs when this partition refines RHS.
-
-        Here this returns the *fraction of rows that must be removed* for the
-        partition to become a key, which is the standard normalisation of the
-        TANE error used for AFD thresholds.
-        """
-        if self.n_rows == 0:
-            return 0.0
-        return self.error / self.n_rows
 
     # -- operations -----------------------------------------------------------
     def _class_map(self) -> tuple[Sequence[int], int]:
@@ -383,54 +378,21 @@ def fd_holds(
     return lhs_partition.error == full_partition.error
 
 
-def fd_holds_fast(
-    relation: Relation,
-    lhs_partition: StrippedPartition,
-    rhs: str,
-) -> bool:
-    """Check ``lhs -> rhs`` given the LHS partition, without building ``lhs ∪ {rhs}``.
-
-    Verifies that the RHS *code* (from the relation's cached column encoding)
-    is constant within every non-singleton LHS equivalence class; a cheap
-    first-two-members prescreen makes the (frequent) *failing* checks of
-    selective mining almost free.
-    """
-    codes, _ = relation.column_codes(rhs)
-    return KERNEL.constant_within_groups(lhs_partition.positions, lhs_partition.offsets, codes)
-
-
-def fd_violation_fraction_from_partition(
-    relation: Relation,
-    lhs_partition: StrippedPartition,
-    rhs: str,
-) -> float:
-    """The g3 error of ``lhs -> rhs`` given an already-built LHS partition.
-
-    For every equivalence class of the LHS partition, all rows except those
-    carrying the most frequent RHS value must be removed; g3 is the total
-    number of such removals divided by the relation size.  RHS values are
-    compared through the relation's cached integer codes.
-    """
-    n_rows = len(relation)
-    if not n_rows:
-        return 0.0
-    codes, _ = relation.column_codes(rhs)
-    removals = KERNEL.g3_removals(lhs_partition.positions, lhs_partition.offsets, codes)
-    return removals / n_rows
-
-
 def fd_violation_fraction(
     relation: Relation, lhs: Iterable[str], rhs: str, cache: PartitionCache | None = None
 ) -> float:
-    """The g3 error of ``lhs -> rhs``: fraction of rows to drop for it to hold."""
+    """The g3 error of ``lhs -> rhs``: fraction of rows to drop for it to hold.
+
+    For every class of the LHS partition, all rows except those carrying the
+    class's most frequent RHS code must go.  The one candidate is graded as
+    a level of one by :func:`validate_level_errors`.
+    """
     lhs = sorted(set(lhs))
-    if not len(relation):
-        return 0.0
-    if rhs in lhs:
+    if not len(relation) or rhs in lhs:
         return 0.0
     if cache is None:
         cache = PartitionCache(relation)
-    return fd_violation_fraction_from_partition(relation, cache.get(lhs), rhs)
+    return validate_level_errors(relation, [(cache.get(lhs), rhs)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +411,9 @@ def validate_level(
     kernel as **one call** (``validate_level_groups``): candidates are
     grouped by identical LHS partition, and candidates of *different* LHS
     partitions that check the same RHS column share stacked gathers, so
-    TANE/FUN/ApproximateTANE pay dispatch overhead per level rather than per
-    candidate or per LHS.  Verdicts come back in input order, identical to
-    the per-candidate :func:`fd_holds_fast` checks.
+    FUN, ApproximateTANE and the session's ``validate`` pay dispatch
+    overhead per level rather than per candidate or per LHS.  Verdicts come
+    back in input order; each equals :func:`fd_holds`' error equality.
     """
     if not candidates:
         return []
@@ -473,9 +435,9 @@ def validate_level_errors(
 ) -> list[float]:
     """Batched g3 errors of ``(lhs_partition, rhs)`` candidates (input order).
 
-    The batched counterpart of :func:`fd_violation_fraction_from_partition`,
-    used by approximate discovery to grade a whole lattice level in one
-    kernel call (``validate_level_error_groups``).
+    Approximate discovery grades a whole lattice level in one kernel call
+    (``validate_level_error_groups``); :func:`fd_violation_fraction` grades
+    one candidate the same way.
     """
     if not candidates:
         return []

@@ -31,8 +31,6 @@ PRIMITIVES = (
     "build_marks",
     "intersect_marks",
     "refines_marks",
-    "constant_within_groups",
-    "g3_removals",
     "validate_level_groups",
     "validate_level_error_groups",
     "match",
@@ -114,36 +112,15 @@ class PythonBackend:
             start = end
         return True
 
-    def constant_within_groups(self, positions, offsets, codes):
-        start = offsets[0]
-        for group_id in range(1, len(offsets)):
-            end = offsets[group_id]
-            first = codes[positions[start]]
-            for position in positions[start + 1 : end]:
-                if codes[position] != first:
-                    return False
-            start = end
-        return True
-
-    def g3_removals(self, positions, offsets, codes):
-        removals = 0
-        start = offsets[0]
-        for group_id in range(1, len(offsets)):
-            end = offsets[group_id]
-            tally = Counter(codes[position] for position in positions[start:end])
-            removals += (end - start) - max(tally.values())
-            start = end
-        return removals
-
     def validate_level_groups(self, groups):
         return [
-            [self.constant_within_groups(positions, offsets, codes) for codes in codes_list]
+            [_constant_within_groups(positions, offsets, codes) for codes in codes_list]
             for positions, offsets, codes_list in groups
         ]
 
     def validate_level_error_groups(self, groups):
         return [
-            [self.g3_removals(positions, offsets, codes) for codes in codes_list]
+            [_g3_removals(positions, offsets, codes) for codes in codes_list]
             for positions, offsets, codes_list in groups
         ]
 
@@ -231,6 +208,31 @@ class PythonBackend:
             if code_of.setdefault(label, code) != code:
                 return False
         return True
+
+
+def _constant_within_groups(positions, offsets, codes) -> bool:
+    """Whether ``codes`` is constant inside every group (one exact check)."""
+    start = offsets[0]
+    for group_id in range(1, len(offsets)):
+        end = offsets[group_id]
+        first = codes[positions[start]]
+        for position in positions[start + 1 : end]:
+            if codes[position] != first:
+                return False
+        start = end
+    return True
+
+
+def _g3_removals(positions, offsets, codes) -> int:
+    """Rows to delete so ``codes`` becomes constant within every group (one g3 check)."""
+    removals = 0
+    start = offsets[0]
+    for group_id in range(1, len(offsets)):
+        end = offsets[group_id]
+        tally = Counter(codes[position] for position in positions[start:end])
+        removals += (end - start) - max(tally.values())
+        start = end
+    return removals
 
 
 ORACLE = PythonBackend()

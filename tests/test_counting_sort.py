@@ -8,22 +8,26 @@ byte-identical ``StrippedPartition``s (same group order, same positions,
 same dense codes) on every input, equal to the pure-python oracle's.  These
 tests pin that across adversarial key-space shapes (forcing the introsort by
 zeroing the constant), confirm that neither the switch point nor the cache
-sizes have environment or keyword plumbing, and check the cross-LHS stacked level validation against
-the scalar checks on both of its internal paths.
+sizes have environment or keyword plumbing, and check the cross-LHS stacked
+level validation against partition-error equality on both of its internal
+paths.
 """
 
+from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from kernel_oracle import LEGS, kernel_leg, plain
 
+from repro.discovery import TANE
 from repro.relational import backend as backend_module
 from repro.relational.backend import NumpyBackend
 from repro.relational.partition import (
+    PartitionCache,
     StrippedPartition,
-    fd_holds_fast,
+    fd_holds,
     validate_level,
 )
 from repro.relational.relation import Relation
@@ -153,24 +157,52 @@ def _level_case():
     rows = [(i % 6, i % 4, (i * 7) % 6) for i in range(96)]
     relation = Relation("r", ATTRS, rows)
     partitions = {a: StrippedPartition.from_column(relation, a) for a in ATTRS}
-    batch = [(partitions[lhs], rhs) for lhs in ATTRS for rhs in ATTRS if lhs != rhs]
-    return relation, batch
+    pairs = [(lhs, rhs) for lhs in ATTRS for rhs in ATTRS if lhs != rhs]
+    batch = [(partitions[lhs], rhs) for lhs, rhs in pairs]
+    expected = [fd_holds(relation, [lhs], rhs) for lhs, rhs in pairs]
+    return relation, batch, expected
 
 
 @pytest.mark.parametrize("leg", LEGS)
 def test_validate_level_matches_scalar_oracle_across_partitions(leg):
     with Session(), kernel_leg(leg):
-        relation, batch = _level_case()
-        expected = [fd_holds_fast(relation, p, rhs) for p, rhs in batch]
+        relation, batch, expected = _level_case()
         assert validate_level(relation, batch) == expected
 
 
 @pytest.mark.parametrize("budget", [0, 1 << 30])
 def test_stacked_and_loop_level_paths_agree(budget, monkeypatch):
     # budget=0 forces the per-LHS loop; a huge budget forces the stacked
-    # prescreen.  Both must match the scalar checks and the oracle.
+    # prescreen.  Both must match error equality and the oracle.
     monkeypatch.setattr(NumpyBackend, "LEVEL_STACK_MAX_ELEMENTS_PER_CANDIDATE", budget)
     with Session(), kernel_leg("python"):
-        relation, batch = _level_case()
-        expected = [fd_holds_fast(relation, p, rhs) for p, rhs in batch]
+        relation, batch, expected = _level_case()
         assert validate_level(relation, batch) == expected
+
+
+@pytest.mark.parametrize("leg", LEGS)
+@settings(max_examples=40, deadline=None)
+@example(rows=[])
+@example(rows=[(0, 0, 0)])
+@example(rows=[(0, i, i % 2) for i in range(12)])
+@given(rows=shaped_rows())
+def test_tane_error_equality_matches_validate_level(leg, rows):
+    # TANE decides ``lhs -> a`` by e(lhs) == e(candidate).  For every check
+    # of every level, that verdict must equal the kernel's level pass on
+    # both of its paths (budget 0: per-LHS loop; huge: stacked prescreen).
+    relation = Relation("r", ATTRS, rows)
+    cache = PartitionCache(relation)
+    for size in range(1, len(ATTRS) + 1):
+        checks = [
+            (frozenset(candidate), attribute, frozenset(candidate) - {attribute})
+            for candidate in combinations(ATTRS, size)
+            for attribute in candidate
+        ]
+        partitions = {key: cache.get(key) for check in checks for key in (check[0], check[2])}
+        expected = TANE()._validate_level(relation, checks, partitions)
+        batch = [(partitions[lhs], attribute) for _, attribute, lhs in checks]
+        for budget in (0, 1 << 30):
+            with mock.patch.object(
+                NumpyBackend, "LEVEL_STACK_MAX_ELEMENTS_PER_CANDIDATE", budget
+            ), Session(), kernel_leg(leg):
+                assert validate_level(relation, batch) == expected

@@ -1,8 +1,9 @@
 """Differential conformance suite: pins the fuzz tool's grid as tier-1 tests.
 
 ``tools/fuzz_differential.py`` is the replayable generator/checker; this
-module drives it from pytest so the conformance grid — the default engine
-leg × every registered discovery algorithm, with every kernel call checked
+module drives it from pytest so the conformance grid — the default leg and
+the leg that forces every size-selected kernel path the other way, ×
+every registered discovery algorithm, with every kernel call checked
 against the pure-python oracle — runs on every tier-1 invocation with
 fixed seeds plus explicit adversarial fixtures the random generator is not
 guaranteed to hit (empty relation, single row, three rows, pure constants,
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import fuzz_differential  # noqa: E402
 
 from repro.discovery.registry import available_algorithms  # noqa: E402
+from repro.relational import backend  # noqa: E402
 from repro.relational.backend import NumpyBackend  # noqa: E402
+from repro.relational.relation import Relation  # noqa: E402
+from repro.session import Session  # noqa: E402
 
 FIXED_SEEDS = (0, 1, 2, 3, 4, 5)
 
@@ -70,9 +75,35 @@ def test_adversarial_fixtures_conform(case):
 
 
 def test_grid_covers_required_legs():
-    """The grid is the default leg: the engine has no cache size to vary."""
+    """The default selection, and a leg that forces every other kernel path."""
     legs = dict(fuzz_differential.conformance_legs())
-    assert legs == {"default": {}}
+    assert list(legs) == ["default", "other-paths"]
+    assert legs["default"] == ()
+    forced = {(owner, attribute): value for owner, attribute, value in legs["other-paths"]}
+    assert forced == {
+        (backend, "COUNTING_SORT_SPACE"): 0,
+        (NumpyBackend, "PRODUCT_LABELS_SPACE"): 0,
+        (NumpyBackend, "LEVEL_STACK_MAX_ELEMENTS_PER_CANDIDATE"): 0,
+    }
+
+
+def test_other_paths_leg_takes_the_other_paths():
+    """Under the second leg no call takes a size-selected fast path."""
+    names, rows = ADVERSARIAL_CASES["blocks_across_boundaries"]
+    patches = dict(fuzz_differential.conformance_legs())["other-paths"]
+    with fuzz_differential.patched(patches), Session() as session:
+        assert backend.COUNTING_SORT_SPACE == 0
+        assert NumpyBackend.PRODUCT_LABELS_SPACE == 0
+        assert NumpyBackend.LEVEL_STACK_MAX_ELEMENTS_PER_CANDIDATE == 0
+        with mock.patch.object(np, "stack", wraps=np.stack) as stacked:
+            session.discover(Relation("r", names, rows), algorithm="fun")
+        assert session.counters.batched_levels > 0
+        assert stacked.call_count == 0  # the per-LHS loop, not the prescreen
+        assert session.counters.introsorts > 0
+        assert session.counters.counting_sorts == 0
+    assert backend.COUNTING_SORT_SPACE == 1 << 16
+    assert NumpyBackend.PRODUCT_LABELS_SPACE == 1 << 15
+    assert NumpyBackend.LEVEL_STACK_MAX_ELEMENTS_PER_CANDIDATE == 512
 
 
 def test_oracle_divergence_is_reported(monkeypatch):

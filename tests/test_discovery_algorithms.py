@@ -1,6 +1,8 @@
 """Tests for the single-table FD discovery algorithms (TANE, FUN, FastFDs, HyFD)."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,15 @@ class TestApproximateTane:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             ApproximateTANE(threshold=-0.1)
+
+    @pytest.mark.parametrize("algorithm", [TANE(), ApproximateTANE(threshold=0.1)])
+    def test_a_run_keeps_no_reference_to_its_relation(self, algorithm):
+        relation = Relation("r", ("a", "b"), [(i % 3, i % 5) for i in range(60)])
+        collected = weakref.ref(relation)
+        algorithm.discover(relation)
+        del relation
+        gc.collect()
+        assert collected() is None
 
 
 class TestRegistry:

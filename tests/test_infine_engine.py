@@ -150,6 +150,25 @@ class TestEngineOnViewShapes:
         without_pruning = InFine(use_theorem4=False).run(view, clinical_catalog)
         assert set(with_pruning.fds.as_set()) == set(without_pruning.fds.as_set())
 
+    @pytest.mark.parametrize("use_theorem4", [True, False])
+    def test_cap_with_a_two_attribute_join_key(self, use_theorem4):
+        # ``(k, k2) -> b0`` holds on the reduced B but lies past the cap of 1,
+        # so B's capped cover cannot tell Theorem 4 that ``a1 -> b0`` may
+        # hold on the join; it must be validated on the data instead.
+        catalog = {
+            "A": Relation("A", ("k", "k2", "a1"), [(1, 1, "x"), (1, 2, "y"), (2, 1, "z")]),
+            "B": Relation(
+                "B", ("k", "k2", "b0"), [(1, 1, "p"), (1, 2, "q"), (2, 1, "q"), (3, 3, "p")]
+            ),
+        }
+        view = join(base("A"), base("B"), on=("k", "k2"))
+        result = InFine(max_lhs_size=1, use_theorem4=use_theorem4).run(view, catalog)
+        reference = StraightforwardPipeline(TANE(max_lhs_size=1)).run(
+            view, catalog, with_provenance=False
+        )
+        assert FD(("a1",), "b0") in set(result.fds.as_set())
+        assert set(result.fds.as_set()) == set(reference.fds.as_set())
+
     def test_timings_and_stats_populated(self, clinical_catalog):
         view = join(base("patient"), base("admission"), on="subject_id")
         result = InFine().run(view, clinical_catalog)

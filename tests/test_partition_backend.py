@@ -20,8 +20,7 @@ from repro.relational.backend import KERNEL
 from repro.relational.partition import (
     PartitionCache,
     StrippedPartition,
-    fd_holds_fast,
-    fd_violation_fraction_from_partition,
+    fd_holds,
     validate_level,
     validate_level_errors,
 )
@@ -111,17 +110,12 @@ def test_g3_fd_checks_and_batched_validation_agree(rows):
         for lhs, rhs in checks:
             partition = cache.get(lhs)
             codes, _ = relation.column_codes(rhs)
-            args = (partition.positions, partition.offsets, codes)
-            holds = both("constant_within_groups", *args)
-            removals = both("g3_removals", *args)
-            assert holds[0] == holds[1] and removals[0] == removals[1]
-            scalar.append(
-                (
-                    fd_holds_fast(relation, partition, rhs),
-                    fd_violation_fraction_from_partition(relation, partition, rhs),
-                )
-            )
-            assert scalar[-1] == (holds[1], removals[1] / len(relation))
+            one = [(partition.positions, partition.offsets, [codes])]
+            [[holds]] = ORACLE.validate_level_groups(one)
+            [[removals]] = ORACLE.validate_level_error_groups(one)
+            # Error equality, the oracle's scan and its g3 tally agree.
+            assert holds == fd_holds(relation, lhs, rhs, cache) == (removals == 0)
+            scalar.append((holds, removals / len(relation)))
             batch.append((partition, rhs))
             groups.append((partition.positions, partition.offsets, [codes, codes]))
     kernel, oracle = both("validate_level_groups", groups)
@@ -130,7 +124,7 @@ def test_g3_fd_checks_and_batched_validation_agree(rows):
     assert kernel == oracle
     verdicts = validate_level(relation, batch)
     errors = validate_level_errors(relation, batch)
-    # Batched answers must equal the scalar primitives point-wise.
+    # Batched answers must equal the per-candidate references point-wise.
     for (holds, g3), verdict, error in zip(scalar, verdicts, errors):
         assert verdict == holds
         assert error == pytest.approx(g3)

@@ -19,9 +19,9 @@ from repro.relational.partition import (
     PartitionCache,
     StrippedPartition,
     fd_holds,
-    fd_holds_fast,
     fd_violation_fraction,
-    fd_violation_fraction_from_partition,
+    validate_level,
+    validate_level_errors,
 )
 from repro.relational.relation import NULL, Relation
 
@@ -155,11 +155,9 @@ def test_g3_and_fd_checks_match_reference(rows):
     for lhs, rhs in ((("a",), "b"), (("b",), "c"), (("a", "c"), "d"), (("d",), "a")):
         expected = reference_violation_fraction(relation, lhs, rhs)
         assert fd_violation_fraction(relation, lhs, rhs, cache) == pytest.approx(expected)
-        if len(relation):
-            assert fd_violation_fraction_from_partition(
-                relation, cache.get(lhs), rhs
-            ) == pytest.approx(expected)
-            assert fd_holds_fast(relation, cache.get(lhs), rhs) == (expected == 0.0)
+        candidate = [(cache.get(lhs), rhs)]
+        assert validate_level_errors(relation, candidate) == [pytest.approx(expected)]
+        assert validate_level(relation, candidate) == [expected == 0.0]
         assert fd_holds(relation, lhs, rhs, cache) == (expected == 0.0)
 
 

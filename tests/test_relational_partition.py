@@ -8,10 +8,11 @@ from repro.relational.partition import (
     PartitionCache,
     StrippedPartition,
     fd_holds,
-    fd_holds_fast,
     fd_violation_fraction,
+    validate_level,
 )
 from repro.relational.relation import Relation
+from repro.session import Session
 
 
 @pytest.fixture()
@@ -65,8 +66,9 @@ class TestStrippedPartition:
         assert not StrippedPartition.from_column(relation, "c").refines(pa)
 
     def test_g3_error_bounds(self, relation):
-        partition = StrippedPartition.from_column(relation, "a")
-        assert 0.0 <= partition.g3_error() <= 1.0
+        for lhs in ([], ["a"], ["c"]):
+            for rhs in ("a", "b", "c"):
+                assert 0.0 <= fd_violation_fraction(relation, lhs, rhs) <= 1.0
 
     def test_equality_is_structural(self, relation):
         first = StrippedPartition.from_column(relation, "a")
@@ -96,15 +98,15 @@ class TestFDChecks:
     def test_trivial_fd_holds(self, relation):
         assert fd_holds(relation, ["a", "b"], "a")
 
-    def test_fd_holds_fast_matches_slow(self, relation):
+    def test_validate_level_matches_fd_holds(self, relation):
         cache = PartitionCache(relation)
         for lhs in (["a"], ["b"], ["a", "b"], ["c"]):
             for rhs in ("a", "b", "c"):
                 if rhs in lhs:
                     continue
-                assert fd_holds_fast(relation, cache.get(lhs), rhs) == fd_holds(
-                    relation, lhs, rhs, cache
-                )
+                assert validate_level(relation, [(cache.get(lhs), rhs)]) == [
+                    fd_holds(relation, lhs, rhs, cache)
+                ]
 
     def test_violation_fraction_zero_for_valid(self, relation):
         assert fd_violation_fraction(relation, ["a"], "b") == 0.0
@@ -116,6 +118,18 @@ class TestFDChecks:
     def test_violation_fraction_empty_relation(self):
         empty = Relation("e", ("a", "b"), [])
         assert fd_violation_fraction(empty, ["a"], "b") == 0.0
+
+    def test_violation_fraction_edges_are_zero(self, relation):
+        # An empty relation and ``rhs in lhs`` answer before any kernel work;
+        # a superkey LHS is graded as a level of one whose partition keeps
+        # no group.
+        with Session() as session:
+            assert fd_violation_fraction(Relation("e", ("a", "b"), []), ["a"], "b") == 0.0
+            assert fd_violation_fraction(relation, ["a", "c"], "c") == 0.0
+            assert session.counters.batched_levels == 0
+            keyed = Relation("k", ("a", "b"), [(1, "x"), (2, "x"), (3, "y")])
+            assert fd_violation_fraction(keyed, ["a"], "b") == 0.0
+            assert session.counters.batched_levels == 1
 
 
 @settings(max_examples=40, deadline=None)

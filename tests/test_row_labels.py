@@ -3,7 +3,7 @@
 ``mineFDs``, ``upstageFDs`` and the ``refine`` step of ``inferFDs`` validate
 FDs on a memo of dense row labels keyed by attribute bitmask.  For every
 ``(lhs, rhs)`` of a relation, the memo's verdict must equal
-``relational.partition.fd_holds_fast`` on the LHS partition of a
+``relational.partition.fd_holds``, the partition-error equality over a
 ``PartitionCache``.  Random small relations (NULLs included) cover the
 general case.  The edge cases are the empty LHS, a one-row and a zero-row
 relation, constant columns, a key column, semi-join and selection reduced
@@ -24,7 +24,7 @@ import pytest
 from repro.infine.joinfd import RowLabels
 from repro.infine.joinfd import fd_holds_fast as labels_hold
 from repro.relational.algebra import JoinKind, JoinMatch, select
-from repro.relational.partition import PartitionCache, fd_holds_fast
+from repro.relational.partition import PartitionCache, fd_holds
 from repro.relational.predicates import Comparison
 from repro.relational.relation import Relation
 
@@ -62,7 +62,7 @@ def assert_labels_agree(
     """
     cache = PartitionCache(relation)
     expected = {
-        (lhs, rhs): fd_holds_fast(relation, cache.get(lhs), rhs)
+        (lhs, rhs): fd_holds(relation, lhs, rhs, cache)
         for lhs in every_lhs(relation)
         for rhs in relation.attribute_names
     }

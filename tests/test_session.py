@@ -29,8 +29,8 @@ from repro.config import config_fingerprint
 from repro.relational.backend import KERNEL_COUNTERS
 from repro.relational.partition import (
     StrippedPartition,
-    fd_holds_fast,
-    fd_violation_fraction_from_partition,
+    fd_holds,
+    fd_violation_fraction,
     validate_level,
     validate_level_errors,
 )
@@ -220,19 +220,19 @@ class TestArtifactsAcrossConfigurations:
 
     def test_batched_and_scalar_validation_identical(self):
         # Lattice levels are always validated batched; the per-candidate
-        # scalar checks remain its oracle.
+        # error equality and g3 grading remain its oracle.
         relation = small_relation()
+        pairs = [(lhs, rhs) for lhs in "abcd" for rhs in "abcd" if lhs != rhs]
         with Session() as session:
             session.profile(relation, threshold=0.5)
             assert session.counters.batched_levels > 0
             partitions = {a: StrippedPartition.from_column(relation, a) for a in "abcd"}
-            batch = [(partitions[lhs], rhs) for lhs in "abcd" for rhs in "abcd" if lhs != rhs]
+            batch = [(partitions[lhs], rhs) for lhs, rhs in pairs]
             assert validate_level(relation, batch) == [
-                fd_holds_fast(relation, partition, rhs) for partition, rhs in batch
+                fd_holds(relation, [lhs], rhs) for lhs, rhs in pairs
             ]
             assert validate_level_errors(relation, batch) == [
-                fd_violation_fraction_from_partition(relation, partition, rhs)
-                for partition, rhs in batch
+                fd_violation_fraction(relation, [lhs], rhs) for lhs, rhs in pairs
             ]
 
     def test_env_var_and_engine_config_produce_identical_artifacts(self, monkeypatch):

@@ -1,16 +1,27 @@
-"""Differential conformance fuzzer: one workload, every engine leg, same bytes.
+"""Differential conformance fuzzer: one workload, every kernel path, same bytes.
 
-The repo's central invariant is that *no engine setting changes artefacts*,
-and that the vectorized kernel computes exactly what its pure-python
-reference (``tests/kernel_oracle.py``) computes.  This tool makes both
-*fuzzed* invariants instead of per-PR claims: a seed-replayable generator
-produces adversarial relations (skew, constants, all-distinct runs, nulls,
-long equal blocks, empty and single-row instances) and every registered
-discovery algorithm is executed on every engine leg of the conformance grid.
-The engine has no setting left to vary, so the grid is the one ``default``
-leg; a leg patches constants of ``repro.relational.backend``.  Per seed:
+The repo's central invariant is that *no kernel path selection changes
+artefacts*, and that the vectorized kernel computes exactly what its
+pure-python reference (``tests/kernel_oracle.py``) computes.  This tool
+makes both *fuzzed* invariants instead of per-PR claims: a seed-replayable
+generator produces adversarial relations (skew, constants, all-distinct
+runs, nulls, long equal blocks, empty and single-row instances) and every
+registered discovery algorithm is executed on every leg of the conformance
+grid.  The kernel picks between two equivalent paths by input size in three
+places, and the grid has two legs: ``default`` (the size-based selection)
+and ``other-paths``, which zeroes the three size bounds so that every call
+takes the other path:
 
-* on the first leg, every kernel primitive call returns what the oracle
+* ``COUNTING_SORT_SPACE = 0`` — stable grouping by composite introsort,
+  never the ``uint16`` counting sort;
+* ``NumpyBackend.PRODUCT_LABELS_SPACE = 0`` — row labels ranked by
+  ``np.unique``, never by scatter;
+* ``NumpyBackend.LEVEL_STACK_MAX_ELEMENTS_PER_CANDIDATE = 0`` — level
+  validation by the per-LHS loop, never the stacked prescreen.
+
+Per seed:
+
+* on every leg, every kernel primitive call returns what the oracle
   returns on the same inputs;
 * across legs, the canonical FD set of every algorithm is identical, the
   full ``RunResult`` artefacts block is **byte**-identical (serialised with
@@ -34,8 +45,9 @@ import argparse
 import json
 import random
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from pathlib import Path
+from typing import Iterator
 from unittest import mock
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +59,7 @@ from kernel_oracle import cross_checked  # noqa: E402
 
 from repro.discovery.registry import available_algorithms  # noqa: E402
 from repro.relational import backend  # noqa: E402
+from repro.relational.backend import NumpyBackend  # noqa: E402
 from repro.relational.partition import StrippedPartition  # noqa: E402
 from repro.relational.relation import Relation  # noqa: E402
 from repro.session import Session  # noqa: E402
@@ -96,27 +109,51 @@ def generate_case(seed: int) -> tuple[tuple[str, ...], list[tuple], list[str]]:
     return names, rows, shapes
 
 
-def conformance_legs() -> list[tuple[str, dict]]:
-    """The engine legs of the grid, as ``(label, backend constants)`` pairs."""
-    return [("default", {})]
+#: One patch of a leg: ``(owner, attribute, value)``.  The module constant
+#: lives on ``repro.relational.backend``, the two class attributes on
+#: ``NumpyBackend`` itself.
+Patch = tuple[object, str, int]
+
+
+def conformance_legs() -> list[tuple[str, tuple[Patch, ...]]]:
+    """The legs of the grid, as ``(label, patches)`` pairs."""
+    return [
+        ("default", ()),
+        (
+            "other-paths",
+            (
+                (backend, "COUNTING_SORT_SPACE", 0),
+                (NumpyBackend, "PRODUCT_LABELS_SPACE", 0),
+                (NumpyBackend, "LEVEL_STACK_MAX_ELEMENTS_PER_CANDIDATE", 0),
+            ),
+        ),
+    ]
+
+
+@contextmanager
+def patched(patches: tuple[Patch, ...]) -> Iterator[None]:
+    """Apply ``patches`` for the extent of the ``with`` block."""
+    with ExitStack() as stack:
+        for owner, attribute, value in patches:
+            stack.enter_context(mock.patch.object(owner, attribute, value))
+        yield
 
 
 def _observe_leg(
     names: tuple[str, ...],
     rows: list[tuple],
-    constants: dict,
+    patches: tuple[Patch, ...],
     algorithms: list[str],
     oracle: bool = False,
 ) -> dict:
     """Everything one leg produces, in a directly comparable form.
 
-    ``constants`` patch constants of ``repro.relational.backend`` for the
-    leg.  With ``oracle``, every kernel primitive call is also replayed
-    on the pure-python oracle; a divergence raises ``AssertionError``.
+    ``patches`` are applied for the leg.  With ``oracle``, every kernel
+    primitive call is also replayed on the pure-python oracle; a divergence
+    raises ``AssertionError``.
     """
-    patched = mock.patch.multiple(backend, **constants) if constants else nullcontext()
     checked = cross_checked() if oracle else nullcontext()
-    with patched, Session() as session, checked:
+    with patched(patches), Session() as session, checked:
         relation = Relation("fuzz", names, rows)
         partitions = {}
         for attribute in names:
@@ -139,9 +176,9 @@ def check_case(label: str, names: tuple[str, ...], rows: list[tuple]) -> list[st
     mismatches: list[str] = []
     reference_leg: str | None = None
     reference: dict | None = None
-    for leg, constants in conformance_legs():
+    for leg, patches in conformance_legs():
         try:
-            observed = _observe_leg(names, rows, constants, algorithms, oracle=reference is None)
+            observed = _observe_leg(names, rows, patches, algorithms, oracle=True)
         except AssertionError as exc:
             return [f"{label}: {exc} on leg {leg}"]
         if reference is None:

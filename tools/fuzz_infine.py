@@ -10,14 +10,20 @@ view and runs TANE on it, under the same LHS cap.  The generated cases mix
 
 * inner, left-semi and right-semi joins, left- and right-nested for three
   tables;
-* NULL-free join keys drawn from tiny domains (long duplicate runs, many
-  dangling or fully matching keys, empty joins);
+* join keys drawn from tiny domains (long duplicate runs, many dangling or
+  fully matching keys, empty joins), on one attribute or on two;
 * constant columns and planted single-table FDs;
+* NULL values: in some cases 15% of the non-key values are NULL, and in
+  some cases 20% of the join key values are (a NULL key matches nothing);
 * optional range selections (``lo <= a <= hi``) on a base relation or on
   the view itself;
 * an optional projection of the view onto a proper subset of its
   attributes;
 * an LHS cap drawn from ``None`` (uncapped), 1 and 2.
+
+The NULL and two-attribute-key dimensions are drawn from a second random
+stream of the seed, so a case with all three off is the case the seed gave
+before they were added.
 
 Outer joins are deliberately not generated: InFine reports constant FDs on
 the padded side that TANE rejects (a known defect pinned as a strict xfail
@@ -37,6 +43,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
@@ -61,9 +68,43 @@ VALUE_DOMAIN = 4
 #: The LHS caps drawn for InFine and the reference TANE (``None`` = uncapped).
 MAX_LHS_SIZES = (None, 1, 2)
 
+#: In a case with NULL values, the share of non-key values that are NULL.
+NULL_VALUE_RATE = 0.15
 
-def _relation(rng: random.Random, name: str, key: str, key_domain: int, prefix: str) -> Relation:
-    """Up to 30 rows and 1-4 non-key columns, some of them constant or derived."""
+#: In a case with NULL join keys, the share of key values that are NULL.
+NULL_KEY_RATE = 0.2
+
+
+@dataclass(frozen=True)
+class Dimensions:
+    """The per-case draws of the second random stream."""
+
+    null_values: bool
+    null_keys: bool
+    two_keys: bool
+
+
+def _dimensions(seed: int) -> tuple[Dimensions, random.Random]:
+    """The case's dimensions and the stream its NULLs and second keys come from."""
+    rng = random.Random(f"fuzz_infine dimensions {seed}")
+    return Dimensions(rng.random() < 0.5, rng.random() < 0.5, rng.random() < 0.5), rng
+
+
+def _relation(
+    rng: random.Random,
+    name: str,
+    keys: list[str],
+    key_domain: int,
+    prefix: str,
+    dims: Dimensions,
+    extra: random.Random,
+) -> Relation:
+    """Up to 30 rows and 1-4 non-key columns, some of them constant or derived.
+
+    ``keys`` holds one or two key names.  The first key, every non-NULL
+    value and the column layout come from ``rng``; the second key and the
+    NULLs come from ``extra``.
+    """
     n_rows = rng.randint(0, 30)
     others = [f"{prefix}{i}" for i in range(rng.randint(1, 4))]
     constant = {a for a in others if rng.random() < 0.15}
@@ -74,8 +115,14 @@ def _relation(rng: random.Random, name: str, key: str, key_domain: int, prefix: 
         values = {a: 0 if a in constant else rng.randrange(VALUE_DOMAIN) for a in others}
         if planted and others[1] not in constant:
             values[others[1]] = values[others[0]] % 2
-        rows.append((rng.randrange(key_domain), *(values[a] for a in others)))
-    return Relation(name, [key, *others], rows)
+        key_values = [rng.randrange(key_domain)]
+        key_values += [extra.randrange(key_domain) for _ in keys[1:]]
+        if dims.null_keys:
+            key_values = [None if extra.random() < NULL_KEY_RATE else v for v in key_values]
+        if dims.null_values:
+            values = {a: None if extra.random() < NULL_VALUE_RATE else v for a, v in values.items()}
+        rows.append((*key_values, *(values[a] for a in others)))
+    return Relation(name, [*keys, *others], rows)
 
 
 def _maybe_select(rng: random.Random, view: ViewSpec, attributes: tuple[str, ...]) -> ViewSpec:
@@ -106,28 +153,35 @@ def _join_kind(rng: random.Random) -> JoinKind:
 def generate_case(seed: int) -> tuple[ViewSpec, dict[str, Relation], int | None]:
     """The ``(view, catalog, max_lhs_size)`` of one fuzz case; a pure function of ``seed``."""
     rng = random.Random(seed)
+    dims, extra = _dimensions(seed)
     n_tables = rng.choice((2, 3))
     # One tiny key domain per case: long duplicate runs, and most keys match.
     key_domain = rng.randint(1, 6)
+    ab_keys = ["k", "k2"] if dims.two_keys else ["k"]
+    c_keys = ["j", "j2"] if dims.two_keys else ["j"]
     catalog = {
-        "A": _relation(rng, "A", "k", key_domain, "a"),
-        "B": _relation(rng, "B", "k", key_domain, "b"),
+        "A": _relation(rng, "A", ab_keys, key_domain, "a", dims, extra),
+        "B": _relation(rng, "B", ab_keys, key_domain, "b", dims, extra),
     }
     if n_tables == 3:
-        catalog["C"] = _relation(rng, "C", "j", key_domain, "c")
+        catalog["C"] = _relation(rng, "C", c_keys, key_domain, "c", dims, extra)
 
     def leaf(name: str) -> ViewSpec:
         return _maybe_select(rng, base(name), catalog[name].attribute_names)
 
-    view: ViewSpec = join(leaf("A"), leaf("B"), on="k", kind=_join_kind(rng))
+    view: ViewSpec = join(leaf("A"), leaf("B"), on=ab_keys, kind=_join_kind(rng))
     if n_tables == 3:
-        # Join C on any attribute the two-table view still exposes.
-        attribute = rng.choice(validate_view(view, catalog))
+        # Join C on any attribute the two-table view still exposes, and on
+        # a second, distinct one for a two-attribute key.
+        exposed = validate_view(view, catalog)
+        on = [rng.choice(exposed)]
+        if dims.two_keys:
+            on.append(extra.choice([a for a in exposed if a != on[0]]))
         kind = _join_kind(rng)
         if rng.random() < 0.5:
-            view = join(view, leaf("C"), on=attribute, right_on="j", kind=kind)
+            view = join(view, leaf("C"), on=on, right_on=c_keys, kind=kind)
         else:
-            view = join(leaf("C"), view, on="j", right_on=attribute, kind=kind)
+            view = join(leaf("C"), view, on=c_keys, right_on=on, kind=kind)
     view = _maybe_select(rng, view, validate_view(view, catalog))
     # Drawn last, so the projection and the cap leave the joins and
     # selections of every seed as they were before they were added.
